@@ -5,10 +5,16 @@ window w = (x_0 .. x_{q-1}) moves along the edge w -> (s, x_0 .. x_{q-2})
 whose key is the allowed (q+1)-word (s,) + w and whose weight is the reduced
 potential value there. All arithmetic is exact; criticality is an equality
 predicate on rationals.
+
+The dynamic programs (Karp, Bellman, the negative-cycle search and the
+all-pairs costs) run on Python ints: every edge cost is scaled once by the
+common denominator of the weights and of beta, and results turn back into
+exact Fractions when they return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -104,6 +110,26 @@ def build_prepend_graph(
 
 
 # ---------------------------------------------------------------------------
+# integer kernel shared by the dynamic programs
+
+
+def _scaled_costs(
+    graph: PrependGraph, shift: Fraction
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """Edge costs shift - weight as ints scaled by a common denominator D.
+
+    D is the lcm of the weight denominators and of shift's denominator, so
+    (src, tgt, D * (shift - weight)) is exact for every edge, in edge order.
+    """
+    D = math.lcm(shift.denominator, *(e.weight.denominator for e in graph.edges))
+    base = shift.numerator * (D // shift.denominator)
+    return D, [
+        (e.src, e.tgt, base - e.weight.numerator * (D // e.weight.denominator))
+        for e in graph.edges
+    ]
+
+
+# ---------------------------------------------------------------------------
 # max mean cycle (Karp)
 
 
@@ -117,28 +143,37 @@ class BetaResult:
 def _karp_value(graph: PrependGraph) -> Fraction:
     """Maximum cycle mean by Karp's dynamic program.
 
-    d[k][v] is the best weight of a k-edge walk ending at v, starting anywhere
-    (the usual super-source with zero-weight entry edges).
+    d[k][v] is the least cost of a k-edge walk ending at v, starting anywhere
+    (the usual super-source with zero-cost entry edges), for the costs
+    -weight; beta is minus the least cycle mean of those costs.
     """
     n = len(graph.nodes)
-    d = [[Fraction(0)] * n]
-    for k in range(1, n + 1):
-        row: list[Fraction | None] = [None] * n
-        prev = d[k - 1]
-        for e in graph.edges:
-            cand = prev[e.src] + e.weight
-            if row[e.tgt] is None or cand > row[e.tgt]:
-                row[e.tgt] = cand
+    D, edges = _scaled_costs(graph, Fraction(0))
+    d = [[0] * n]
+    for _ in range(n):
+        prev = d[-1]
+        row: list[int | None] = [None] * n
+        for src, tgt, c in edges:
+            cand = prev[src] + c
+            cur = row[tgt]
+            if cur is None or cand < cur:
+                row[tgt] = cand
         d.append(row)  # type: ignore[arg-type]
-    best: Fraction | None = None
+    # min over v of max over k of (d[n][v] - d[k][v]) / (n - k), compared as
+    # integer cross products; every node has an in-edge, so no entry is None
+    last = d[n]
+    best: tuple[int, int] | None = None
     for v in range(n):
-        inner = min(
-            (d[n][v] - d[k][v]) / (n - k) for k in range(n)
-        )
-        if best is None or inner > best:
-            best = inner
-    assert best is not None
-    return best
+        num, den = last[v], n  # k = 0, where d[0][v] = 0
+        for k in range(1, n):
+            a, p = last[v] - d[k][v], n - k
+            if a * den > num * p:
+                num, den = a, p
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den)
+    if best is None:
+        raise AssertionError("a prepend graph has at least one node")
+    return Fraction(-best[0], best[1] * D)
 
 
 def bellman_potentials(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
@@ -150,21 +185,22 @@ def bellman_potentials(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
     below the true maximum mean.
     """
     n = len(graph.nodes)
-    h = [Fraction(0)] * n
+    D, edges = _scaled_costs(graph, beta)
+    h = [0] * n
     for _ in range(n):
         changed = False
-        for e in graph.edges:
-            cand = h[e.src] + beta - e.weight
-            if cand < h[e.tgt]:
-                h[e.tgt] = cand
+        for src, tgt, c in edges:
+            cand = h[src] + c
+            if cand < h[tgt]:
+                h[tgt] = cand
                 changed = True
         if not changed:
             break
     else:
-        for e in graph.edges:
-            if h[e.src] + beta - e.weight < h[e.tgt]:
+        for src, tgt, c in edges:
+            if h[src] + c < h[tgt]:
                 raise NegativeCycle("costs beta - weight admit a negative cycle")
-    return h
+    return [Fraction(x, D) for x in h]
 
 
 def tight_edges(graph: PrependGraph, beta: Fraction, h: Sequence[Fraction]) -> list[Edge]:
@@ -221,7 +257,8 @@ def max_mean_cycle(graph: PrependGraph) -> BetaResult:
     h = bellman_potentials(graph, beta)
     witness = _minimal_cycle(graph, tight_edges(graph, beta, h))
     total = sum((e.weight for e in witness), Fraction(0))
-    assert total / len(witness) == beta
+    if total / len(witness) != beta:
+        raise AssertionError("witness cycle mean differs from beta")
     return BetaResult(beta, witness, "karp")
 
 
@@ -237,22 +274,24 @@ def certificate_subaction(graph: PrependGraph, beta: Fraction) -> list[Fraction]
 def _negative_cycle(graph: PrependGraph, b: Fraction) -> tuple[Edge, ...] | None:
     """A cycle with mean above b, found by Bellman-Ford predecessor walking."""
     n = len(graph.nodes)
-    dist = [Fraction(0)] * n
+    _, costs = _scaled_costs(graph, b)
+    dist = [0] * n
     pred: list[Edge | None] = [None] * n
     marked = None
     for round_ in range(n + 1):
         changed = False
-        for e in graph.edges:
-            cand = dist[e.src] + b - e.weight
-            if cand < dist[e.tgt]:
-                dist[e.tgt] = cand
-                pred[e.tgt] = e
+        for e, (src, tgt, c) in zip(graph.edges, costs):
+            cand = dist[src] + c
+            if cand < dist[tgt]:
+                dist[tgt] = cand
+                pred[tgt] = e
                 changed = True
                 if round_ == n:
-                    marked = e.tgt
+                    marked = tgt
         if not changed:
             return None
-    assert marked is not None
+    if marked is None:
+        raise AssertionError("a change in the last round marks a node")
     # walk predecessors n times to land inside the cycle, then collect it
     v = marked
     for _ in range(n):
@@ -261,7 +300,8 @@ def _negative_cycle(graph: PrependGraph, b: Fraction) -> tuple[Edge, ...] | None
     u = v
     while True:
         e = pred[u]
-        assert e is not None
+        if e is None:
+            raise AssertionError("the predecessor walk left the cycle")
         cycle.append(e)
         u = e.src
         if u == v:
@@ -297,7 +337,8 @@ def parametric_beta(graph: PrependGraph) -> Fraction:
         if better is None:
             return b
         mean = sum((e.weight for e in better), Fraction(0)) / len(better)
-        assert mean > b
+        if not mean > b:
+            raise AssertionError("an improving cycle must beat the candidate mean")
         b = mean
 
 
@@ -323,32 +364,31 @@ class ManeMatrix:
 def min_cost_all_pairs(graph: PrependGraph, beta: Fraction) -> ManeMatrix:
     """Floyd-Warshall over nonempty paths; diagonal entries stay path costs."""
     n = len(graph.nodes)
-    INF = None
-    phi: list[list[Fraction | None]] = [[INF] * n for _ in range(n)]
-    for e in graph.edges:
-        c = beta - e.weight
-        cur = phi[e.src][e.tgt]
-        if cur is None or c < cur:
-            phi[e.src][e.tgt] = c
+    D, edges = _scaled_costs(graph, beta)
+    INF = math.inf
+    phi: list[list[int | float]] = [[INF] * n for _ in range(n)]
+    for src, tgt, c in edges:
+        if c < phi[src][tgt]:
+            phi[src][tgt] = c
     for k in range(n):
-        pk = phi[k]
-        for i in range(n):
-            ik = phi[i][k]
-            if ik is None:
+        # a snapshot of row k is exact: round k changes row k only when
+        # phi[k][k] < 0, which raises below anyway
+        pk = [(j, kj) for j, kj in enumerate(phi[k]) if kj != INF]
+        for row in phi:
+            ik = row[k]
+            if ik == INF:
                 continue
-            row = phi[i]
-            for j in range(n):
-                kj = pk[j]
-                if kj is None:
-                    continue
+            for j, kj in pk:
                 cand = ik + kj
-                if row[j] is None or cand < row[j]:
+                if cand < row[j]:
                     row[j] = cand
     for v in range(n):
-        d = phi[v][v]
-        if d is not None and d < 0:
+        if phi[v][v] < 0:
             raise NegativeCycle(f"node {graph.nodes[v]} lies on a cycle of mean above beta")
-    return ManeMatrix(beta, tuple(tuple(row) for row in phi))
+    return ManeMatrix(
+        beta,
+        tuple(tuple(None if c == INF else Fraction(c, D) for c in row) for row in phi),
+    )
 
 
 @dataclass(frozen=True)
@@ -436,5 +476,6 @@ def critical_structure(graph: PrependGraph, beta: Fraction) -> CriticalStructure
         key=lambda c: c[0],
     )
     # a critical node always sits in a class with at least one of its cycles
-    assert all(any(v in cls for cls in classes) for v in nodes)
+    if not all(any(v in cls for cls in classes) for v in nodes):
+        raise AssertionError("a critical node lies outside every critical class")
     return CriticalStructure(beta, nodes, frozenset(edge_ids), tuple(classes))

@@ -145,10 +145,13 @@ def beta_lp(graph: PrependGraph) -> tuple[Fraction, CirculationMeasure]:
     rows, rhs = _circulation_rows(graph)
     objective = [e.weight for e in graph.edges]
     res = solve_lp(objective, rows, rhs, maximize=True)
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise AssertionError(f"the circulation LP ended {res.status}, not optimal")
     measure = CirculationMeasure(graph, tuple(res.solution))
-    assert res.value == max_mean_cycle(graph).beta
-    assert res.value == measure.weight_average()
+    if res.value != max_mean_cycle(graph).beta:
+        raise AssertionError("the LP optimum differs from the maximum cycle mean")
+    if res.value != measure.weight_average():
+        raise AssertionError("the LP optimum differs from its vertex's weight average")
     return res.value, measure
 
 

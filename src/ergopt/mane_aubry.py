@@ -42,7 +42,8 @@ def omega_set(graph: PrependGraph) -> OmegaSet:
     beta = max_mean_cycle(graph).beta
     critical = critical_structure(graph, beta)
     mane = min_cost_all_pairs(graph, beta)
-    assert all(v is not None for row in mane.phi for v in row)
+    if not all(v is not None for row in mane.phi for v in row):
+        raise AssertionError("excursion costs on a transitive system are all finite")
     return OmegaSet(graph, beta, critical, mane)
 
 
@@ -150,7 +151,8 @@ def represent(u: NodeFunction, omega: OmegaSet) -> BoundaryData:
     if calibration_residual(u, omega.graph, omega.beta) != 0:
         raise NotCalibrated("representation requires an exactly calibrated input")
     data = BoundaryData(omega, tuple(u[a] for a in omega.critical.anchors()))
-    assert is_compatible(data)
+    if not is_compatible(data):
+        raise AssertionError("the anchor values of a calibrated sub-action must be compatible")
     return data
 
 
@@ -173,7 +175,8 @@ def reconstruct(data: BoundaryData) -> NodeFunction:
         for v in range(len(omega.graph.nodes))
     )
     u = NodeFunction(omega.graph, vals)
-    assert calibration_residual(u, omega.graph, omega.beta) == 0
+    if calibration_residual(u, omega.graph, omega.beta) != 0:
+        raise AssertionError("the reconstructed sub-action is not calibrated")
     return u
 
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import HypothesisFails, NonConvergence, NotSubaction, NotTransitive
-from .graph_engine import Edge, PrependGraph, build_prepend_graph, max_mean_cycle
+from .graph_engine import (
+    Edge,
+    PrependGraph,
+    _scaled_costs,
+    build_prepend_graph,
+    max_mean_cycle,
+)
 from .potential_model import pad_potential, reduce_past
 from .symbolic_core import Word, classify_transitivity
 
@@ -152,15 +158,19 @@ def maximal_subaction(graph: PrependGraph, beta: Fraction) -> NodeFunction:
 
     Costs are beta minus weight. Cycle costs are nonnegative, so the cheapest
     nonempty path is realized by a simple path or cycle, and the capped
-    Bellman sweep from zero settles within node-count rounds.
+    Bellman sweep from zero settles within node-count rounds. The sweep runs
+    on the scaled integer costs of the graph engine.
     """
     n = len(graph.nodes)
-    u = [Fraction(0)] * n
+    D, costs = _scaled_costs(graph, beta)
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for src, tgt, c in costs:
+        out[src].append((tgt, c))
+    u = [0] * n
     for _ in range(n + 2):
         changed = False
         for v in range(n):
-            best = min((beta - e.weight) + u[e.tgt] for e in graph.out_edges(v))
-            best = min(Fraction(0), best)
+            best = min(0, min(c + u[tgt] for tgt, c in out[v]))
             if best != u[v]:
                 u[v] = best
                 changed = True
@@ -168,7 +178,7 @@ def maximal_subaction(graph: PrependGraph, beta: Fraction) -> NodeFunction:
             break
     else:
         raise AssertionError("maximal sub-action iteration failed to settle")
-    return NodeFunction(graph, tuple(u), EXACT)
+    return NodeFunction(graph, tuple(Fraction(x, D) for x in u), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +235,8 @@ def _policy_values(graph: PrependGraph, policy: list[Edge], rho: Fraction) -> li
                 values[node] = rho * (values[nxt] - policy[node].weight)  # type: ignore[operand-type]
             # fix the wrap: recompute cycle[0] from its successor for safety
             head = cycle[0]
-            assert values[head] == rho * (values[policy[head].tgt] - policy[head].weight)
+            if values[head] != rho * (values[policy[head].tgt] - policy[head].weight):
+                raise AssertionError("closed-form cycle value fails to wrap around")
         # back-substitute the tail of the chain (tree part)
         for node in reversed(chain):
             if values[node] is None:
@@ -235,9 +246,17 @@ def _policy_values(graph: PrependGraph, policy: list[Edge], rho: Fraction) -> li
     return values  # type: ignore[return-value]
 
 
-def _exact_discounted(graph: PrependGraph, rho: Fraction) -> list[Fraction]:
-    """Fixed point of u(V) = rho * min over out-edges (u(tgt) - weight)."""
-    policy: list[Edge] = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
+def _exact_discounted(
+    graph: PrependGraph, rho: Fraction, policy: list[Edge] | None = None
+) -> list[Fraction]:
+    """Fixed point of u(V) = rho * min over out-edges (u(tgt) - weight).
+
+    Policy iteration starts from the given policy, improving it in place, or
+    from each node's first out-edge. The fixed point is unique, so the start
+    changes only the number of sweeps.
+    """
+    if policy is None:
+        policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
     for _ in range(10 * len(graph.edges) + 10):
         values = _policy_values(graph, policy, rho)
         improved = False
@@ -286,8 +305,10 @@ def calibrated_via_discount(
     prev_pair: tuple[Fraction, Fraction] | None = None
     chosen: list[Fraction] | None = None
     a_limit: Fraction | None = None
+    # warm start: each rho's optimal policy seeds policy iteration at the next
+    policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
     for rho in schedule.rho_list:
-        vals = _exact_discounted(graph, rho)
+        vals = _exact_discounted(graph, rho, policy)
         top = max(vals)
         norm = [v - top for v in vals]
         delta = 1 - rho

@@ -1,0 +1,200 @@
+"""The integer dynamic programs against the rational formulas they replace.
+
+Each reference below is the plain Fraction loop that the integer kernel
+replaced. The kernel must reproduce it exactly, value for value, on full
+shifts, golden-mean shifts and a reducible system (whose matrix has
+unreachable pairs), at weight denominators up to 10 and up to 1000.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ergopt.errors import NegativeCycle
+from ergopt.graph_engine import (
+    _negative_cycle,
+    bellman_potentials,
+    build_prepend_graph,
+    max_mean_cycle,
+    min_cost_all_pairs,
+    parametric_beta,
+)
+from ergopt.potential_model import LocallyConstantPotential
+from ergopt.subaction_lab import DiscountSchedule, _exact_discounted, maximal_subaction
+from ergopt.symbolic_core import allowed_words
+
+from conftest import full_shift, golden_mean, random_fraction, reducible_system
+
+
+# ---------------------------------------------------------------------------
+# Fraction references
+
+
+def ref_karp(graph) -> Fraction:
+    n = len(graph.nodes)
+    d = [[Fraction(0)] * n]
+    for k in range(1, n + 1):
+        row = [None] * n
+        for e in graph.edges:
+            cand = d[k - 1][e.src] + e.weight
+            if row[e.tgt] is None or cand > row[e.tgt]:
+                row[e.tgt] = cand
+        d.append(row)
+    return max(
+        min((d[n][v] - d[k][v]) / (n - k) for k in range(n)) for v in range(n)
+    )
+
+
+def ref_bellman(graph, beta):
+    n = len(graph.nodes)
+    h = [Fraction(0)] * n
+    for _ in range(n):
+        changed = False
+        for e in graph.edges:
+            cand = h[e.src] + beta - e.weight
+            if cand < h[e.tgt]:
+                h[e.tgt] = cand
+                changed = True
+        if not changed:
+            return h
+    raise AssertionError("reference Bellman did not settle")
+
+
+def ref_all_pairs(graph, beta):
+    n = len(graph.nodes)
+    phi = [[None] * n for _ in range(n)]
+    for e in graph.edges:
+        c = beta - e.weight
+        if phi[e.src][e.tgt] is None or c < phi[e.src][e.tgt]:
+            phi[e.src][e.tgt] = c
+    for k in range(n):
+        for i in range(n):
+            ik = phi[i][k]
+            if ik is None:
+                continue
+            for j in range(n):
+                kj = phi[k][j]
+                if kj is None:
+                    continue
+                if phi[i][j] is None or ik + kj < phi[i][j]:
+                    phi[i][j] = ik + kj
+    return tuple(tuple(row) for row in phi)
+
+
+def ref_negative_cycle(graph, b):
+    n = len(graph.nodes)
+    dist = [Fraction(0)] * n
+    pred = [None] * n
+    marked = None
+    for round_ in range(n + 1):
+        changed = False
+        for e in graph.edges:
+            cand = dist[e.src] + b - e.weight
+            if cand < dist[e.tgt]:
+                dist[e.tgt] = cand
+                pred[e.tgt] = e
+                changed = True
+                if round_ == n:
+                    marked = e.tgt
+        if not changed:
+            return None
+    v = marked
+    for _ in range(n):
+        v = pred[v].src
+    cycle = []
+    u = v
+    while True:
+        cycle.append(pred[u])
+        u = pred[u].src
+        if u == v:
+            break
+    return tuple(reversed(cycle))
+
+
+def ref_maximal_subaction(graph, beta):
+    n = len(graph.nodes)
+    u = [Fraction(0)] * n
+    for _ in range(n + 2):
+        changed = False
+        for v in range(n):
+            best = min((beta - e.weight) + u[e.tgt] for e in graph.out_edges(v))
+            best = min(Fraction(0), best)
+            if best != u[v]:
+                u[v] = best
+                changed = True
+        if not changed:
+            return tuple(u)
+    raise AssertionError("reference sweep did not settle")
+
+
+# ---------------------------------------------------------------------------
+# instances
+
+
+SYSTEMS = {
+    "full2": (full_shift(2), (1, 2, 3)),
+    "full3": (full_shift(3), (1, 2)),
+    "golden": (golden_mean(), (1, 2, 3)),
+    "reducible": (reducible_system(), (1, 2)),
+}
+
+
+def _instances(max_den: int, count: int = 3):
+    rng = random.Random(1000 + max_den)
+    out = []
+    for name, (system, depths) in SYSTEMS.items():
+        for q in depths:
+            for _ in range(count):
+                table = {
+                    k: random_fraction(rng, max_den=max_den)
+                    for k in allowed_words(system, 1 + q)
+                }
+                A = LocallyConstantPotential(system, 1, q, table)
+                out.append(pytest.param(build_prepend_graph(system, A), id=f"{name}-q{q}-d{max_den}"))
+    return out
+
+
+INSTANCES = _instances(10) + _instances(1000)
+
+
+@pytest.mark.parametrize("graph", INSTANCES)
+def test_kernel_matches_fraction_reference(graph):
+    beta = ref_karp(graph)
+    assert max_mean_cycle(graph).beta == beta
+    assert parametric_beta(graph) == beta
+    assert bellman_potentials(graph, beta) == ref_bellman(graph, beta)
+    assert min_cost_all_pairs(graph, beta).phi == ref_all_pairs(graph, beta)
+    assert maximal_subaction(graph, beta).values == ref_maximal_subaction(graph, beta)
+
+
+@pytest.mark.parametrize("graph", INSTANCES)
+def test_negative_cycle_below_the_optimum(graph):
+    beta = ref_karp(graph)
+    below = beta - Fraction(1, 997)
+    assert _negative_cycle(graph, below) == ref_negative_cycle(graph, below)
+    assert _negative_cycle(graph, beta) is None
+    with pytest.raises(NegativeCycle):
+        bellman_potentials(graph, below)
+    with pytest.raises(NegativeCycle):
+        min_cost_all_pairs(graph, below)
+
+
+def test_reducible_matrix_has_unreachable_pairs():
+    system = reducible_system()
+    A = LocallyConstantPotential(
+        system, 1, 1, {k: Fraction(1, 3) for k in allowed_words(system, 2)}
+    )
+    graph = build_prepend_graph(system, A)
+    phi = min_cost_all_pairs(graph, max_mean_cycle(graph).beta).phi
+    assert any(v is None for row in phi for v in row)
+    assert phi == ref_all_pairs(graph, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
+def test_warm_start_keeps_every_discounted_value(graph):
+    policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
+    for rho in DiscountSchedule().rho_list:
+        assert _exact_discounted(graph, rho, policy) == _exact_discounted(graph, rho)
