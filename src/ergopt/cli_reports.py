@@ -4,7 +4,7 @@ Config files are flat sectioned text: ``[system]``, ``[potential]``, optional
 ``[constraints]`` and ``[solver]`` blocks of ``key = value`` lines. Every
 weight is an exact rational string ("3", "-1/2"); floating literals are
 rejected at parse time so exactness survives the boundary. Reports are
-JSON (default) or CSV, byte-stable for fixed config and seed: rationals are
+JSON (default) or CSV, byte-stable for a fixed config: rationals are
 emitted as "n/d" strings and floats appear only inside discount traces.
 
 Exit codes: 0 ok, 1 check-suite failure, 2 config error, 3 hypothesis not
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -60,7 +60,6 @@ from .subaction_lab import (
     calibration_residual,
     contact_locus,
     contact_sources,
-    discounted_fixed_point,
     is_subaction,
     livsic_test,
     maximal_subaction,
@@ -87,7 +86,6 @@ class ExperimentConfig:
     potential: LocallyConstantPotential
     constraints: ConstraintSpec | None = None
     schedule_k_max: int | None = None
-    seed: int = 0
 
     def schedule(self) -> DiscountSchedule | None:
         """Discount schedule from the solver block; None means library default."""
@@ -183,7 +181,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         "system": {"alphabet_size", "lambda"},
         "potential": {"past_depth", "future_depth"},
         "constraints": {"c", "h"},
-        "solver": {"schedule_k_max", "seed"},
+        "solver": {"schedule_k_max"},
     }
     for (sec, key), (_, lineno) in scalars.items():
         if key not in allowed_scalars[sec]:
@@ -199,12 +197,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         k_max = _parse_int(text_value, lineno, "schedule_k_max")
         if not 1 <= k_max <= 64:
             raise ConfigError("schedule_k_max must be in [1, 64]", lineno, "schedule_k_max")
-    seed = 0
-    if ("solver", "seed") in scalars:
-        text_value, lineno = scalars[("solver", "seed")]
-        seed = _parse_int(text_value, lineno, "seed")
 
-    return ExperimentConfig(system, potential, constraints, k_max, seed)
+    return ExperimentConfig(system, potential, constraints, k_max)
 
 
 def _build_system(scalars, rows, header_line) -> SubshiftSystem:
@@ -379,28 +373,6 @@ def cmd_beta(config: ExperimentConfig) -> dict:
     return report
 
 
-def _discount_trace(graph: PrependGraph, schedule: DiscountSchedule) -> list[dict]:
-    trace = []
-    prev: tuple[float, ...] | None = None
-    for k, rho in enumerate(schedule.rho_list, 1):
-        u = discounted_fixed_point(graph, rho)
-        top = max(u.values)
-        norm = tuple(float(v - top) for v in u.values)
-        entry = {
-            "k": k,
-            "rho": _rat(rho),
-            "a_float": float((1 - rho) * -top),
-            "delta_float": None if prev is None else max(
-                abs(a - b) for a, b in zip(norm, prev)
-            ),
-        }
-        trace.append(entry)
-        if entry["delta_float"] is not None and entry["delta_float"] <= schedule.outer_stop:
-            break
-        prev = norm
-    return trace
-
-
 def cmd_subaction(config: ExperimentConfig, kind: str = "maximal") -> dict:
     """Sub-action of the requested kind with residuals and contact locus."""
     graph = _graph_of(config)
@@ -413,9 +385,17 @@ def cmd_subaction(config: ExperimentConfig, kind: str = "maximal") -> dict:
         u = maximal_calibrated(graph)
     elif kind == "calibrated":
         _require_transitive(config)
-        schedule = config.schedule() or DiscountSchedule()
-        u, _ = calibrated_via_discount(graph, schedule)
-        report["discount_trace"] = _discount_trace(graph, schedule)
+        steps: list = []
+        u, _ = calibrated_via_discount(graph, config.schedule(), steps)
+        report["discount_trace"] = [
+            {
+                "k": k,
+                "rho": _rat(rho),
+                "a_float": float(a_est),
+                "delta_float": None if change is None else float(change),
+            }
+            for k, (rho, a_est, change) in enumerate(steps, 1)
+        ]
     else:
         raise ConfigError(f"unknown sub-action kind {kind!r}")
     worst, _ = subaction_residual(u, graph, beta)
@@ -487,11 +467,12 @@ def cmd_alpha(config: ExperimentConfig) -> dict:
     }
 
 
-def _check_items(config: ExperimentConfig) -> list[tuple[str, Callable[[], tuple[str, str]]]]:
+def _check_items(
+    config: ExperimentConfig,
+) -> list[tuple[str, bool, Callable[[], tuple[str, str]]]]:
+    """(name, needs a transitive system, run) for each invariant check."""
     graph = _graph_of(config)
     beta = max_mean_cycle(graph).beta
-    transitive = classify_transitivity(config.system).kind != "reducible"
-    skip_note = ("skip", "system not transitive; calibrated checks skipped")
 
     def beta_methods() -> tuple[str, str]:
         parametric = parametric_beta(graph)
@@ -530,16 +511,11 @@ def _check_items(config: ExperimentConfig) -> list[tuple[str, Callable[[], tuple
         return ("pass" if ok else "fail", "optimal circulation sits on critical edges")
 
     def calibrated_discount() -> tuple[str, str]:
-        if not transitive:
-            return skip_note
-        schedule = config.schedule() or DiscountSchedule()
-        u, a = calibrated_via_discount(graph, schedule)
+        u, a = calibrated_via_discount(graph, config.schedule())
         ok = calibration_residual(u, graph, beta) == 0 and abs(a - float(beta)) <= 1e-9
         return ("pass" if ok else "fail", "discount limit exactly calibrated")
 
     def mane_triangle() -> tuple[str, str]:
-        if not transitive:
-            return skip_note
         omega = omega_set(graph)
         n = len(graph.nodes)
         for i in range(n):
@@ -550,8 +526,6 @@ def _check_items(config: ExperimentConfig) -> list[tuple[str, Callable[[], tuple
         return ("pass", "excursion costs satisfy the triangle inequality")
 
     def mane_diagonal() -> tuple[str, str]:
-        if not transitive:
-            return skip_note
         omega = omega_set(graph)
         for i in range(len(graph.nodes)):
             zero = omega.mane.value(i, i) == 0
@@ -560,16 +534,12 @@ def _check_items(config: ExperimentConfig) -> list[tuple[str, Callable[[], tuple
         return ("pass", "zero diagonal exactly on critical nodes")
 
     def representation() -> tuple[str, str]:
-        if not transitive:
-            return skip_note
         omega = omega_set(graph)
         u = maximal_calibrated(graph, omega)
         ok = reconstruct(represent(u, omega)).values == u.values
         return ("pass" if ok else "fail", "boundary-data round trip is exact")
 
     def family_calibrated() -> tuple[str, str]:
-        if not transitive:
-            return skip_note
         omega = omega_set(graph)
         cycle = max_mean_cycle(graph).witness_cycle
         x = point("", tuple(e.symbol for e in reversed(cycle)))
@@ -578,8 +548,6 @@ def _check_items(config: ExperimentConfig) -> list[tuple[str, Callable[[], tuple
         return ("pass" if ok else "fail", "excursion-cost family member calibrated")
 
     def omega_oracle() -> tuple[str, str]:
-        if not transitive:
-            return skip_note
         omega = omega_set(graph)
         cycle = max_mean_cycle(graph).witness_cycle
         samples = [point("", tuple(e.symbol for e in reversed(cycle)))]
@@ -594,8 +562,6 @@ def _check_items(config: ExperimentConfig) -> list[tuple[str, Callable[[], tuple
         return ("pass", f"membership matches the oracle on {len(samples)} points")
 
     def livsic_sign() -> tuple[str, str]:
-        if not transitive:
-            return skip_note
         result = livsic_test(graph)
         forward = beta
         if result.cohomologous and forward != result.constant:
@@ -603,18 +569,18 @@ def _check_items(config: ExperimentConfig) -> list[tuple[str, Callable[[], tuple
         return ("pass", "cohomology defect is nonnegative")
 
     return [
-        ("beta_methods_agree", beta_methods),
-        ("beta_oracle", beta_oracle),
-        ("calibrated_discount", calibrated_discount),
-        ("face_support", face_support),
-        ("family_calibrated", family_calibrated),
-        ("livsic_sign", livsic_sign),
-        ("mane_diagonal", mane_diagonal),
-        ("mane_triangle", mane_triangle),
-        ("maximal_subaction", maximal_valid),
-        ("omega_oracle", omega_oracle),
-        ("refinement_inclusion", refinement),
-        ("representation_roundtrip", representation),
+        ("beta_methods_agree", False, beta_methods),
+        ("beta_oracle", False, beta_oracle),
+        ("calibrated_discount", True, calibrated_discount),
+        ("face_support", False, face_support),
+        ("family_calibrated", True, family_calibrated),
+        ("livsic_sign", True, livsic_sign),
+        ("mane_diagonal", True, mane_diagonal),
+        ("mane_triangle", True, mane_triangle),
+        ("maximal_subaction", False, maximal_valid),
+        ("omega_oracle", True, omega_oracle),
+        ("refinement_inclusion", False, refinement),
+        ("representation_roundtrip", True, representation),
     ]
 
 
@@ -622,21 +588,27 @@ def _contact_source_indices(u, graph: PrependGraph, beta: Fraction) -> frozenset
     return contact_sources(contact_locus(u, graph, beta), graph)
 
 
-def cmd_check(config: ExperimentConfig, jobs: int = 1) -> dict:
-    """Run the invariant suite (oracles included) against one config."""
+def cmd_check(config: ExperimentConfig) -> dict:
+    """Run the invariant suite (oracles included) against one config.
+
+    A check that raises an ErgoptError reports status "error" with the
+    message as its note; the suite goes on with the next check.
+    """
     items = _check_items(config)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda item: item[1](), items))
-    else:
-        outcomes = [run() for _, run in items]
-    checks = [
-        {"name": name, "status": status, "note": note}
-        for (name, _), (status, note) in zip(items, outcomes)
-    ]
+    transitive = classify_transitivity(config.system).kind != "reducible"
+    checks = []
+    for name, needs_transitive, run in items:
+        if needs_transitive and not transitive:
+            status, note = "skip", "system not transitive; calibrated checks skipped"
+        else:
+            try:
+                status, note = run()
+            except ErgoptError as exc:
+                status, note = "error", str(exc)
+        checks.append({"name": name, "status": status, "note": note})
     return {
         "checks": checks,
-        "ok": all(c["status"] != "fail" for c in checks),
+        "ok": all(c["status"] not in ("fail", "error") for c in checks),
     }
 
 
@@ -722,22 +694,11 @@ def _parse_boundary(text: str) -> tuple[Fraction, ...]:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "schedule", None) is not None:
-        if not 1 <= args.schedule <= 64:
-            raise ConfigError("schedule k_max must be in [1, 64]", field="schedule")
-        updates["schedule_k_max"] = args.schedule
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if not updates:
+    if getattr(args, "schedule", None) is None:
         return config
-    return ExperimentConfig(
-        config.system,
-        config.potential,
-        config.constraints,
-        updates.get("schedule_k_max", config.schedule_k_max),
-        updates.get("seed", config.seed),
-    )
+    if not 1 <= args.schedule <= 64:
+        raise ConfigError("schedule k_max must be in [1, 64]", field="schedule")
+    return dataclasses.replace(config, schedule_k_max=args.schedule)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -747,16 +708,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
+    def common(
+        p: argparse.ArgumentParser, config_required: bool = True, schedule: bool = False
+    ) -> None:
         p.add_argument("--config", required=config_required, help="config file path")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--schedule", type=int, help="override discount schedule k_max")
-        p.add_argument("--seed", type=int, help="override the solver seed")
+        if schedule:
+            p.add_argument("--schedule", type=int, help="override discount schedule k_max")
 
     common(sub.add_parser("beta", help="optimal average with certificate"))
     p_sub = sub.add_parser("subaction", help="maximal, calibrated, or u0 sub-action")
-    common(p_sub)
+    common(p_sub, schedule=True)
     p_sub.add_argument("--kind", choices=("maximal", "calibrated", "u0"), default="maximal")
     common(sub.add_parser("mane", help="excursion costs and critical classes"))
     p_cls = sub.add_parser("classify", help="calibrated sub-action from boundary data")
@@ -764,8 +727,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--boundary", required=True, help="one rational per critical class")
     common(sub.add_parser("alpha", help="Legendre value at the config's multiplier"))
     p_chk = sub.add_parser("check", help="invariant suite including oracles")
-    common(p_chk)
-    p_chk.add_argument("--jobs", type=int, default=1, help="parallel check workers")
+    common(p_chk, schedule=True)
     p_bench = sub.add_parser("bench", help="size and optimum summary per fixture")
     common(p_bench, config_required=False)
     p_bench.add_argument("--timings", action="store_true", help="include wall-clock fields")
@@ -777,7 +739,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "bench":
             if args.config:
-                configs = {Path(args.config).stem: _apply_overrides(load_config(args.config), args)}
+                configs = {Path(args.config).stem: load_config(args.config)}
             else:
                 from . import fixtures
 
@@ -796,7 +758,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             elif args.command == "alpha":
                 report = cmd_alpha(config)
             else:
-                report = cmd_check(config, jobs=args.jobs)
+                report = cmd_check(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -398,12 +398,6 @@ class CriticalStructure:
     critical_edges: frozenset[int]
     classes: tuple[tuple[int, ...], ...]  # each sorted; ordered by first node
 
-    def node_class(self, v: int) -> int | None:
-        for i, cls in enumerate(self.classes):
-            if v in cls:
-                return i
-        return None
-
     def anchors(self) -> tuple[int, ...]:
         return tuple(cls[0] for cls in self.classes)
 

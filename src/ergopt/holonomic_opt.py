@@ -250,7 +250,8 @@ def constrained_beta(graph: PrependGraph, constraints: ConstraintSpec) -> Fracti
     res = solve_lp(objective, rows, rhs, maximize=True)
     if res.status == INFEASIBLE:
         raise InfeasibleTarget("no circulation attains the moment target")
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise AssertionError(f"moment LP ended with status {res.status!r}")
     return res.value
 
 

@@ -87,7 +87,8 @@ def _excursion_minimum(
                 best = cand
         edge = graph.edge_by_key(window(x, j, q + 1))
         cum += omega.beta - edge.weight
-    assert best is not None
+    if best is None:
+        raise AssertionError("the period of x is empty")
     return best
 
 

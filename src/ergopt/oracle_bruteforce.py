@@ -90,7 +90,8 @@ def oracle_beta(system: SubshiftSystem, A: LocallyConstantPotential, max_cycle_l
                 mean = total / length
                 if best is None or mean > best:
                     best = mean
-    assert best is not None, "a valid system always has an allowed cycle"
+    if best is None:
+        raise AssertionError("a valid system always has an allowed cycle")
     return best
 
 

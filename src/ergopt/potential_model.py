@@ -253,9 +253,3 @@ class ConstraintSpec:
     @property
     def system(self) -> SubshiftSystem:
         return self.components[0].system
-
-    def common_depth(self) -> tuple[int, int]:
-        return (
-            max(c.past_depth for c in self.components),
-            max(c.future_depth for c in self.components),
-        )

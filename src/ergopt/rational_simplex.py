@@ -91,7 +91,8 @@ def solve_lp(
     basis = [n + i for i in range(m)]
     phase1_obj = [Fraction(0)] * n + [Fraction(-1)] * m
     status = _optimize(T, basis, phase1_obj)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
+    if status != OPTIMAL:
+        raise AssertionError("phase 1 is bounded below by 0 yet did not reach an optimum")
     infeasibility = -sum(phase1_obj[basis[i]] * T[i][-1] for i in range(m))
     if infeasibility > 0:
         return LPResult(INFEASIBLE, None, None, None)

@@ -60,14 +60,6 @@ class NodeFunction:
         """Subtract the maximum value."""
         return self.shifted(-max(self.values))
 
-    def as_exact(self, max_denominator: int = 10**6) -> "NodeFunction":
-        if self.mode == EXACT:
-            return self
-        vals = tuple(
-            Fraction(v).limit_denominator(max_denominator) for v in self.values
-        )
-        return NodeFunction(self.graph, vals, EXACT)
-
 
 def pointwise_max(u: NodeFunction, v: NodeFunction) -> NodeFunction:
     if u.graph is not v.graph:
@@ -118,7 +110,8 @@ def calibration_residual(u: NodeFunction, graph: PrependGraph, beta) -> Fraction
         gap = abs(u[v] - bell)
         if worst is None or gap > worst:
             worst = gap
-    assert worst is not None
+    if worst is None:
+        raise AssertionError("graph has no nodes")
     return worst
 
 
@@ -192,7 +185,6 @@ class DiscountSchedule:
             Fraction(2**k - 1, 2**k) for k in range(1, 31)
         )
     )
-    inner_tolerance: float = 1e-12
     outer_stop: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -277,11 +269,10 @@ def _exact_discounted(
     raise AssertionError("policy iteration failed to settle")
 
 
-def discounted_fixed_point(graph: PrependGraph, rho, inner_tolerance: float = 1e-12) -> NodeFunction:
+def discounted_fixed_point(graph: PrependGraph, rho) -> NodeFunction:
     """The unique discounted fixed point, reported in float mode.
 
-    Solved exactly by policy iteration (the tolerance is a guard on the
-    float view, trivially met).
+    Solved exactly by policy iteration; only the returned view is float.
     """
     rho = Fraction(rho)
     if not (0 < rho < 1):
@@ -291,20 +282,24 @@ def discounted_fixed_point(graph: PrependGraph, rho, inner_tolerance: float = 1e
 
 
 def calibrated_via_discount(
-    graph: PrependGraph, schedule: DiscountSchedule | None = None
+    graph: PrependGraph,
+    schedule: DiscountSchedule | None = None,
+    steps: list[tuple[Fraction, Fraction, Fraction | None]] | None = None,
 ) -> tuple[NodeFunction, float]:
     """Calibrated sub-action as the limit of normalized discounted solutions.
 
     Follows the schedule until successive normalized solutions differ by at
     most the outer stop, reconstructs rational values, and verifies exact
     calibration. Also returns a, the discounted estimate of beta.
+
+    If ``steps`` is given, each solved rho appends (rho, (1 - rho) * -max u,
+    max change of the normalized solution since the previous rho or None at
+    the first), all exact; on return the last entry is the rho where the stop
+    fired.
     """
     schedule = schedule or DiscountSchedule()
     stop = Fraction(schedule.outer_stop).limit_denominator(10**15)
-    prev_norm: list[Fraction] | None = None
-    prev_pair: tuple[Fraction, Fraction] | None = None
-    chosen: list[Fraction] | None = None
-    a_limit: Fraction | None = None
+    prev: tuple[list[Fraction], Fraction, Fraction] | None = None  # norm, 1 - rho, a
     # warm start: each rho's optimal policy seeds policy iteration at the next
     policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
     for rho in schedule.rho_list:
@@ -313,28 +308,23 @@ def calibrated_via_discount(
         norm = [v - top for v in vals]
         delta = 1 - rho
         a_est = delta * (-top)
-        if prev_norm is not None and max(
-            abs(a - b) for a, b in zip(norm, prev_norm)
-        ) <= stop:
-            chosen = norm
+        change = None if prev is None else max(abs(a - b) for a, b in zip(norm, prev[0]))
+        if steps is not None:
+            steps.append((rho, a_est, change))
+        if prev is not None and change <= stop:
+            candidate = NodeFunction(
+                graph, tuple(v.limit_denominator(10**6) for v in norm), EXACT
+            )
+            beta = max_mean_cycle(graph).beta
+            if calibration_residual(candidate, graph, beta) != 0:
+                raise NonConvergence("rational reconstruction is not exactly calibrated")
             # The estimate converges linearly in (1 - rho); one Richardson
             # step over the last two exact values removes the linear term.
-            assert prev_pair is not None
-            prev_delta, prev_a = prev_pair
+            _, prev_delta, prev_a = prev
             a_limit = a_est + (a_est - prev_a) * delta / (prev_delta - delta)
-            break
-        prev_norm = norm
-        prev_pair = (delta, a_est)
-    if chosen is None:
-        raise NonConvergence("discount schedule exhausted before the outer stop")
-    candidate = NodeFunction(
-        graph, tuple(v.limit_denominator(10**6) for v in chosen), EXACT
-    )
-    beta = max_mean_cycle(graph).beta
-    if calibration_residual(candidate, graph, beta) != 0:
-        raise NonConvergence("rational reconstruction is not exactly calibrated")
-    assert a_limit is not None
-    return candidate, float(a_limit)
+            return candidate, float(a_limit)
+        prev = (norm, delta, a_est)
+    raise NonConvergence("discount schedule exhausted before the outer stop")
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +363,11 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
             if u[e.tgt] is None:
                 u[e.tgt] = u[v] + e.weight - beta_plus  # type: ignore[operand-type]
                 queue.append(e.tgt)
-    assert all(val is not None for val in u)
+    if any(val is None for val in u):
+        raise AssertionError("spanning walk missed a node")
     for e in graph.edges:
-        assert e.weight + u[e.src] - u[e.tgt] == beta_plus  # type: ignore[operand-type]
+        if e.weight + u[e.src] - u[e.tgt] != beta_plus:  # type: ignore[operand-type]
+            raise AssertionError(f"transfer function leaves edge {e.key} slack")
     return LivsicResult(True, beta_plus, NodeFunction(graph, tuple(u), EXACT))
 
 
@@ -443,5 +435,6 @@ def noncalibrated_example(u: NodeFunction, graph: PrependGraph) -> tuple[NodeFun
     defect = min(
         U[e.tgt] - e.weight + beta for e in refined.out_edges(w_idx)
     ) - U[w_idx]
-    assert defect > 0, "witness must violate calibration"
+    if not defect > 0:
+        raise AssertionError("witness must violate calibration")
     return U, witness

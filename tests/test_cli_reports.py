@@ -23,6 +23,7 @@ from ergopt.cli_reports import (
     render_report,
 )
 from ergopt.errors import ConfigError
+from ergopt.subaction_lab import DiscountSchedule
 
 MINIMAL = """
 [system]
@@ -53,7 +54,6 @@ def test_parse_minimal():
     assert config.potential.value((1, 1)) == 1
     assert config.potential.value((0, 1)) == 0  # unspecified defaults to zero
     assert config.constraints is None
-    assert config.seed == 0
 
 
 def test_parse_all_fixtures():
@@ -90,6 +90,7 @@ def test_schedule_override():
         ("[constraints]\nphi1 0 0 = 1\nc = 1 2", "needs 1 entries"),
         ("[solver]\nschedule_k_max = 0", "in [1, 64]"),
         ("[solver]\nschedule_k_max = x", "expected an integer"),
+        ("[solver]\nseed = 0", "unknown key 'seed'"),
     ],
 )
 def test_parse_rejects(mutation, fragment):
@@ -186,10 +187,27 @@ def test_check_reducible_skips():
     assert report["ok"]
 
 
-def test_check_parallel_matches_serial():
-    serial = cmd_check(fixtures.load("f6"), jobs=1)
-    parallel = cmd_check(fixtures.load("f6"), jobs=4)
-    assert serial == parallel
+def test_check_reports_a_raising_item_and_goes_on(tmp_path, capsys):
+    path = tmp_path / "slow.cfg"
+    path.write_text(fixtures.fixture_text("f1") + "\n[solver]\nschedule_k_max = 3\n")
+    assert main(["check", "--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert len(checks) == 12
+    raised = checks.pop("calibrated_discount")
+    assert raised["status"] == "error" and "schedule exhausted" in raised["note"]
+    assert {c["status"] for c in checks.values()} == {"pass"}
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize("name", ["f1", "f6"])
+def test_discount_trace_ends_where_the_exact_stop_fired(name):
+    trace = cmd_subaction(fixtures.load(name), "calibrated")["discount_trace"]
+    stop = DiscountSchedule().outer_stop
+    assert [entry["k"] for entry in trace] == list(range(1, 31))
+    assert trace[0]["delta_float"] is None
+    assert trace[-1]["delta_float"] <= stop
+    assert all(entry["delta_float"] > stop for entry in trace[1:-1])
 
 
 def test_bench_deterministic_fields():
@@ -250,6 +268,28 @@ def test_main_schedule_flag_overrides(tmp_path, capsys):
     path = write_fixture(tmp_path, "f1")
     assert main(["subaction", "--config", path, "--kind", "calibrated", "--schedule", "3"]) == 4
     capsys.readouterr()
+
+
+SUBCOMMANDS = ("beta", "subaction", "mane", "classify", "alpha", "check", "bench")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_lists_only_options_that_change_behaviour(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert "--seed" not in text
+    assert "--jobs" not in text
+    assert ("--schedule" in text) == (command in ("subaction", "check"))
+
+
+def test_schedule_flag_rejected_where_no_schedule_is_read(tmp_path, capsys):
+    path = write_fixture(tmp_path, "f1")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["beta", "--config", path, "--schedule", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --schedule 3" in capsys.readouterr().err
 
 
 def test_reports_byte_stable(tmp_path):

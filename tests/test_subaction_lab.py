@@ -261,6 +261,38 @@ def test_calibrated_via_discount_schedule_too_short():
         calibrated_via_discount(f1_graph(), schedule)
 
 
+def test_discount_steps_record_each_solve_of_the_route(rng, monkeypatch):
+    import ergopt.subaction_lab as lab
+
+    solve = lab._exact_discounted
+    solved = []
+
+    def counted(graph, rho, policy=None):
+        solved.append(rho)
+        return solve(graph, rho, policy)
+
+    monkeypatch.setattr(lab, "_exact_discounted", counted)
+    stop = Fraction(LONG_SCHEDULE.outer_stop).limit_denominator(10**15)
+    for _ in range(16):
+        g = random_graph(rng, rng.choice([2, 3]), rng.choice([1, 2]), require_transitive=True)
+        solved.clear()
+        steps = []
+        u, _ = calibrated_via_discount(g, LONG_SCHEDULE, steps)
+        assert [rho for rho, _, _ in steps] == solved
+        # reference walk: cold-started solves, stopped on the exact change
+        prev = None
+        for rho in LONG_SCHEDULE.rho_list:
+            vals = solve(g, rho)
+            norm = [v - max(vals) for v in vals]
+            if prev is not None and max(abs(a - b) for a, b in zip(norm, prev)) <= stop:
+                break
+            prev = norm
+        assert steps[-1][0] == rho
+        assert steps[-1][2] <= stop
+        assert all(change > stop for _, _, change in steps[1:-1])
+        assert u.values == tuple(v.limit_denominator(10**6) for v in norm)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         DiscountSchedule(rho_list=(Fraction(3, 4), Fraction(1, 2)))
