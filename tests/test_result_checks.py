@@ -1,7 +1,8 @@
 """Checks that guard an accepted result must survive ``python -O``.
 
 A plain ``assert`` is compiled away under -O, so no module of the package
-uses one; its checks raise AssertionError explicitly instead.
+uses one; its checks raise AssertionError explicitly instead. The functions
+that accept a result are also checked one by one, so a failure names them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ import pkgutil
 import pytest
 
 import ergopt
+from ergopt import holonomic_opt, mane_aubry, subaction_lab
+
+GUARDED = {
+    mane_aubry: ("omega_set", "reconstruct", "represent"),
+    holonomic_opt: ("beta_lp",),
+    subaction_lab: ("_policy_values",),
+}
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(ergopt.__path__, prefix="ergopt.")
@@ -28,3 +36,22 @@ def test_scan_sees_the_whole_package():
 def test_module_has_no_assert(name):
     tree = ast.parse(inspect.getsource(importlib.import_module(name)))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
+def _functions(module) -> dict[str, ast.AST]:
+    tree = ast.parse(inspect.getsource(module))
+    return {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in GUARDED.items() for name in names],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_guarded_function_has_no_assert(module, name):
+    node = _functions(module)[name]
+    assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.Assert)] == []
