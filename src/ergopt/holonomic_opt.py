@@ -156,19 +156,13 @@ def beta_lp(graph: PrependGraph) -> tuple[Fraction, CirculationMeasure]:
 
 
 def _circulation_rows(graph: PrependGraph):
+    """Total mass one, then outflow minus inflow zero at every node."""
     n_edges = len(graph.edges)
-    rows = [[Fraction(1)] * n_edges]
-    rhs = [Fraction(1)]
-    for v in range(len(graph.nodes)):
-        row = [Fraction(0)] * n_edges
-        for e in graph.edges:
-            if e.src == v:
-                row[e.index] += 1
-            if e.tgt == v:
-                row[e.index] -= 1
-        rows.append(row)
-        rhs.append(Fraction(0))
-    return rows, rhs
+    rows = [[1] * n_edges] + [[0] * n_edges for _ in graph.nodes]
+    for e in graph.edges:
+        rows[1 + e.src][e.index] += 1
+        rows[1 + e.tgt][e.index] -= 1
+    return rows, [1] + [0] * len(graph.nodes)
 
 
 @dataclass(frozen=True)

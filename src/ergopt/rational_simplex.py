@@ -1,15 +1,24 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex with exact rational answers.
 
 Solves max c.x subject to A x = b, x >= 0. Bland's rule everywhere, so no
 cycling; basic solutions are polytope vertices, which downstream code relies
 on for extremeness. Intended for desk-scale instances (up to a few thousand
 nonzeros), not production LPs.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row is a
+list of Python ints over its own positive denominator, and every update
+divides the row and its denominator by their gcd. The reduced-cost row is
+one more row of the tableau, updated by each pivot like the others. Input
+row i is scaled by the lcm of its denominators, and its artificial column
+carries that scale, so row over denominator is, step for step, the tableau
+of the plain rational method and every pivot choice matches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -25,41 +34,83 @@ class LPResult:
     basis: tuple[int, ...] | None
 
 
-def _pivot(T: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
+def _eliminate(row: list[int], den: int, prow: list[int], pden: int, col: int) -> tuple[list[int], int]:
+    """row/den minus its entry in col times prow/pden, whose entry there is 1.
+
+    The result is again integers over a positive denominator, with the
+    content of the row divided out.
+    """
+    g = gcd(row[col], pden)
+    a, b = pden // g, row[col] // g
+    row = [a * x - b * y for x, y in zip(row, prow)]
+    den *= a
+    g = gcd(den, *row)
+    if g > 1:
+        row = [x // g for x in row]
+        den //= g
+    return row, den
+
+
+def _pivot(T: list[list[int]], D: list[int], basis: list[int], row: int, col: int) -> None:
+    """Pivot on (row, col); the last row of T is the reduced-cost row."""
     prow = T[row]
+    piv = prow[col]
+    if piv < 0:
+        prow = [-v for v in prow]
+        piv = -piv
+    g = gcd(piv, *prow)
+    if g > 1:
+        prow = [v // g for v in prow]
+        piv //= g
+    T[row] = prow
+    D[row] = piv
     for i in range(len(T)):
         if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], prow)]
+            T[i], D[i] = _eliminate(T[i], D[i], prow, piv, col)
     basis[row] = col
 
 
-def _optimize(T: list[list[Fraction]], basis: list[int], obj: Sequence[Fraction]) -> str:
-    """Maximize obj over the tableau in place; Bland's rule."""
-    m = len(T)
-    ncols = len(T[0]) - 1
+def _optimize(T: list[list[int]], D: list[int], basis: list[int]) -> str:
+    """Maximize over the tableau in place; Bland's rule.
+
+    T[-1] holds the reduced costs c_j - c_B B^-1 A_j, so column j may enter
+    when its numerator is positive. Ratios rhs / entry share a row's
+    denominator, which cancels, and are compared by cross-multiplication.
+    """
+    z = T[-1]
+    ncols = len(z) - 1
+    m = len(T) - 1
     while True:
-        enter = -1
-        for j in range(ncols):
-            zj = obj[j] - sum(obj[basis[i]] * T[i][j] for i in range(m))
-            if zj > 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if z[j] > 0), -1)
         if enter < 0:
             return OPTIMAL
         leave = -1
-        best: Fraction | None = None
+        best_num = best_den = 0
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = T[i][enter]
+            if a > 0:
+                r = T[i][-1]
+                if (
+                    leave < 0
+                    or r * best_den < best_num * a
+                    or (r * best_den == best_num * a and basis[i] < basis[leave])
+                ):
+                    best_num, best_den = r, a
                     leave = i
         if leave < 0:
             return UNBOUNDED
-        _pivot(T, basis, leave, enter)
+        _pivot(T, D, basis, leave, enter)
+        z = T[-1]
+
+
+def _cost_row(T: list[list[int]], D: list[int], basis: list[int], costs: Sequence[Fraction]) -> None:
+    """Append the reduced-cost row of costs for the current basis to T."""
+    den = lcm(*(v.denominator for v in costs))
+    T.append([v.numerator * (den // v.denominator) for v in costs] + [0])
+    D.append(den)
+    for i, col in enumerate(basis):
+        if T[-1][col] != 0:
+            T[-1], D[-1] = _eliminate(T[-1], D[-1], T[i], D[i], col)
 
 
 def solve_lp(
@@ -68,7 +119,12 @@ def solve_lp(
     rhs: Sequence,
     maximize: bool = True,
 ) -> LPResult:
-    """Solve max (or min) objective.x subject to rows.x == rhs, x >= 0."""
+    """Solve max (or min) objective.x subject to rows.x == rhs, x >= 0.
+
+    With no constraint left (none given, or every row redundant) only
+    x >= 0 remains: the problem is unbounded if some cost improves on 0,
+    and x = 0 is optimal otherwise.
+    """
     c = [Fraction(v) for v in objective]
     n = len(c)
     A = [[Fraction(v) for v in row] for row in rows]
@@ -80,21 +136,22 @@ def solve_lp(
         value = -flipped.value if flipped.value is not None else None
         return LPResult(flipped.status, value, flipped.solution, flipped.basis)
 
+    # phase 1: one artificial per row; row i is scaled to integers by s
     m = len(A)
+    T: list[list[int]] = []
+    D: list[int] = []
     for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-
-    # phase 1: one artificial per row
-    T = [A[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)] + [b[i]] for i in range(m)]
+        s = lcm(*(v.denominator for v in A[i]), b[i].denominator)
+        sign = -1 if b[i] < 0 else 1  # keep every right-hand side nonnegative
+        scaled = [sign * v.numerator * (s // v.denominator) for v in A[i] + [b[i]]]
+        T.append(scaled[:n] + [s if k == i else 0 for k in range(m)] + scaled[n:])
+        D.append(s)
     basis = [n + i for i in range(m)]
-    phase1_obj = [Fraction(0)] * n + [Fraction(-1)] * m
-    status = _optimize(T, basis, phase1_obj)
+    _cost_row(T, D, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
+    status = _optimize(T, D, basis)
     if status != OPTIMAL:
         raise AssertionError("phase 1 is bounded below by 0 yet did not reach an optimum")
-    infeasibility = -sum(phase1_obj[basis[i]] * T[i][-1] for i in range(m))
-    if infeasibility > 0:
+    if T[-1][-1] > 0:  # minus the phase-1 optimum: the artificials' total
         return LPResult(INFEASIBLE, None, None, None)
 
     # drive artificials out of the basis; drop redundant rows
@@ -106,16 +163,18 @@ def solve_lp(
         pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
         if pivot_col is None:
             continue  # identically zero row: redundant constraint
-        _pivot(T, basis, i, pivot_col)
+        _pivot(T, D, basis, i, pivot_col)
         keep.append(i)
     T = [T[i][:n] + [T[i][-1]] for i in keep]
+    D = [D[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    status = _optimize(T, basis, c)
+    _cost_row(T, D, basis, c)
+    status = _optimize(T, D, basis)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, None)
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
+        x[bi] = Fraction(T[i][-1], D[i])
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult(OPTIMAL, value, tuple(x), tuple(basis))

@@ -50,6 +50,22 @@ class TestHandProblems:
         assert res.status == OPTIMAL
         assert res.value == 1
 
+    def test_no_rows_left_unbounded(self):
+        # with no constraint left only x >= 0 holds, and c_0 > 0 grows forever
+        for rows, rhs in (([], []), ([[0, 0]], [0])):
+            assert solve_lp([1, 0], rows, rhs).status == UNBOUNDED
+            assert solve_lp([-1, 0], rows, rhs, maximize=False).status == UNBOUNDED
+
+    def test_no_rows_left_optimal_at_zero(self):
+        zero = (Fraction(0), Fraction(0))
+        for rows, rhs in (([], []), ([[0, 0], [0, 0]], [0, 0])):
+            res = solve_lp([0, 0], rows, rhs)
+            assert (res.status, res.value, res.solution, res.basis) == (OPTIMAL, 0, zero, ())
+            res = solve_lp([-1, 0], rows, rhs)
+            assert (res.status, res.value, res.solution, res.basis) == (OPTIMAL, 0, zero, ())
+            res = solve_lp([1, 0], rows, rhs, maximize=False)
+            assert (res.status, res.value, res.solution, res.basis) == (OPTIMAL, 0, zero, ())
+
     def test_fractional_data(self):
         res = solve_lp(
             [Fraction(1, 3), Fraction(1, 7)],
