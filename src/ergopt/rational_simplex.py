@@ -54,14 +54,10 @@ def _eliminate(row: list[int], den: int, prow: list[int], pden: int, col: int) -
 def _pivot(T: list[list[int]], D: list[int], basis: list[int], row: int, col: int) -> None:
     """Pivot on (row, col); the last row of T is the reduced-cost row."""
     prow = T[row]
-    piv = prow[col]
-    if piv < 0:
-        prow = [-v for v in prow]
-        piv = -piv
-    g = gcd(piv, *prow)
-    if g > 1:
+    g = gcd(*prow) if prow[col] > 0 else -gcd(*prow)  # a positive denominator
+    if g != 1:
         prow = [v // g for v in prow]
-        piv //= g
+    piv = prow[col]
     T[row] = prow
     D[row] = piv
     for i in range(len(T)):
