@@ -21,7 +21,6 @@ import io
 import json
 import re
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -55,7 +54,8 @@ from .mane_aubry import (
 from .oracle_bruteforce import oracle_beta, oracle_omega
 from .potential_model import ConstraintSpec, LocallyConstantPotential
 from .subaction_lab import (
-    DiscountSchedule,
+    OUTER_STOP,
+    SCHEDULE_K_MAX,
     calibrated_via_discount,
     calibration_residual,
     contact_locus,
@@ -85,14 +85,7 @@ class ExperimentConfig:
     system: SubshiftSystem
     potential: LocallyConstantPotential
     constraints: ConstraintSpec | None = None
-    schedule_k_max: int | None = None
-
-    def schedule(self) -> DiscountSchedule | None:
-        """Discount schedule from the solver block; None means library default."""
-        if self.schedule_k_max is None:
-            return None
-        rhos = tuple(Fraction(2**k - 1, 2**k) for k in range(1, self.schedule_k_max + 1))
-        return DiscountSchedule(rho_list=rhos)
+    schedule_k_max: int = SCHEDULE_K_MAX
 
 
 def _parse_rational(text: str, line: int, field: str) -> Fraction:
@@ -191,7 +184,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     potential = _build_potential(system, scalars, windows, section_lines["potential"])
     constraints = _build_constraints(system, scalars, phi_entries, section_lines.get("constraints"))
 
-    k_max = None
+    k_max = SCHEDULE_K_MAX
     if ("solver", "schedule_k_max") in scalars:
         text_value, lineno = scalars[("solver", "schedule_k_max")]
         k_max = _parse_int(text_value, lineno, "schedule_k_max")
@@ -386,7 +379,7 @@ def cmd_subaction(config: ExperimentConfig, kind: str = "maximal") -> dict:
     elif kind == "calibrated":
         _require_transitive(config)
         steps: list = []
-        u, _ = calibrated_via_discount(graph, config.schedule(), steps)
+        u, _ = calibrated_via_discount(graph, config.schedule_k_max, steps)
         report["discount_trace"] = [
             {
                 "k": k,
@@ -511,8 +504,8 @@ def _check_items(
         return ("pass" if ok else "fail", "optimal circulation sits on critical edges")
 
     def calibrated_discount() -> tuple[str, str]:
-        u, a = calibrated_via_discount(graph, config.schedule())
-        ok = calibration_residual(u, graph, beta) == 0 and abs(a - float(beta)) <= 1e-9
+        u, a = calibrated_via_discount(graph, config.schedule_k_max)
+        ok = calibration_residual(u, graph, beta) == 0 and abs(a - beta) <= OUTER_STOP
         return ("pass" if ok else "fail", "discount limit exactly calibrated")
 
     def mane_triangle() -> tuple[str, str]:
@@ -612,28 +605,24 @@ def cmd_check(config: ExperimentConfig) -> dict:
     }
 
 
-def cmd_bench(configs: Mapping[str, ExperimentConfig], timings: bool = False) -> dict:
-    """Size and optimum summary per config; wall time only on request."""
+def cmd_bench(configs: Mapping[str, ExperimentConfig]) -> dict:
+    """Size and optimum summary per config."""
     entries = []
     for name in sorted(configs):
         config = configs[name]
-        start = time.perf_counter()
         graph = _graph_of(config)
         cycle = max_mean_cycle(graph)
         parametric = parametric_beta(graph)
         lp_value, _ = beta_lp(graph)
         maximal_subaction(graph, cycle.beta)
-        entry = {
+        entries.append({
             "name": name,
             "nodes": len(graph.nodes),
             "edges": len(graph.edges),
             "beta": _rat(cycle.beta),
             "agree": cycle.beta == parametric == lp_value,
             "transitivity": classify_transitivity(config.system).kind,
-        }
-        if timings:
-            entry["elapsed_ms_float"] = (time.perf_counter() - start) * 1000.0
-        entries.append(entry)
+        })
     return {"runs": entries}
 
 
@@ -730,7 +719,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_chk, schedule=True)
     p_bench = sub.add_parser("bench", help="size and optimum summary per fixture")
     common(p_bench, config_required=False)
-    p_bench.add_argument("--timings", action="store_true", help="include wall-clock fields")
     return parser
 
 
@@ -744,7 +732,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 from . import fixtures
 
                 configs = {name: fixtures.load(name) for name in fixtures.available()}
-            report = cmd_bench(configs, timings=args.timings)
+            report = cmd_bench(configs)
         else:
             config = _apply_overrides(load_config(args.config), args)
             if args.command == "beta":

@@ -21,12 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import NegativeCycle
-from .potential_model import (
-    LocallyConstantPotential,
-    ReducedPotential,
-    as_potential,
-    reduce_past,
-)
+from .potential_model import LocallyConstantPotential, ReducedPotential, reduce_past
 from .symbolic_core import SubshiftSystem, Word, allowed_words
 
 
@@ -75,16 +70,10 @@ class PrependGraph:
 
 
 def build_prepend_graph(
-    system: SubshiftSystem,
-    weights: ReducedPotential | LocallyConstantPotential,
+    system: SubshiftSystem, potential: LocallyConstantPotential
 ) -> PrependGraph:
-    """Assemble the depth-q graph from a potential or its reduction."""
-    if isinstance(weights, LocallyConstantPotential):
-        potential = weights
-        reduced = reduce_past(weights)
-    else:
-        reduced = weights
-        potential = as_potential(weights)
+    """Assemble the depth-q graph of a potential from its past reduction."""
+    reduced = reduce_past(potential)
     q = reduced.future_depth
     nodes = tuple(allowed_words(system, q))
     index = {w: i for i, w in enumerate(nodes)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleTarget, NotHolonomic
-from .graph_engine import PrependGraph, build_prepend_graph, max_mean_cycle
+from .graph_engine import PrependGraph, build_prepend_graph, critical_structure, max_mean_cycle
 from .mane_aubry import maximal_calibrated
 from .potential_model import (
     ConstraintSpec,
@@ -174,8 +174,6 @@ class MaximizingFace:
 
 
 def maximizing_face(graph: PrependGraph) -> MaximizingFace:
-    from .graph_engine import critical_structure
-
     beta = max_mean_cycle(graph).beta
     critical = critical_structure(graph, beta)
     return MaximizingFace(beta, critical.critical_edges)

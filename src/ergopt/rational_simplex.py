@@ -99,7 +99,7 @@ def _optimize(T: list[list[int]], D: list[int], basis: list[int]) -> str:
         z = T[-1]
 
 
-def _cost_row(T: list[list[int]], D: list[int], basis: list[int], costs: Sequence[Fraction]) -> None:
+def _cost_row(T: list[list[int]], D: list[int], basis: list[int], costs: Sequence) -> None:
     """Append the reduced-cost row of costs for the current basis to T."""
     den = lcm(*(v.denominator for v in costs))
     T.append([v.numerator * (den // v.denominator) for v in costs] + [0])
@@ -117,33 +117,31 @@ def solve_lp(
 ) -> LPResult:
     """Solve max (or min) objective.x subject to rows.x == rhs, x >= 0.
 
-    With no constraint left (none given, or every row redundant) only
-    x >= 0 remains: the problem is unbounded if some cost improves on 0,
-    and x = 0 is optimal otherwise.
+    Every entry is an int or a Fraction; their numerators and denominators
+    are read as given. With no constraint left (none given, or every row
+    redundant) only x >= 0 remains: the problem is unbounded if some cost
+    improves on 0, and x = 0 is optimal otherwise.
     """
-    c = [Fraction(v) for v in objective]
-    n = len(c)
-    A = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    if len(A) != len(b) or any(len(row) != n for row in A):
+    n = len(objective)
+    if len(rows) != len(rhs) or any(len(row) != n for row in rows):
         raise ValueError("inconsistent LP dimensions")
     if not maximize:
-        flipped = solve_lp([-v for v in c], rows, rhs, maximize=True)
+        flipped = solve_lp([-v for v in objective], rows, rhs, maximize=True)
         value = -flipped.value if flipped.value is not None else None
         return LPResult(flipped.status, value, flipped.solution, flipped.basis)
 
     # phase 1: one artificial per row; row i is scaled to integers by s
-    m = len(A)
+    m = len(rows)
     T: list[list[int]] = []
     D: list[int] = []
-    for i in range(m):
-        s = lcm(*(v.denominator for v in A[i]), b[i].denominator)
-        sign = -1 if b[i] < 0 else 1  # keep every right-hand side nonnegative
-        scaled = [sign * v.numerator * (s // v.denominator) for v in A[i] + [b[i]]]
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        s = lcm(*(v.denominator for v in row), b.denominator)
+        sign = -1 if b < 0 else 1  # keep every right-hand side nonnegative
+        scaled = [sign * v.numerator * (s // v.denominator) for v in (*row, b)]
         T.append(scaled[:n] + [s if k == i else 0 for k in range(m)] + scaled[n:])
         D.append(s)
     basis = [n + i for i in range(m)]
-    _cost_row(T, D, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
+    _cost_row(T, D, basis, [0] * n + [-1] * m)
     status = _optimize(T, D, basis)
     if status != OPTIMAL:
         raise AssertionError("phase 1 is bounded below by 0 yet did not reach an optimum")
@@ -165,12 +163,12 @@ def solve_lp(
     D = [D[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    _cost_row(T, D, basis, c)
+    _cost_row(T, D, basis, objective)
     status = _optimize(T, D, basis)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, None)
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         x[bi] = Fraction(T[i][-1], D[i])
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    value = sum((ci * xi for ci, xi in zip(objective, x)), Fraction(0))
     return LPResult(OPTIMAL, value, tuple(x), tuple(basis))

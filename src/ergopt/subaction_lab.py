@@ -3,14 +3,13 @@ the discounted route to calibrated solutions, contact loci, and refinements.
 
 A sub-action u satisfies weight + u(src) - u(tgt) <= beta on every edge.
 Calibrated means u(V) = min over out-edges of (u(tgt) - weight + beta), the
-Bellman fixed-point form. Verification predicates are exact; only the
-discounted construction exposes a float view, and even that is solved in
-exact arithmetic underneath.
+Bellman fixed-point form. Everything here is exact, the discounted
+construction included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisFails, NonConvergence, NotSubaction, NotTransitive
@@ -21,30 +20,27 @@ from .graph_engine import (
     build_prepend_graph,
     max_mean_cycle,
 )
-from .potential_model import pad_potential, reduce_past
+from .potential_model import pad_potential
 from .symbolic_core import Word, classify_transitivity
 
-EXACT = "exact"
-FLOAT = "float"
+# The discount walk solves rho_k = 1 - 2^-k for k = 1..k_max, by default up
+# to SCHEDULE_K_MAX, and stops once successive normalized solutions differ by
+# at most OUTER_STOP.
+SCHEDULE_K_MAX = 30
+OUTER_STOP = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
 class NodeFunction:
-    """Values indexed like graph.nodes; exact Fractions or floats."""
+    """Exact Fraction values indexed like graph.nodes."""
 
     graph: PrependGraph
-    values: tuple
-    mode: str = EXACT
+    values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.graph.nodes):
             raise ValueError("one value per node required")
-        if self.mode == EXACT:
-            object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        elif self.mode == FLOAT:
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        else:
-            raise ValueError(f"bad mode {self.mode!r}")
+        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
 
     def __getitem__(self, node: int):
         return self.values[node]
@@ -53,8 +49,8 @@ class NodeFunction:
         return self.values[self.graph.node_index[tuple(word)]]
 
     def shifted(self, const) -> "NodeFunction":
-        c = Fraction(const) if self.mode == EXACT else float(const)
-        return NodeFunction(self.graph, tuple(v + c for v in self.values), self.mode)
+        c = Fraction(const)
+        return NodeFunction(self.graph, tuple(v + c for v in self.values))
 
     def normalized(self) -> "NodeFunction":
         """Subtract the maximum value."""
@@ -64,7 +60,7 @@ class NodeFunction:
 def pointwise_max(u: NodeFunction, v: NodeFunction) -> NodeFunction:
     if u.graph is not v.graph:
         raise ValueError("node functions live on different graphs")
-    return NodeFunction(u.graph, tuple(max(a, b) for a, b in zip(u.values, v.values)), u.mode)
+    return NodeFunction(u.graph, tuple(max(a, b) for a, b in zip(u.values, v.values)))
 
 
 def convex_combination(t, u: NodeFunction, v: NodeFunction) -> NodeFunction:
@@ -74,7 +70,7 @@ def convex_combination(t, u: NodeFunction, v: NodeFunction) -> NodeFunction:
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
     vals = tuple(t * a + (1 - t) * b for a, b in zip(u.values, v.values))
-    return NodeFunction(u.graph, vals, EXACT)
+    return NodeFunction(u.graph, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +93,12 @@ def is_subaction(u: NodeFunction, graph: PrependGraph, beta: Fraction) -> bool:
     return subaction_residual(u, graph, beta)[0] <= 0
 
 
-def calibration_residual(u: NodeFunction, graph: PrependGraph, beta) -> Fraction | float:
+def calibration_residual(u: NodeFunction, graph: PrependGraph, beta) -> Fraction:
     """Max over nodes of |u(V) - min over out-edges (u(tgt) - weight + beta)|."""
-    exact = u.mode == EXACT
-    beta = Fraction(beta) if exact else float(beta)
+    beta = Fraction(beta)
     worst = None
     for v in range(len(graph.nodes)):
-        bell = min(
-            u[e.tgt] - (e.weight if exact else float(e.weight)) + beta
-            for e in graph.out_edges(v)
-        )
+        bell = min(u[e.tgt] - e.weight + beta for e in graph.out_edges(v))
         gap = abs(u[v] - bell)
         if worst is None or gap > worst:
             worst = gap
@@ -171,29 +163,11 @@ def maximal_subaction(graph: PrependGraph, beta: Fraction) -> NodeFunction:
             break
     else:
         raise AssertionError("maximal sub-action iteration failed to settle")
-    return NodeFunction(graph, tuple(Fraction(x, D) for x in u), EXACT)
+    return NodeFunction(graph, tuple(Fraction(x, D) for x in u))
 
 
 # ---------------------------------------------------------------------------
 # discounted construction
-
-
-@dataclass(frozen=True)
-class DiscountSchedule:
-    rho_list: tuple[Fraction, ...] = field(
-        default_factory=lambda: tuple(
-            Fraction(2**k - 1, 2**k) for k in range(1, 31)
-        )
-    )
-    outer_stop: float = 1e-9
-
-    def __post_init__(self) -> None:
-        rhos = tuple(Fraction(r) for r in self.rho_list)
-        if any(not (0 < r < 1) for r in rhos):
-            raise ValueError("discounts must lie strictly inside (0, 1)")
-        if list(rhos) != sorted(rhos):
-            raise ValueError("discounts must increase")
-        object.__setattr__(self, "rho_list", rhos)
 
 
 def _policy_values(graph: PrependGraph, policy: list[Edge], rho: Fraction) -> list[Fraction]:
@@ -270,39 +244,35 @@ def _exact_discounted(
 
 
 def discounted_fixed_point(graph: PrependGraph, rho) -> NodeFunction:
-    """The unique discounted fixed point, reported in float mode.
-
-    Solved exactly by policy iteration; only the returned view is float.
-    """
+    """The unique discounted fixed point, solved exactly by policy iteration."""
     rho = Fraction(rho)
     if not (0 < rho < 1):
         raise ValueError("rho must lie strictly inside (0, 1)")
-    vals = _exact_discounted(graph, rho)
-    return NodeFunction(graph, tuple(float(v) for v in vals), FLOAT)
+    return NodeFunction(graph, tuple(_exact_discounted(graph, rho)))
 
 
 def calibrated_via_discount(
     graph: PrependGraph,
-    schedule: DiscountSchedule | None = None,
+    k_max: int = SCHEDULE_K_MAX,
     steps: list[tuple[Fraction, Fraction, Fraction | None]] | None = None,
-) -> tuple[NodeFunction, float]:
+) -> tuple[NodeFunction, Fraction]:
     """Calibrated sub-action as the limit of normalized discounted solutions.
 
-    Follows the schedule until successive normalized solutions differ by at
-    most the outer stop, reconstructs rational values, and verifies exact
-    calibration. Also returns a, the discounted estimate of beta.
+    Walks rho_k = 1 - 2^-k for k = 1..k_max until successive normalized
+    solutions differ by at most OUTER_STOP, reconstructs rational values, and
+    verifies exact calibration. Also returns a, the discounted estimate of
+    beta.
 
     If ``steps`` is given, each solved rho appends (rho, (1 - rho) * -max u,
     max change of the normalized solution since the previous rho or None at
     the first), all exact; on return the last entry is the rho where the stop
     fired.
     """
-    schedule = schedule or DiscountSchedule()
-    stop = Fraction(schedule.outer_stop).limit_denominator(10**15)
     prev: tuple[list[Fraction], Fraction, Fraction] | None = None  # norm, 1 - rho, a
     # warm start: each rho's optimal policy seeds policy iteration at the next
     policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
-    for rho in schedule.rho_list:
+    for k in range(1, k_max + 1):
+        rho = Fraction(2**k - 1, 2**k)
         vals = _exact_discounted(graph, rho, policy)
         top = max(vals)
         norm = [v - top for v in vals]
@@ -311,18 +281,15 @@ def calibrated_via_discount(
         change = None if prev is None else max(abs(a - b) for a, b in zip(norm, prev[0]))
         if steps is not None:
             steps.append((rho, a_est, change))
-        if prev is not None and change <= stop:
-            candidate = NodeFunction(
-                graph, tuple(v.limit_denominator(10**6) for v in norm), EXACT
-            )
+        if prev is not None and change <= OUTER_STOP:
+            candidate = NodeFunction(graph, tuple(v.limit_denominator(10**6) for v in norm))
             beta = max_mean_cycle(graph).beta
             if calibration_residual(candidate, graph, beta) != 0:
                 raise NonConvergence("rational reconstruction is not exactly calibrated")
             # The estimate converges linearly in (1 - rho); one Richardson
             # step over the last two exact values removes the linear term.
             _, prev_delta, prev_a = prev
-            a_limit = a_est + (a_est - prev_a) * delta / (prev_delta - delta)
-            return candidate, float(a_limit)
+            return candidate, a_est + (a_est - prev_a) * delta / (prev_delta - delta)
         prev = (norm, delta, a_est)
     raise NonConvergence("discount schedule exhausted before the outer stop")
 
@@ -349,7 +316,7 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
     if classify_transitivity(graph.system).kind == "reducible":
         raise NotTransitive("cohomology test needs a transitive system")
     beta_plus = max_mean_cycle(graph).beta
-    negated = build_prepend_graph(graph.system, reduce_past(graph.potential.scale(-1)))
+    negated = build_prepend_graph(graph.system, graph.potential.scale(-1))
     beta_minus = max_mean_cycle(negated).beta
     if beta_plus + beta_minus != 0:
         return LivsicResult(False, beta_plus, None)
@@ -368,7 +335,7 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
     for e in graph.edges:
         if e.weight + u[e.src] - u[e.tgt] != beta_plus:  # type: ignore[operand-type]
             raise AssertionError(f"transfer function leaves edge {e.key} slack")
-    return LivsicResult(True, beta_plus, NodeFunction(graph, tuple(u), EXACT))
+    return LivsicResult(True, beta_plus, NodeFunction(graph, tuple(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +374,7 @@ def refine_subaction_Uk(u: NodeFunction, graph: PrependGraph, k: int) -> NodeFun
         )
         tail = sum((u.by_word(v[j: j + q]) for j in range(k)), Fraction(0))
         vals.append((head + tail) / k)
-    return NodeFunction(refined, tuple(vals), EXACT)
+    return NodeFunction(refined, tuple(vals))
 
 
 def noncalibrated_example(u: NodeFunction, graph: PrependGraph) -> tuple[NodeFunction, Word]:

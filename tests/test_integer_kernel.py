@@ -23,7 +23,7 @@ from ergopt.graph_engine import (
     parametric_beta,
 )
 from ergopt.potential_model import LocallyConstantPotential
-from ergopt.subaction_lab import DiscountSchedule, _exact_discounted, maximal_subaction
+from ergopt.subaction_lab import SCHEDULE_K_MAX, _exact_discounted, maximal_subaction
 from ergopt.symbolic_core import allowed_words
 
 from conftest import full_shift, golden_mean, random_fraction, reducible_system
@@ -196,5 +196,6 @@ def test_reducible_matrix_has_unreachable_pairs():
 @pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
 def test_warm_start_keeps_every_discounted_value(graph):
     policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
-    for rho in DiscountSchedule().rho_list:
+    for k in range(1, SCHEDULE_K_MAX + 1):
+        rho = Fraction(2**k - 1, 2**k)
         assert _exact_discounted(graph, rho, policy) == _exact_discounted(graph, rho)

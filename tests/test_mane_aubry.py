@@ -240,15 +240,12 @@ def test_incompatible_data_detected():
 
 
 def test_roundtrip_on_random_calibrated(rng):
-    from ergopt.subaction_lab import DiscountSchedule, calibrated_via_discount
+    from ergopt.subaction_lab import calibrated_via_discount
 
-    schedule = DiscountSchedule(
-        rho_list=tuple(Fraction(2**k - 1, 2**k) for k in range(1, 51))
-    )
     for _ in range(12):
         graph = random_graph(rng, 2, rng.choice([1, 2]), require_transitive=True)
         omega = omega_set(graph)
-        u, _ = calibrated_via_discount(graph, schedule)
+        u, _ = calibrated_via_discount(graph, 50)
         assert reconstruct(represent(u, omega)).values == u.values
 
 

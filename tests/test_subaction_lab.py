@@ -10,8 +10,9 @@ from ergopt.errors import HypothesisFails, NonConvergence, NotSubaction, NotTran
 from ergopt.graph_engine import build_prepend_graph, critical_structure, max_mean_cycle
 from ergopt.potential_model import LocallyConstantPotential, coboundary_modify
 from ergopt.subaction_lab import (
-    DiscountSchedule,
+    OUTER_STOP,
     NodeFunction,
+    _exact_discounted,
     calibrated_via_discount,
     calibration_residual,
     contact_locus,
@@ -44,9 +45,7 @@ ONE = Fraction(1)
 
 # Random tables here have larger weights than the named fixtures, so their
 # discounted estimates need discounts beyond the default schedule's reach.
-LONG_SCHEDULE = DiscountSchedule(
-    rho_list=tuple(Fraction(2**k - 1, 2**k) for k in range(1, 51))
-)
+LONG_K_MAX = 50
 
 
 def nf(graph, *values):
@@ -187,19 +186,24 @@ def test_discounted_closed_form_two_node():
     g = f1_graph()
     for rho in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
         u = discounted_fixed_point(g, rho)
-        assert u.mode == "float"
-        expected0 = float(-rho**2 / (1 - rho))
-        expected1 = float(-rho / (1 - rho))
-        assert abs(u[0] - expected0) < 1e-10
-        assert abs(u[1] - expected1) < 1e-10
+        assert u.values == (-rho**2 / (1 - rho), -rho / (1 - rho))
 
 
 def test_discounted_closed_form_constant():
     g = f3_graph()
     rho = Fraction(7, 8)
     u = discounted_fixed_point(g, rho)
-    expected = float(-5 * rho / (1 - rho))
-    assert all(abs(v - expected) < 1e-10 for v in u.values)
+    assert u.values == (-5 * rho / (1 - rho),) * len(g.nodes)
+
+
+def test_discounted_fixed_point_reports_the_exact_solution(rng):
+    for _ in range(10):
+        g = random_graph(rng, 2, rng.choice([1, 2]))
+        rho = Fraction(rng.randint(1, 99), 100)
+        assert discounted_fixed_point(g, rho).values == tuple(_exact_discounted(g, rho))
+    for rho in (0, 1, Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            discounted_fixed_point(f1_graph(), rho)
 
 
 def test_discounted_vanishes_as_rho_small():
@@ -209,8 +213,6 @@ def test_discounted_vanishes_as_rho_small():
 
 
 def test_discounted_fixed_point_equation(rng):
-    from ergopt.subaction_lab import _exact_discounted
-
     for _ in range(15):
         g = random_graph(rng, 2, rng.choice([1, 2]))
         rho = Fraction(rng.randint(1, 9), 10)
@@ -221,8 +223,6 @@ def test_discounted_fixed_point_equation(rng):
 
 
 def test_discounted_estimate_rate_and_monotonicity():
-    from ergopt.subaction_lab import _exact_discounted
-
     for make in (f1_graph, f3_graph, f6_graph):
         g = make()
         beta = max_mean_cycle(g).beta
@@ -242,23 +242,22 @@ def test_calibrated_via_discount_pinned():
     g = f1_graph()
     u, a = calibrated_via_discount(g)
     assert u.values == (0, -1)
-    assert abs(a - 1.0) <= 1e-9
+    assert abs(a - 1) <= OUTER_STOP
 
     u3, a3 = calibrated_via_discount(f3_graph())
     assert u3.values == (0, 0)
-    assert abs(a3 - 5.0) <= 1e-9
+    assert abs(a3 - 5) <= OUTER_STOP
 
     g6 = f6_graph()
     u6, a6 = calibrated_via_discount(g6)
     assert u6[0] - u6[1] == -1
-    assert abs(a6 - 1.0) <= 1e-9
+    assert abs(a6 - 1) <= OUTER_STOP
     assert calibration_residual(u6, g6, ONE) == 0
 
 
 def test_calibrated_via_discount_schedule_too_short():
-    schedule = DiscountSchedule(rho_list=(Fraction(1, 2), Fraction(3, 4)))
     with pytest.raises(NonConvergence):
-        calibrated_via_discount(f1_graph(), schedule)
+        calibrated_via_discount(f1_graph(), 2)
 
 
 def test_discount_steps_record_each_solve_of_the_route(rng, monkeypatch):
@@ -272,32 +271,25 @@ def test_discount_steps_record_each_solve_of_the_route(rng, monkeypatch):
         return solve(graph, rho, policy)
 
     monkeypatch.setattr(lab, "_exact_discounted", counted)
-    stop = Fraction(LONG_SCHEDULE.outer_stop).limit_denominator(10**15)
     for _ in range(16):
         g = random_graph(rng, rng.choice([2, 3]), rng.choice([1, 2]), require_transitive=True)
         solved.clear()
         steps = []
-        u, _ = calibrated_via_discount(g, LONG_SCHEDULE, steps)
+        u, _ = calibrated_via_discount(g, LONG_K_MAX, steps)
         assert [rho for rho, _, _ in steps] == solved
         # reference walk: cold-started solves, stopped on the exact change
         prev = None
-        for rho in LONG_SCHEDULE.rho_list:
+        for k in range(1, LONG_K_MAX + 1):
+            rho = Fraction(2**k - 1, 2**k)
             vals = solve(g, rho)
             norm = [v - max(vals) for v in vals]
-            if prev is not None and max(abs(a - b) for a, b in zip(norm, prev)) <= stop:
+            if prev is not None and max(abs(a - b) for a, b in zip(norm, prev)) <= OUTER_STOP:
                 break
             prev = norm
         assert steps[-1][0] == rho
-        assert steps[-1][2] <= stop
-        assert all(change > stop for _, _, change in steps[1:-1])
+        assert steps[-1][2] <= OUTER_STOP
+        assert all(change > OUTER_STOP for _, _, change in steps[1:-1])
         assert u.values == tuple(v.limit_denominator(10**6) for v in norm)
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        DiscountSchedule(rho_list=(Fraction(3, 4), Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        DiscountSchedule(rho_list=(Fraction(1, 2), Fraction(5, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +362,7 @@ def test_rigidity_on_critical_classes(rng):
         g = random_graph(rng, 2, rng.choice([1, 2]), require_transitive=True)
         beta = max_mean_cycle(g).beta
         u = maximal_subaction(g, beta)
-        v, _ = calibrated_via_discount(g, LONG_SCHEDULE)
+        v, _ = calibrated_via_discount(g, LONG_K_MAX)
         for cls in critical_structure(g, beta).classes:
             assert rigidity_check(u, v, cls)
 
@@ -428,7 +420,7 @@ def test_critical_nodes_have_tight_edges(rng):
     for _ in range(20):
         g = random_graph(rng, rng.choice([2, 3]), 1, require_transitive=True)
         beta = max_mean_cycle(g).beta
-        for u in (maximal_subaction(g, beta), calibrated_via_discount(g, LONG_SCHEDULE)[0]):
+        for u in (maximal_subaction(g, beta), calibrated_via_discount(g, LONG_K_MAX)[0]):
             locus = contact_locus(u, g, beta)
             srcs = contact_sources(locus, g)
             for node in critical_structure(g, beta).critical_nodes:
