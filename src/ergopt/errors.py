@@ -55,6 +55,10 @@ class HorizonTooSmall(ErgoptError):
     """Brute-force enumeration found no admissible path within its horizon."""
 
 
+class OracleBudgetExceeded(ErgoptError):
+    """Brute-force search would expand more states than its budget allows."""
+
+
 class ClassCountMismatch(ErgoptError):
     """Boundary data does not provide one value per critical class."""
 

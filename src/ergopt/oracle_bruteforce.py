@@ -2,23 +2,31 @@
 
 These enumerate decorated cycles and prepend paths directly from the
 potential table, with no pruning beyond admissibility, so they share no code
-with the graph algorithms they certify.
+with the graph algorithms they certify. The prepend-path searches walk paths
+breadth first and merge paths that end in the same state: the leading
+symbols a step reads, plus the exact cost or gain so far. Merging drops
+duplicates only, so the answers are those of the full enumeration.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import HorizonTooSmall
+from .errors import HorizonTooSmall, OracleBudgetExceeded
 from .potential_model import LocallyConstantPotential
 from .symbolic_core import (
     EventuallyPeriodicPoint,
     SubshiftSystem,
     allowed_words,
-    distance,
-    prepend,
     window,
 )
+
+# Most states oracle_omega expands before it gives up. On the bundled
+# fixtures it expands at most 2 367; on random full-shift configs of 8-16
+# window-graph nodes and weights n/d, a point off Omega has passed 400 000
+# states with the frontier still growing, halfway through the horizon.
+OMEGA_STATE_BUDGET = 50_000
 
 
 def _step_max_table(system: SubshiftSystem, A: LocallyConstantPotential) -> dict:
@@ -95,6 +103,26 @@ def oracle_beta(system: SubshiftSystem, A: LocallyConstantPotential, max_cycle_l
     return best
 
 
+def _predecessors(system: SubshiftSystem) -> dict[int, list[int]]:
+    """The symbols that may be prepended in front of each symbol."""
+    return {
+        a: [s for s in system.symbols() if system.allows(s, a)]
+        for a in system.symbols()
+    }
+
+
+def _agreement_depth(system: SubshiftSystem, eps: Fraction) -> int:
+    """Least k with lambda**k <= eps, for eps > 0.
+
+    distance(pt, x) <= eps exactly when pt and x agree on their first k
+    coordinates.
+    """
+    k, power = 0, Fraction(1)
+    while power > eps:
+        k, power = k + 1, power * system.metric_lambda
+    return k
+
+
 def oracle_mane(
     system: SubshiftSystem,
     A: LocallyConstantPotential,
@@ -109,31 +137,34 @@ def oracle_mane(
     Starts at xbar, prepends admissible symbols one at a time, and accepts a
     path once the current point agrees with x on its first N coordinates.
     Each step pays beta minus the best table value for that prepend.
+
+    A step reads only the leading max(N, q) symbols of the current point, so
+    paths are walked breadth first and, at each length, only the least cost
+    per leading word is kept. Every length up to the horizon is scanned:
+    steps can have negative cost, so a longer path may undercut a shorter
+    match.
     """
     q = A.future_depth
     if max_path_len is None:
         max_path_len = 3 * len(allowed_words(system, q)) + N
     maxes = _step_max_table(system, A)
-    best: Fraction | None = None
+    preds = _predecessors(system)
     target = window(x, 0, N)
-
-    def explore(pt: EventuallyPeriodicPoint, cost: Fraction, steps: int) -> None:
-        nonlocal best
-        if steps > 0 and window(pt, 0, N) == target:
-            if best is None or cost < best:
+    m = max(N, q)
+    best: Fraction | None = None
+    frontier = {window(xbar, 0, m): Fraction(0)}
+    for _ in range(max_path_len):
+        reached: dict[tuple[int, ...], Fraction] = {}
+        for head, cost in frontier.items():
+            for s in preds[head[0]]:
+                new_head = ((s,) + head)[:m]
+                new_cost = cost + beta - maxes[(s,) + head[:q]]
+                if new_head not in reached or new_cost < reached[new_head]:
+                    reached[new_head] = new_cost
+        for head, cost in reached.items():
+            if head[:N] == target and (best is None or cost < best):
                 best = cost
-            # keep going: steps can have negative cost, so a longer path
-            # through this match may still undercut it
-        if steps == max_path_len:
-            return
-        for s in sorted(system.symbols()):
-            if not system.allows(s, pt.symbol(0)):
-                continue
-            key = (s,) + window(pt, 0, q)
-            step_cost = beta - maxes[key]
-            explore(prepend(system, pt, s), cost + step_cost, steps + 1)
-
-    explore(xbar, Fraction(0), 0)
+        frontier = reached
     if best is None:
         raise HorizonTooSmall(
             f"no admissible path within {max_path_len} steps at depth {N}"
@@ -151,27 +182,50 @@ def oracle_omega(
 ) -> bool:
     """Search for a cheap return path: prepends leading from x back near x.
 
-    True is definitive (a qualifying cycle was found); False only reports the
-    horizon searched.
+    A path of length >= 1 qualifies when it ends within eps of x and its
+    accumulated gain (table value minus beta per step) is below eps in
+    absolute value. True is definitive (a qualifying path was found); False
+    only reports the horizon searched.
+
+    The search is breadth first over states (leading max(N, q) symbols,
+    exact accumulated gain), where N is the least k with lambda**k <= eps:
+    a step and the acceptance test read nothing else, so equal states at
+    one length are merged. Raises OracleBudgetExceeded rather than expand
+    more than OMEGA_STATE_BUDGET states.
     """
     q = A.future_depth
     if max_path_len is None:
         max_path_len = 3 * len(allowed_words(system, q)) + 8
     eps = Fraction(eps)
-    maxes = _step_max_table(system, A)
-
-    def explore(pt: EventuallyPeriodicPoint, acc: Fraction, steps: int) -> bool:
-        if steps > 0 and distance(system, pt, x) <= eps and abs(acc) < eps:
-            return True
-        if steps == max_path_len:
-            return False
-        for s in sorted(system.symbols()):
-            if not system.allows(s, pt.symbol(0)):
-                continue
-            key = (s,) + window(pt, 0, q)
-            gain = maxes[key] - beta
-            if explore(prepend(system, pt, s), acc + gain, steps + 1):
-                return True
-        return False
-
-    return explore(x, Fraction(0), 0)
+    if eps <= 0:
+        return False  # no accumulated gain has abs(acc) < eps
+    # gains and eps scaled by one common denominator, so sums stay ints
+    gains = {key: v - beta for key, v in _step_max_table(system, A).items()}
+    scale = math.lcm(eps.denominator, *(g.denominator for g in gains.values()))
+    gains = {key: int(g * scale) for key, g in gains.items()}
+    bound = int(eps * scale)
+    preds = _predecessors(system)
+    n = _agreement_depth(system, eps)
+    m = max(n, q)
+    start = window(x, 0, m)
+    target = start[:n]
+    frontier = {(start, 0)}
+    expanded = 0
+    for depth in range(max_path_len):
+        if expanded + len(frontier) > OMEGA_STATE_BUDGET:
+            raise OracleBudgetExceeded(
+                f"omega oracle budget of {OMEGA_STATE_BUDGET} states reached: "
+                f"{expanded} expanded by depth {depth} of {max_path_len}, "
+                f"{len(frontier)} more at depth {depth}"
+            )
+        expanded += len(frontier)
+        reached: set[tuple[tuple[int, ...], int]] = set()
+        for head, acc in frontier:
+            for s in preds[head[0]]:
+                new_head = ((s,) + head)[:m]
+                new_acc = acc + gains[(s,) + head[:q]]
+                if new_head[:n] == target and abs(new_acc) < bound:
+                    return True
+                reached.add((new_head, new_acc))
+        frontier = reached
+    return False

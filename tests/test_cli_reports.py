@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,6 +201,39 @@ def test_check_reports_a_raising_item_and_goes_on(tmp_path, capsys):
     assert raised["status"] == "error" and "schedule exhausted" in raised["note"]
     assert {c["status"] for c in checks.values()} == {"pass"}
     assert report["ok"] is False
+
+
+def random_full_shift_config(rng: random.Random, r: int, q: int, binary: bool) -> str:
+    """Config text: full r-shift, past depth 1, future depth q, seeded weights."""
+    lines = ["[system]", f"alphabet_size = {r}"] + [f"row = {' '.join(['1'] * r)}"] * r
+    lines += ["", "[potential]", "past_depth = 1", f"future_depth = {q}"]
+    for word in itertools.product(range(r), repeat=1 + q):
+        n, d = (rng.randint(0, 1), 1) if binary else (rng.randint(-20, 20), rng.randint(1, 10))
+        lines.append(f"window {' '.join(map(str, word))} = {n}/{d}")
+    return "\n".join(lines) + "\n"
+
+
+# Seconds one check may take on an 8- or 9-node window graph: the omega
+# oracle stops at its state budget, and the whole command measured 0.1-1.1 s
+# on a 2-vCPU host.
+RANDOM_CHECK_SECONDS = 10
+
+
+@pytest.mark.parametrize("r, q", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_finishes_on_random_configs(tmp_path, capsys, r, q, seed):
+    rng = random.Random(seed)
+    path = tmp_path / "random.cfg"
+    path.write_text(random_full_shift_config(rng, r, q, binary=seed == 3))
+    start = time.perf_counter()
+    rc = main(["check", "--config", str(path)])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert rc in (0, 1)
+    assert len(statuses) == 12
+    assert statuses["omega_oracle"] in ("pass", "skip")
+    assert elapsed < RANDOM_CHECK_SECONDS
 
 
 @pytest.mark.parametrize("name", ["f1", "f6"])

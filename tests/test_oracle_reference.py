@@ -1,0 +1,254 @@
+"""The breadth-first oracles against the depth-first searches they replaced.
+
+The references below walk every prepend path up to the horizon, one
+EventuallyPeriodicPoint at a time, and test acceptance with `distance` and
+`window` on the full point. The breadth-first oracles keep only the leading
+symbols a step reads and merge equal states, so their answers must be the
+references' exactly: on every bundled fixture and on seeded random
+instances (alphabets of 2 and 3 symbols, future depths 1 and 2, 0/1 and
+fractional weights), with enough answers on each side to mean something.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+import ergopt.oracle_bruteforce as oracle_bruteforce
+from ergopt import fixtures
+from ergopt.cli_reports import main
+from ergopt.errors import HorizonTooSmall, OracleBudgetExceeded
+from ergopt.graph_engine import build_prepend_graph, max_mean_cycle
+from ergopt.oracle_bruteforce import _step_max_table, oracle_mane, oracle_omega
+from ergopt.potential_model import LocallyConstantPotential
+from ergopt.symbolic_core import allowed_words, distance, point, prepend, window
+
+from conftest import random_fraction, random_system
+
+
+# ---------------------------------------------------------------------------
+# depth-first references
+
+
+def ref_oracle_mane(system, A, beta, x, xbar, N, max_path_len=None):
+    q = A.future_depth
+    if max_path_len is None:
+        max_path_len = 3 * len(allowed_words(system, q)) + N
+    maxes = _step_max_table(system, A)
+    best = None
+    target = window(x, 0, N)
+
+    def explore(pt, cost, steps):
+        nonlocal best
+        if steps > 0 and window(pt, 0, N) == target:
+            if best is None or cost < best:
+                best = cost
+        if steps == max_path_len:
+            return
+        for s in sorted(system.symbols()):
+            if not system.allows(s, pt.symbol(0)):
+                continue
+            key = (s,) + window(pt, 0, q)
+            explore(prepend(system, pt, s), cost + beta - maxes[key], steps + 1)
+
+    explore(xbar, Fraction(0), 0)
+    if best is None:
+        raise HorizonTooSmall(f"no admissible path within {max_path_len} steps at depth {N}")
+    return best
+
+
+def ref_oracle_omega(system, A, beta, x, eps, max_path_len=None):
+    q = A.future_depth
+    if max_path_len is None:
+        max_path_len = 3 * len(allowed_words(system, q)) + 8
+    eps = Fraction(eps)
+    maxes = _step_max_table(system, A)
+
+    def explore(pt, acc, steps):
+        if steps > 0 and distance(system, pt, x) <= eps and abs(acc) < eps:
+            return True
+        if steps == max_path_len:
+            return False
+        for s in sorted(system.symbols()):
+            if not system.allows(s, pt.symbol(0)):
+                continue
+            key = (s,) + window(pt, 0, q)
+            if explore(prepend(system, pt, s), acc + maxes[key] - beta, steps + 1):
+                return True
+        return False
+
+    return explore(x, Fraction(0), 0)
+
+
+def mane_outcome(mane, *args):
+    """The value, or HorizonTooSmall when no path matches."""
+    try:
+        return mane(*args)
+    except HorizonTooSmall:
+        return HorizonTooSmall
+
+
+# ---------------------------------------------------------------------------
+# instances
+
+
+def periodic_points(system, limit=None):
+    """Valid points with period <= 2 and preperiod <= 1, in a fixed order."""
+    pts = []
+    for per in allowed_words(system, 1) + allowed_words(system, 2):
+        if not system.allows(per[-1], per[0]):
+            continue
+        for pre in [()] + allowed_words(system, 1):
+            x = point(pre, per)
+            if x.is_valid(system) and x not in pts:
+                pts.append(x)
+    return pts[:limit]
+
+
+def fixture_instances():
+    """(name, system, potential, beta, points) with check's sample points first."""
+    out = []
+    for name in fixtures.available():
+        config = fixtures.load(name)
+        system, A = config.system, config.potential
+        cycle = max_mean_cycle(build_prepend_graph(system, A))
+        pts = [point("", tuple(e.symbol for e in reversed(cycle.witness_cycle)))]
+        pts += [x for x in periodic_points(system) if x not in pts]
+        out.append((name, system, A, cycle.beta, pts))
+    return out
+
+
+def random_instances(seed, count):
+    """Transitive systems with 2-3 symbols, depths 1-2, 0/1 or n/d weights."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        system = random_system(rng, rng.choice((2, 3)), require_transitive=True)
+        p, q = rng.choice((1, 2)), rng.choice((1, 2))
+        binary = rng.random() < 0.5
+        table = {
+            k: Fraction(rng.randint(0, 1)) if binary else random_fraction(rng, -5, 5, 4)
+            for k in allowed_words(system, p + q)
+        }
+        A = LocallyConstantPotential(system, p, q, table)
+        beta = max_mean_cycle(build_prepend_graph(system, A)).beta
+        horizon = 6 if system.alphabet_size == 3 else 8
+        out.append((system, A, beta, periodic_points(system, limit=4), horizon))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def test_omega_matches_reference_on_fixtures():
+    answers = []
+    for name, system, A, beta, pts in fixture_instances():
+        for x in pts:
+            for eps in (Fraction(1, 64), Fraction(1, 4)):
+                expected = ref_oracle_omega(system, A, beta, x, eps, 8)
+                assert oracle_omega(system, A, beta, x, eps, 8) == expected, (name, x, eps)
+                answers.append(expected)
+    assert answers.count(True) >= 20 and answers.count(False) >= 20
+
+
+def test_omega_matches_reference_at_the_default_horizon():
+    # check's first sample point on every fixture, and f1's 0^inf, which
+    # never returns and so walks every path of the 14-step horizon
+    cases = [(system, A, beta, pts[0]) for _, system, A, beta, pts in fixture_instances()]
+    f1 = fixtures.load("f1")
+    cases.append((f1.system, f1.potential, Fraction(1), point("", "0")))
+    answers = []
+    for system, A, beta, x in cases:
+        expected = ref_oracle_omega(system, A, beta, x, Fraction(1, 64))
+        assert oracle_omega(system, A, beta, x, Fraction(1, 64)) == expected, x
+        answers.append(expected)
+    assert answers.count(False) == 1
+
+
+def test_omega_matches_reference_on_random_instances():
+    answers = []
+    for system, A, beta, pts, horizon in random_instances(20261018, 20):
+        for x in pts:
+            for eps in (Fraction(1, 64), Fraction(1, 4), Fraction(1)):
+                expected = ref_oracle_omega(system, A, beta, x, eps, horizon)
+                assert oracle_omega(system, A, beta, x, eps, horizon) == expected
+                answers.append(expected)
+    assert answers.count(True) >= 50 and answers.count(False) >= 50
+
+
+def test_mane_matches_reference_on_fixtures():
+    values = []
+    for name, system, A, beta, pts in fixture_instances():
+        pts = pts[:3]
+        for x in pts:
+            for xbar in pts:
+                for N in (1, 2, 3):
+                    args = (system, A, beta, x, xbar, N, 7)
+                    expected = mane_outcome(ref_oracle_mane, *args)
+                    assert mane_outcome(oracle_mane, *args) == expected
+                    values.append(expected)
+    assert len(set(values)) >= 4
+
+
+def test_mane_matches_reference_on_random_instances():
+    values = []
+    for system, A, beta, pts, horizon in random_instances(7, 12):
+        for x in pts[:2]:
+            for xbar in pts[:3]:
+                for N, h in ((1, horizon), (2, horizon), (3, horizon), (3, 2)):
+                    args = (system, A, beta, x, xbar, N, h)
+                    expected = mane_outcome(ref_oracle_mane, *args)
+                    assert mane_outcome(oracle_mane, *args) == expected
+                    values.append(expected)
+    assert HorizonTooSmall in values
+    assert len(set(values)) >= 10
+
+
+def test_omega_eps_at_least_one_needs_no_agreement():
+    # lambda**0 = 1 <= eps: any return with a small enough gain counts
+    config = fixtures.load("f1")
+    system, A = config.system, config.potential
+    for x in (point("", "0"), point("0", "1")):
+        assert oracle_omega(system, A, Fraction(1), x, Fraction(2), 3)
+        assert ref_oracle_omega(system, A, Fraction(1), x, Fraction(2), 3)
+
+
+def test_omega_nonpositive_eps_is_false():
+    config = fixtures.load("f3")
+    for eps in (Fraction(0), Fraction(-1, 4)):
+        assert not oracle_omega(config.system, config.potential, Fraction(5), point("", "0"), eps, 4)
+        assert not ref_oracle_omega(config.system, config.potential, Fraction(5), point("", "0"), eps, 4)
+
+
+# ---------------------------------------------------------------------------
+# the state budget
+
+
+def test_fixtures_stay_within_the_budget():
+    for name, system, A, beta, pts in fixture_instances():
+        for x in pts:
+            for eps in (Fraction(1, 64), Fraction(1, 4)):
+                oracle_omega(system, A, beta, x, eps)
+
+
+def test_budget_exceeded_names_budget_and_states(monkeypatch):
+    monkeypatch.setattr(oracle_bruteforce, "OMEGA_STATE_BUDGET", 100)
+    config = fixtures.load("f1")
+    with pytest.raises(OracleBudgetExceeded, match=r"budget of 100 states.*\d+ expanded"):
+        oracle_omega(config.system, config.potential, Fraction(1), point("", "0"), Fraction(1, 64))
+
+
+def test_check_skips_the_omega_oracle_over_budget(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(oracle_bruteforce, "OMEGA_STATE_BUDGET", 100)
+    path = tmp_path / "f1.cfg"
+    path.write_text(fixtures.fixture_text("f1"))
+    assert main(["check", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["omega_oracle"]["status"] == "skip"
+    assert "budget of 100 states" in checks["omega_oracle"]["note"]
+    assert report["ok"] is True
