@@ -10,6 +10,12 @@ The dynamic programs (Karp, Bellman, the negative-cycle search and the
 all-pairs costs) run on Python ints: every edge cost is scaled once by the
 common denominator of the weights and of beta, and results turn back into
 exact Fractions when they return.
+
+One Bellman-Ford kernel, ``_bellman_ford``, solves every least-cost problem
+from a super-source: the Bellman potentials (``bellman_potentials``), the
+improving cycle of the parametric route (``_negative_cycle``) and, in
+``subaction_lab``, the maximal sub-action (on reversed arcs) and the Livsic
+transfer (read off the Bellman potentials).
 """
 
 from __future__ import annotations
@@ -118,6 +124,31 @@ def _scaled_costs(
     ]
 
 
+def _bellman_ford(
+    n: int, arcs: Sequence[tuple[int, int, int]]
+) -> tuple[list[int], list[int | None], int | None]:
+    """Least costs over the int arcs (a, b, c) from a zero-cost super-source.
+
+    Relaxes the arcs in order for at most n + 1 rounds. Returns the costs,
+    the index of the arc that last lowered each node (None for nodes never
+    lowered) and the last node lowered in round n + 1, which only a negative
+    cycle can reach; that node is None when some round changes nothing.
+    """
+    dist = [0] * n
+    pred: list[int | None] = [None] * n
+    for _ in range(n + 1):
+        lowered = None
+        for i, (a, b, c) in enumerate(arcs):
+            cand = dist[a] + c
+            if cand < dist[b]:
+                dist[b] = cand
+                pred[b] = i
+                lowered = b
+        if lowered is None:
+            break
+    return dist, pred, lowered
+
+
 # ---------------------------------------------------------------------------
 # max mean cycle (Karp)
 
@@ -173,22 +204,10 @@ def bellman_potentials(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
     mean-beta cycles and of least-cost paths. Raises NegativeCycle if beta is
     below the true maximum mean.
     """
-    n = len(graph.nodes)
-    D, edges = _scaled_costs(graph, beta)
-    h = [0] * n
-    for _ in range(n):
-        changed = False
-        for src, tgt, c in edges:
-            cand = h[src] + c
-            if cand < h[tgt]:
-                h[tgt] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        for src, tgt, c in edges:
-            if h[src] + c < h[tgt]:
-                raise NegativeCycle("costs beta - weight admit a negative cycle")
+    D, arcs = _scaled_costs(graph, beta)
+    h, _, looped = _bellman_ford(len(graph.nodes), arcs)
+    if looped is not None:
+        raise NegativeCycle("costs beta - weight admit a negative cycle")
     return [Fraction(x, D) for x in h]
 
 
@@ -263,24 +282,11 @@ def certificate_subaction(graph: PrependGraph, beta: Fraction) -> list[Fraction]
 def _negative_cycle(graph: PrependGraph, b: Fraction) -> tuple[Edge, ...] | None:
     """A cycle with mean above b, found by Bellman-Ford predecessor walking."""
     n = len(graph.nodes)
-    _, costs = _scaled_costs(graph, b)
-    dist = [0] * n
-    pred: list[Edge | None] = [None] * n
-    marked = None
-    for round_ in range(n + 1):
-        changed = False
-        for e, (src, tgt, c) in zip(graph.edges, costs):
-            cand = dist[src] + c
-            if cand < dist[tgt]:
-                dist[tgt] = cand
-                pred[tgt] = e
-                changed = True
-                if round_ == n:
-                    marked = tgt
-        if not changed:
-            return None
+    _, arcs = _scaled_costs(graph, b)
+    _, pred_arc, marked = _bellman_ford(n, arcs)
     if marked is None:
-        raise AssertionError("a change in the last round marks a node")
+        return None
+    pred = [None if i is None else graph.edges[i] for i in pred_arc]
     # walk predecessors n times to land inside the cycle, then collect it
     v = marked
     for _ in range(n):
@@ -309,16 +315,13 @@ def parametric_beta(graph: PrependGraph) -> Fraction:
     together with the cycle that attained it.
     """
     # find any cycle by following first out-edges
-    first_out: dict[int, Edge] = {}
-    for e in sorted(graph.edges, key=lambda e: (e.src, e.symbol)):
-        first_out.setdefault(e.src, e)
     seen: dict[int, int] = {}
     path = []
     v = 0
     while v not in seen:
         seen[v] = len(path)
-        path.append(first_out[v])
-        v = first_out[v].tgt
+        path.append(graph.out_edges(v)[0])
+        v = path[-1].tgt
     cycle = path[seen[v]:]
     b = sum((e.weight for e in cycle), Fraction(0)) / len(cycle)
     while True:

@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesisFails, NonConvergence, NotSubaction, NotTransitive
+from .errors import HypothesisFails, NegativeCycle, NonConvergence, NotSubaction, NotTransitive
 from .graph_engine import (
     Edge,
     PrependGraph,
+    _bellman_ford,
     _scaled_costs,
+    bellman_potentials,
     build_prepend_graph,
     max_mean_cycle,
 )
@@ -141,28 +143,14 @@ def dual_value(u: NodeFunction, graph: PrependGraph) -> Fraction:
 def maximal_subaction(graph: PrependGraph, beta: Fraction) -> NodeFunction:
     """Largest nonpositive sub-action, u(V) = min(0, cheapest path cost from V).
 
-    Costs are beta minus weight. Cycle costs are nonnegative, so the cheapest
-    nonempty path is realized by a simple path or cycle, and the capped
-    Bellman sweep from zero settles within node-count rounds. The sweep runs
-    on the scaled integer costs of the graph engine.
+    Costs are beta minus weight. The graph engine's Bellman-Ford kernel runs
+    on the reversed arcs, so its zero-cost super-source supplies the cap at 0.
+    Raises NegativeCycle if beta is below the true maximum mean.
     """
-    n = len(graph.nodes)
     D, costs = _scaled_costs(graph, beta)
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for src, tgt, c in costs:
-        out[src].append((tgt, c))
-    u = [0] * n
-    for _ in range(n + 2):
-        changed = False
-        for v in range(n):
-            best = min(0, min(c + u[tgt] for tgt, c in out[v]))
-            if best != u[v]:
-                u[v] = best
-                changed = True
-        if not changed:
-            break
-    else:
-        raise AssertionError("maximal sub-action iteration failed to settle")
+    u, _, looped = _bellman_ford(len(graph.nodes), [(t, s, c) for s, t, c in costs])
+    if looped is not None:
+        raise NegativeCycle("costs beta - weight admit a negative cycle")
     return NodeFunction(graph, tuple(Fraction(x, D) for x in u))
 
 
@@ -310,8 +298,9 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
 
     Exact criterion: the best and worst cycle means coincide, i.e.
     beta(A) + beta(-A) == 0, with beta(-A) computed from the re-reduced
-    negated source potential. When they do, a transfer function making every
-    edge tight is read off a spanning walk.
+    negated source potential. When they do, every cycle has mean beta, so
+    every edge is tight under the Bellman potential h, and u = h(0) - h is
+    the transfer function vanishing at node 0.
     """
     if classify_transitivity(graph.system).kind == "reducible":
         raise NotTransitive("cohomology test needs a transitive system")
@@ -320,20 +309,10 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
     beta_minus = max_mean_cycle(negated).beta
     if beta_plus + beta_minus != 0:
         return LivsicResult(False, beta_plus, None)
-    n = len(graph.nodes)
-    u: list[Fraction | None] = [None] * n
-    u[0] = Fraction(0)
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for e in graph.out_edges(v):
-            if u[e.tgt] is None:
-                u[e.tgt] = u[v] + e.weight - beta_plus  # type: ignore[operand-type]
-                queue.append(e.tgt)
-    if any(val is None for val in u):
-        raise AssertionError("spanning walk missed a node")
+    h = bellman_potentials(graph, beta_plus)
+    u = [h[0] - x for x in h]
     for e in graph.edges:
-        if e.weight + u[e.src] - u[e.tgt] != beta_plus:  # type: ignore[operand-type]
+        if e.weight + u[e.src] - u[e.tgt] != beta_plus:
             raise AssertionError(f"transfer function leaves edge {e.key} slack")
     return LivsicResult(True, beta_plus, NodeFunction(graph, tuple(u)))
 

@@ -180,6 +180,8 @@ def test_negative_cycle_below_the_optimum(graph):
         bellman_potentials(graph, below)
     with pytest.raises(NegativeCycle):
         min_cost_all_pairs(graph, below)
+    with pytest.raises(NegativeCycle):
+        maximal_subaction(graph, below)
 
 
 def test_reducible_matrix_has_unreachable_pairs():

@@ -243,12 +243,19 @@ def test_budget_exceeded_names_budget_and_states(monkeypatch):
 
 
 def test_check_skips_the_omega_oracle_over_budget(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(oracle_bruteforce, "OMEGA_STATE_BUDGET", 100)
     path = tmp_path / "f1.cfg"
     path.write_text(fixtures.fixture_text("f1"))
-    assert main(["check", "--config", str(path)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    checks = {c["name"]: c for c in report["checks"]}
-    assert checks["omega_oracle"]["status"] == "skip"
-    assert "budget of 100 states" in checks["omega_oracle"]["note"]
-    assert report["ok"] is True
+    items = {}
+    for budget in (100, 0):
+        monkeypatch.setattr(oracle_bruteforce, "OMEGA_STATE_BUDGET", budget)
+        assert main(["check", "--config", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True
+        items[budget] = {c["name"]: c for c in report["checks"]}["omega_oracle"]
+    # of f1's three samples, the witness point and 1^inf finish within 100
+    # states and 0^inf does not; within 0 states none does
+    assert items[100]["status"] == "pass"
+    assert items[100]["note"].startswith("membership matches the oracle on 2 points; 1 over budget")
+    assert "budget of 100 states" in items[100]["note"]
+    assert items[0]["status"] == "skip"
+    assert "budget of 0 states" in items[0]["note"]

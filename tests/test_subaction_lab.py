@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from ergopt.subaction_lab import (
     rigidity_check,
     subaction_residual,
 )
+from ergopt.symbolic_core import allowed_words
 
 from conftest import (
     f1_graph,
@@ -36,6 +38,7 @@ from conftest import (
     f5_graph,
     f6_graph,
     full_shift,
+    golden_mean,
     random_fraction,
     random_graph,
     reducible_system,
@@ -338,6 +341,64 @@ def test_livsic_requires_transitive():
     A = LocallyConstantPotential(system, 1, 1, {})
     with pytest.raises(NotTransitive):
         livsic_test(build_prepend_graph(system, A))
+
+
+def ref_livsic_transfer(graph, beta):
+    """Transfer by a breadth-first spanning walk from node 0: u(0) = 0, and
+    each newly reached target gets u(src) + weight - beta."""
+    u = [None] * len(graph.nodes)
+    u[0] = Fraction(0)
+    queue = [0]
+    while queue:
+        v = queue.pop(0)
+        for e in graph.out_edges(v):
+            if u[e.tgt] is None:
+                u[e.tgt] = u[v] + e.weight - beta
+                queue.append(e.tgt)
+    return tuple(u)
+
+
+LIVSIC_SYSTEMS = (("full2", full_shift(2)), ("full3", full_shift(3)), ("golden", golden_mean()))
+
+
+def _coboundary_instances():
+    rng = random.Random(2718)
+    out = []
+    for name, system in LIVSIC_SYSTEMS:
+        for q in (1, 2, 3):
+            for i in range(2):
+                constant = random_fraction(rng)
+                base = LocallyConstantPotential(
+                    system, 1, q, {k: constant for k in allowed_words(system, 1 + q)}
+                )
+                f = {w: random_fraction(rng, max_den=1000) for w in allowed_words(system, q)}
+                modified = coboundary_modify(base, f, random_fraction(rng))
+                out.append(pytest.param(modified, id=f"{name}-q{q}-{i}"))
+    return out
+
+
+COBOUNDARIES = _coboundary_instances()
+
+
+@pytest.mark.parametrize("A", COBOUNDARIES)
+def test_livsic_transfer_matches_the_spanning_walk(A):
+    graph = build_prepend_graph(A.system, A)
+    res = livsic_test(graph)
+    assert res.cohomologous
+    assert res.transfer.values == ref_livsic_transfer(graph, res.constant)
+
+
+@pytest.mark.parametrize("A", COBOUNDARIES)
+def test_livsic_off_coboundary_has_no_transfer(A):
+    # moving one edge off the loop at 0^q changes the means of the cycles
+    # through it and leaves the loop's mean alone
+    key = (1,) + (0,) * A.future_depth
+    table = dict(A.table)
+    table[key] += Fraction(1, 7)
+    perturbed = LocallyConstantPotential(A.system, 1, A.future_depth, table)
+    res = livsic_test(build_prepend_graph(A.system, perturbed))
+    assert not res.cohomologous
+    assert res.transfer is None
 
 
 # ---------------------------------------------------------------------------
