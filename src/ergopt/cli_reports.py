@@ -475,7 +475,10 @@ def _check_items(
         return ("pass" if ok else "fail", f"beta {_rat(beta)} by three methods")
 
     def beta_oracle() -> tuple[str, str]:
-        value = oracle_beta(config.system, config.potential, len(graph.nodes) + 1)
+        try:
+            value = oracle_beta(config.system, config.potential, len(graph.nodes) + 1)
+        except OracleBudgetExceeded as exc:
+            return ("skip", str(exc))
         return ("pass" if value == beta else "fail", f"oracle beta {_rat(value)}")
 
     def maximal_valid() -> tuple[str, str]:
@@ -600,7 +603,8 @@ def cmd_check(config: ExperimentConfig) -> dict:
     message as its note; the suite goes on with the next check. The omega
     oracle check compares every sample whose search stays within the state
     budget and names the others in its note; it reports "skip" only when
-    every sample passes the budget, which leaves "ok" as it is.
+    every sample passes the budget, which leaves "ok" as it is. The beta
+    oracle check reports "skip" when its word budget is passed.
     """
     items = _check_items(config)
     transitive = classify_transitivity(config.system).kind != "reducible"

@@ -155,9 +155,12 @@ def _bellman_ford(
 
 @dataclass(frozen=True)
 class BetaResult:
+    """beta, its canonical witness cycle and the Bellman potential h at beta."""
+
     beta: Fraction
     witness_cycle: tuple[Edge, ...]
     method: str
+    potential: tuple[Fraction, ...]
 
 
 def _karp_value(graph: PrependGraph) -> Fraction:
@@ -267,7 +270,7 @@ def max_mean_cycle(graph: PrependGraph) -> BetaResult:
     total = sum((e.weight for e in witness), Fraction(0))
     if total / len(witness) != beta:
         raise AssertionError("witness cycle mean differs from beta")
-    return BetaResult(beta, witness, "karp")
+    return BetaResult(beta, witness, "karp", tuple(h))
 
 
 def certificate_subaction(graph: PrependGraph, beta: Fraction) -> list[Fraction]:

@@ -28,6 +28,12 @@ from .symbolic_core import (
 # states with the frontier still growing, halfway through the horizon.
 OMEGA_STATE_BUDGET = 50_000
 
+# Most words oracle_beta enumerates before it gives up: all allowed words of
+# lengths 1..max_cycle_len. The bundled fixtures need at most 18 and a full
+# 3-shift with q=2 (9 nodes) 88 572; a full 2-shift with q=4 (16 nodes)
+# would need 262 142, which took about 4 s on a 2-vCPU host.
+BETA_WORD_BUDGET = 100_000
+
 
 def _step_max_table(system: SubshiftSystem, A: LocallyConstantPotential) -> dict:
     """Best table value per (anchor, future window), scanning the raw table."""
@@ -63,11 +69,27 @@ def oracle_beta(system: SubshiftSystem, A: LocallyConstantPotential, max_cycle_l
     Every cyclic word up to the given length is tried with every admissible
     per-step past tail (the per-step best is read off the raw table). The
     length bound must cover a maximal simple cycle of the window graph.
+    Raises OracleBudgetExceeded, before enumerating any word, when there are
+    more than BETA_WORD_BUDGET allowed words up to that length.
     """
     q = A.future_depth
     node_count = len(allowed_words(system, q))
     if max_cycle_len < node_count:
         raise ValueError("max_cycle_len must reach the window-graph node count")
+    # allowed words of each length, counted by their last symbol
+    ending = [1] * system.alphabet_size
+    total = sum(ending)
+    for _ in range(1, max_cycle_len):
+        ending = [
+            sum(c for a, c in enumerate(ending) if system.allows(a, s))
+            for s in system.symbols()
+        ]
+        total += sum(ending)
+    if total > BETA_WORD_BUDGET:
+        raise OracleBudgetExceeded(
+            f"beta oracle budget of {BETA_WORD_BUDGET} words reached: "
+            f"{total} allowed words up to length {max_cycle_len}"
+        )
     maxes = _step_max_table(system, A)
     best: Fraction | None = None
     words: list[tuple[int, ...]] = [(s,) for s in system.symbols()]

@@ -4,11 +4,15 @@ the discounted route to calibrated solutions, contact loci, and refinements.
 A sub-action u satisfies weight + u(src) - u(tgt) <= beta on every edge.
 Calibrated means u(V) = min over out-edges of (u(tgt) - weight + beta), the
 Bellman fixed-point form. Everything here is exact, the discounted
-construction included.
+construction included: its policy iteration runs on ints, with the weights
+scaled once by their common denominator W and every value of one policy
+held over one common denominator, W * lcm over policy cycles of
+(b^L - a^L) * b^d at rho = a/b.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +22,6 @@ from .graph_engine import (
     PrependGraph,
     _bellman_ford,
     _scaled_costs,
-    bellman_potentials,
     build_prepend_graph,
     max_mean_cycle,
 )
@@ -158,76 +161,112 @@ def maximal_subaction(graph: PrependGraph, beta: Fraction) -> NodeFunction:
 # discounted construction
 
 
-def _policy_values(graph: PrependGraph, policy: list[Edge], rho: Fraction) -> list[Fraction]:
-    """Exact values of a stationary policy: u(V) = rho * (u(next V) - weight)."""
-    n = len(graph.nodes)
-    values: list[Fraction | None] = [None] * n
+def _discount_arcs(graph: PrependGraph) -> tuple[int, list[list[tuple[int, int]]]]:
+    """W and each node's out-arcs (tgt, c), in out_edges order, c = -W * weight.
+
+    W is the common denominator of the weights, so every c is an int.
+    """
+    W, costs = _scaled_costs(graph, Fraction(0))
+    return W, [
+        [costs[e.index][1:] for e in graph.out_edges(v)] for v in range(len(graph.nodes))
+    ]
+
+
+def _policy_values(
+    arcs: list[list[tuple[int, int]]], policy: list[int], a: int, b: int
+) -> tuple[list[int], int]:
+    """Exact values of a stationary policy at rho = a/b, over one denominator.
+
+    Node v follows its arc (t, c) = arcs[v][policy[v]] and solves
+    x(v) = rho * (x(t) + c). Returns (X, den) with x = X / den, where den is
+    the lcm over policy cycles of b^L - a^L, times b^d for the depth d of the
+    deepest node off the cycles. A cycle of length L is solved in closed form
+    over b^L - a^L; every other value follows from its successor with one
+    exact division by b.
+    """
+    n = len(arcs)
+    step = [arcs[v][policy[v]] for v in range(n)]
+    # split the policy graph into cycles and trees, the tree nodes listed
+    # after their successors
     state = [0] * n  # 0 unvisited, 1 in progress, 2 done
+    depth = [0] * n
+    cycles: list[list[int]] = []
+    tree: list[int] = []
     for start in range(n):
-        if state[start] == 2:
+        if state[start]:
             continue
         chain = []
         v = start
-        while state[v] == 0:
+        while not state[v]:
             state[v] = 1
             chain.append(v)
-            v = policy[v].tgt
+            v = step[v][0]
         if state[v] == 1:
-            # closed a new cycle: solve it in closed form
             cut = chain.index(v)
-            cycle = chain[cut:]
-            L = len(cycle)
-            acc = Fraction(0)
-            rp = Fraction(1)
-            for node in cycle:
-                rp *= rho
-                acc += rp * policy[node].weight
-            u0 = -acc / (1 - rho ** L)
-            values[cycle[0]] = u0
-            for node in reversed(cycle[1:]):
-                nxt = policy[node].tgt
-                values[node] = rho * (values[nxt] - policy[node].weight)  # type: ignore[operand-type]
-            # fix the wrap: recompute cycle[0] from its successor for safety
-            head = cycle[0]
-            if values[head] != rho * (values[policy[head].tgt] - policy[head].weight):
-                raise AssertionError("closed-form cycle value fails to wrap around")
-        # back-substitute the tail of the chain (tree part)
+            cycles.append(chain[cut:])
+            for node in chain[cut:]:
+                state[node] = 2
+            del chain[cut:]
         for node in reversed(chain):
-            if values[node] is None:
-                nxt = policy[node].tgt
-                values[node] = rho * (values[nxt] - policy[node].weight)  # type: ignore[operand-type]
+            depth[node] = depth[step[node][0]] + 1
             state[node] = 2
-    return values  # type: ignore[return-value]
+            tree.append(node)
+    lcm = math.lcm(*{b ** len(c) - a ** len(c) for c in cycles})
+    den = lcm * b ** max(depth)
+    X = [0] * n
+
+    def back(node: int) -> int:
+        t, c = step[node]
+        q, r = divmod(a * (X[t] + c * den), b)
+        if r:
+            raise AssertionError("a discounted value is not a multiple of 1/den")
+        return q
+
+    for cycle in cycles:
+        # x(c_0) = a * sum_j a^j b^(L-1-j) c_j / (b^L - a^L), c_j the cycle's costs
+        acc, ap, bp = 0, 1, 1
+        for node in cycle:
+            acc = acc * b + step[node][1] * ap
+            ap *= a
+            bp *= b
+        head = cycle[0]
+        X[head] = a * acc * (den // (bp - ap))
+        for node in reversed(cycle[1:]):
+            X[node] = back(node)
+        if back(head) != X[head]:
+            raise AssertionError("closed-form cycle value fails to wrap around")
+    for node in tree:
+        X[node] = back(node)
+    return X, den
 
 
 def _exact_discounted(
-    graph: PrependGraph, rho: Fraction, policy: list[Edge] | None = None
-) -> list[Fraction]:
-    """Fixed point of u(V) = rho * min over out-edges (u(tgt) - weight).
+    arcs: list[list[tuple[int, int]]], a: int, b: int, policy: list[int]
+) -> tuple[list[int], int]:
+    """Fixed point of x(V) = rho * min over out-arcs (x(t) + c), rho = a/b.
 
-    Policy iteration starts from the given policy, improving it in place, or
-    from each node's first out-edge. The fixed point is unique, so the start
-    changes only the number of sweeps.
+    Policy iteration starts from the given policy (positions in arcs),
+    improving it in place; a node switches arc only to a strictly better
+    one, the first in arc order. The fixed point is unique, so the start
+    changes only the number of sweeps. Returns (X, den) as _policy_values.
     """
-    if policy is None:
-        policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
-    for _ in range(10 * len(graph.edges) + 10):
-        values = _policy_values(graph, policy, rho)
+    for _ in range(10 * sum(map(len, arcs)) + 10):
+        X, den = _policy_values(arcs, policy, a, b)
         improved = False
-        for v in range(len(graph.nodes)):
-            current = values[policy[v].tgt] - policy[v].weight
-            best_edge = policy[v]
-            best = current
-            for e in graph.out_edges(v):
-                cand = values[e.tgt] - e.weight
+        for v, out in enumerate(arcs):
+            t, c = out[policy[v]]
+            best = X[t] + c * den
+            best_i = policy[v]
+            for i, (t, c) in enumerate(out):
+                cand = X[t] + c * den
                 if cand < best:
                     best = cand
-                    best_edge = e
-            if best_edge is not policy[v] and best < current:
-                policy[v] = best_edge
+                    best_i = i
+            if best_i != policy[v]:
+                policy[v] = best_i
                 improved = True
         if not improved:
-            return values
+            return X, den
     raise AssertionError("policy iteration failed to settle")
 
 
@@ -236,7 +275,9 @@ def discounted_fixed_point(graph: PrependGraph, rho) -> NodeFunction:
     rho = Fraction(rho)
     if not (0 < rho < 1):
         raise ValueError("rho must lie strictly inside (0, 1)")
-    return NodeFunction(graph, tuple(_exact_discounted(graph, rho)))
+    W, arcs = _discount_arcs(graph)
+    X, den = _exact_discounted(arcs, rho.numerator, rho.denominator, [0] * len(arcs))
+    return NodeFunction(graph, tuple(Fraction(x, W * den) for x in X))
 
 
 def calibrated_via_discount(
@@ -256,29 +297,45 @@ def calibrated_via_discount(
     the first), all exact; on return the last entry is the rho where the stop
     fired.
     """
-    prev: tuple[list[Fraction], Fraction, Fraction] | None = None  # norm, 1 - rho, a
+    W, arcs = _discount_arcs(graph)
+    # each rho's values are U / Den; prev holds (U - max U, Den, b, max U)
+    prev: tuple[list[int], int, int, int] | None = None
     # warm start: each rho's optimal policy seeds policy iteration at the next
-    policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
+    policy = [0] * len(arcs)
     for k in range(1, k_max + 1):
-        rho = Fraction(2**k - 1, 2**k)
-        vals = _exact_discounted(graph, rho, policy)
-        top = max(vals)
-        norm = [v - top for v in vals]
-        delta = 1 - rho
-        a_est = delta * (-top)
-        change = None if prev is None else max(abs(a - b) for a, b in zip(norm, prev[0]))
+        b = 2**k
+        X, den = _exact_discounted(arcs, b - 1, b, policy)
+        Den = W * den
+        top = max(X)
+        norm = [x - top for x in X]
+        change = None
+        if prev is not None:
+            prev_norm, prev_Den, _, _ = prev
+            # max |norm / Den - prev_norm / prev_Den| = change / (Den * prev_Den)
+            change = max(abs(x * prev_Den - y * Den) for x, y in zip(norm, prev_norm))
         if steps is not None:
-            steps.append((rho, a_est, change))
-        if prev is not None and change <= OUTER_STOP:
-            candidate = NodeFunction(graph, tuple(v.limit_denominator(10**6) for v in norm))
+            steps.append((
+                Fraction(b - 1, b),
+                Fraction(-top, b * Den),
+                None if change is None else Fraction(change, Den * prev_Den),
+            ))
+        if change is not None and (
+            change * OUTER_STOP.denominator <= OUTER_STOP.numerator * Den * prev_Den
+        ):
+            candidate = NodeFunction(
+                graph, tuple(Fraction(x, Den).limit_denominator(10**6) for x in norm)
+            )
             beta = max_mean_cycle(graph).beta
             if calibration_residual(candidate, graph, beta) != 0:
                 raise NonConvergence("rational reconstruction is not exactly calibrated")
             # The estimate converges linearly in (1 - rho); one Richardson
             # step over the last two exact values removes the linear term.
-            _, prev_delta, prev_a = prev
+            _, _, prev_b, prev_top = prev
+            delta, prev_delta = Fraction(1, b), Fraction(1, prev_b)
+            a_est = Fraction(-top, b * Den)
+            prev_a = Fraction(-prev_top, prev_b * prev_Den)
             return candidate, a_est + (a_est - prev_a) * delta / (prev_delta - delta)
-        prev = (norm, delta, a_est)
+        prev = (norm, Den, b, top)
     raise NonConvergence("discount schedule exhausted before the outer stop")
 
 
@@ -299,17 +356,19 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
     Exact criterion: the best and worst cycle means coincide, i.e.
     beta(A) + beta(-A) == 0, with beta(-A) computed from the re-reduced
     negated source potential. When they do, every cycle has mean beta, so
-    every edge is tight under the Bellman potential h, and u = h(0) - h is
-    the transfer function vanishing at node 0.
+    every edge is tight under the Bellman potential h that max_mean_cycle
+    returns with beta, and u = h(0) - h is the transfer function vanishing
+    at node 0.
     """
     if classify_transitivity(graph.system).kind == "reducible":
         raise NotTransitive("cohomology test needs a transitive system")
-    beta_plus = max_mean_cycle(graph).beta
+    plus = max_mean_cycle(graph)
+    beta_plus = plus.beta
     negated = build_prepend_graph(graph.system, graph.potential.scale(-1))
     beta_minus = max_mean_cycle(negated).beta
     if beta_plus + beta_minus != 0:
         return LivsicResult(False, beta_plus, None)
-    h = bellman_potentials(graph, beta_plus)
+    h = plus.potential
     u = [h[0] - x for x in h]
     for e in graph.edges:
         if e.weight + u[e.src] - u[e.tgt] != beta_plus:

@@ -25,6 +25,7 @@ from ergopt.cli_reports import (
     render_report,
 )
 from ergopt.errors import ConfigError
+from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
 from ergopt.subaction_lab import OUTER_STOP, SCHEDULE_K_MAX
 
 MINIMAL = """
@@ -232,6 +233,26 @@ def test_check_finishes_on_random_configs(tmp_path, capsys, r, q, seed):
     assert rc in (0, 1)
     assert len(statuses) == 12
     assert statuses["omega_oracle"] == "pass"
+    assert elapsed < RANDOM_CHECK_SECONDS
+
+
+def test_check_skips_the_beta_oracle_on_sixteen_nodes(tmp_path, capsys):
+    # a full 2-shift with q=4 has 2 + 4 + ... + 2^17 = 262 142 allowed words
+    # up to the oracle's length 17, past BETA_WORD_BUDGET
+    path = tmp_path / "random.cfg"
+    path.write_text(random_full_shift_config(random.Random(4), 2, 4, binary=False))
+    start = time.perf_counter()
+    rc = main(["check", "--config", str(path)])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    items = {c["name"]: c for c in report["checks"]}
+    assert rc in (0, 1)
+    assert len(items) == 12
+    assert items["beta_oracle"]["status"] == "skip"
+    assert items["beta_oracle"]["note"] == (
+        f"beta oracle budget of {BETA_WORD_BUDGET} words reached: "
+        "262142 allowed words up to length 17"
+    )
     assert elapsed < RANDOM_CHECK_SECONDS
 
 

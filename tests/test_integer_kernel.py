@@ -23,7 +23,12 @@ from ergopt.graph_engine import (
     parametric_beta,
 )
 from ergopt.potential_model import LocallyConstantPotential
-from ergopt.subaction_lab import SCHEDULE_K_MAX, _exact_discounted, maximal_subaction
+from ergopt.subaction_lab import (
+    SCHEDULE_K_MAX,
+    _discount_arcs,
+    _exact_discounted,
+    maximal_subaction,
+)
 from ergopt.symbolic_core import allowed_words
 
 from conftest import full_shift, golden_mean, random_fraction, reducible_system
@@ -197,7 +202,15 @@ def test_reducible_matrix_has_unreachable_pairs():
 
 @pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
 def test_warm_start_keeps_every_discounted_value(graph):
-    policy = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
+    W, arcs = _discount_arcs(graph)
+
+    def solve(rho, policy=None):
+        if policy is None:
+            policy = [0] * len(arcs)
+        X, den = _exact_discounted(arcs, rho.numerator, rho.denominator, policy)
+        return [Fraction(x, W * den) for x in X]
+
+    policy = [0] * len(arcs)
     for k in range(1, SCHEDULE_K_MAX + 1):
         rho = Fraction(2**k - 1, 2**k)
-        assert _exact_discounted(graph, rho, policy) == _exact_discounted(graph, rho)
+        assert solve(rho, policy) == solve(rho)

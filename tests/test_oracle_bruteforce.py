@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from ergopt.errors import HorizonTooSmall
+import ergopt.oracle_bruteforce as oracle_bruteforce
+from ergopt.errors import HorizonTooSmall, OracleBudgetExceeded
 from ergopt.graph_engine import build_prepend_graph, max_mean_cycle
 from ergopt.oracle_bruteforce import oracle_beta, oracle_mane, oracle_omega
 from ergopt.potential_model import LocallyConstantPotential, constant_potential
@@ -49,6 +50,16 @@ class TestOracleBeta:
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError):
             oracle_beta(full_shift(), f1_potential(), 1)
+
+    def test_word_budget(self, monkeypatch):
+        # the full 2-shift has 2 + 4 + 8 = 14 allowed words up to length 3
+        monkeypatch.setattr(oracle_bruteforce, "BETA_WORD_BUDGET", 14)
+        assert oracle_beta(full_shift(), f6_potential(), 3) == 1
+        monkeypatch.setattr(oracle_bruteforce, "BETA_WORD_BUDGET", 13)
+        with pytest.raises(
+            OracleBudgetExceeded, match="budget of 13 words reached: 14 allowed words up to length 3"
+        ):
+            oracle_beta(full_shift(), f6_potential(), 3)
 
     def test_matches_karp_on_random_instances(self, rng: random.Random):
         for _ in range(30):

@@ -24,7 +24,7 @@ from ergopt import cli_reports, holonomic_opt, mane_aubry, subaction_lab
 GUARDED = {
     mane_aubry: ("omega_set", "reconstruct", "represent"),
     holonomic_opt: ("beta_lp",),
-    subaction_lab: ("_policy_values",),
+    subaction_lab: ("_policy_values", "_exact_discounted"),
 }
 
 # the one function allowed floats: it formats the discount trace

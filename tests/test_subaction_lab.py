@@ -13,6 +13,7 @@ from ergopt.potential_model import LocallyConstantPotential, coboundary_modify
 from ergopt.subaction_lab import (
     OUTER_STOP,
     NodeFunction,
+    _discount_arcs,
     _exact_discounted,
     calibrated_via_discount,
     calibration_residual,
@@ -53,6 +54,13 @@ LONG_K_MAX = 50
 
 def nf(graph, *values):
     return NodeFunction(graph, tuple(Fraction(v) for v in values))
+
+
+def solve_discounted(graph, rho: Fraction, solve=_exact_discounted) -> list[Fraction]:
+    """Cold-started values of the integer kernel at rho, as Fractions."""
+    W, arcs = _discount_arcs(graph)
+    X, den = solve(arcs, rho.numerator, rho.denominator, [0] * len(arcs))
+    return [Fraction(x, W * den) for x in X]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +211,7 @@ def test_discounted_fixed_point_reports_the_exact_solution(rng):
     for _ in range(10):
         g = random_graph(rng, 2, rng.choice([1, 2]))
         rho = Fraction(rng.randint(1, 99), 100)
-        assert discounted_fixed_point(g, rho).values == tuple(_exact_discounted(g, rho))
+        assert discounted_fixed_point(g, rho).values == tuple(solve_discounted(g, rho))
     for rho in (0, 1, Fraction(3, 2)):
         with pytest.raises(ValueError):
             discounted_fixed_point(f1_graph(), rho)
@@ -219,7 +227,7 @@ def test_discounted_fixed_point_equation(rng):
     for _ in range(15):
         g = random_graph(rng, 2, rng.choice([1, 2]))
         rho = Fraction(rng.randint(1, 9), 10)
-        vals = _exact_discounted(g, rho)
+        vals = solve_discounted(g, rho)
         for v in range(len(g.nodes)):
             best = min(vals[e.tgt] - e.weight for e in g.out_edges(v))
             assert vals[v] == rho * best
@@ -233,7 +241,7 @@ def test_discounted_estimate_rate_and_monotonicity():
         deltas = []
         for k in range(1, 12):
             rho = Fraction(2**k - 1, 2**k)
-            top = max(_exact_discounted(g, rho))
+            top = max(solve_discounted(g, rho))
             gaps.append(abs((1 - rho) * (-top) - beta))
             deltas.append(1 - rho)
         rate = max(gap / d for gap, d in zip(gaps, deltas))
@@ -269,9 +277,9 @@ def test_discount_steps_record_each_solve_of_the_route(rng, monkeypatch):
     solve = lab._exact_discounted
     solved = []
 
-    def counted(graph, rho, policy=None):
-        solved.append(rho)
-        return solve(graph, rho, policy)
+    def counted(arcs, a, b, policy):
+        solved.append(Fraction(a, b))
+        return solve(arcs, a, b, policy)
 
     monkeypatch.setattr(lab, "_exact_discounted", counted)
     for _ in range(16):
@@ -284,7 +292,7 @@ def test_discount_steps_record_each_solve_of_the_route(rng, monkeypatch):
         prev = None
         for k in range(1, LONG_K_MAX + 1):
             rho = Fraction(2**k - 1, 2**k)
-            vals = solve(g, rho)
+            vals = solve_discounted(g, rho, solve)
             norm = [v - max(vals) for v in vals]
             if prev is not None and max(abs(a - b) for a, b in zip(norm, prev)) <= OUTER_STOP:
                 break
