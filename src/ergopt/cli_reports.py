@@ -513,19 +513,19 @@ def _check_items(
         return ("pass" if ok else "fail", "discount limit exactly calibrated")
 
     def mane_triangle() -> tuple[str, str]:
-        omega = omega_set(graph)
+        cost = omega_set(graph).mane.cost
         n = len(graph.nodes)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if omega.mane.value(i, k) > omega.mane.value(i, j) + omega.mane.value(j, k):
+                    if cost[i][k] > cost[i][j] + cost[j][k]:
                         return ("fail", f"triangle fails at ({i}, {j}, {k})")
         return ("pass", "excursion costs satisfy the triangle inequality")
 
     def mane_diagonal() -> tuple[str, str]:
         omega = omega_set(graph)
         for i in range(len(graph.nodes)):
-            zero = omega.mane.value(i, i) == 0
+            zero = omega.mane.cost[i][i] == 0
             if zero != (i in omega.critical.critical_nodes):
                 return ("fail", f"diagonal mismatch at node {i}")
         return ("pass", "zero diagonal exactly on critical nodes")

@@ -9,7 +9,11 @@ predicate on rationals.
 The dynamic programs (Karp, Bellman, the negative-cycle search and the
 all-pairs costs) run on Python ints: every edge cost is scaled once by the
 common denominator of the weights and of beta, and results turn back into
-exact Fractions when they return.
+exact Fractions when they return. The excursion-cost matrix stays on ints:
+``ManeMatrix`` holds the Floyd-Warshall costs over their denominator D and
+builds a Fraction only when an entry is read, and the critical structure
+compares those ints directly. ``min_cost_all_pairs`` keeps each matrix on
+its graph, so one graph and beta run Floyd-Warshall once.
 
 One Bellman-Ford kernel, ``_bellman_ford``, solves every least-cost problem
 from a super-source: the Bellman potentials (``bellman_potentials``), the
@@ -64,6 +68,10 @@ class PrependGraph:
     @cached_property
     def _by_key(self) -> dict[Word, Edge]:
         return {e.key: e for e in self.edges}
+
+    @cached_property
+    def _mane_by_beta(self) -> dict[Fraction, ManeMatrix]:
+        return {}
 
     def out_edges(self, src: int) -> tuple[Edge, ...]:
         return self._out[src]
@@ -199,6 +207,20 @@ def _karp_value(graph: PrependGraph) -> Fraction:
     return Fraction(-best[0], best[1] * D)
 
 
+def _bellman_ints(
+    graph: PrependGraph, beta: Fraction
+) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    """D, the scaled arcs of beta - weight and the least costs h over D.
+
+    Raises NegativeCycle if beta is below the true maximum mean.
+    """
+    D, arcs = _scaled_costs(graph, beta)
+    h, _, looped = _bellman_ford(len(graph.nodes), arcs)
+    if looped is not None:
+        raise NegativeCycle("costs beta - weight admit a negative cycle")
+    return D, arcs, h
+
+
 def bellman_potentials(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
     """Least-cost-to-reach values h for costs beta - weight, from a super-source.
 
@@ -207,19 +229,8 @@ def bellman_potentials(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
     mean-beta cycles and of least-cost paths. Raises NegativeCycle if beta is
     below the true maximum mean.
     """
-    D, arcs = _scaled_costs(graph, beta)
-    h, _, looped = _bellman_ford(len(graph.nodes), arcs)
-    if looped is not None:
-        raise NegativeCycle("costs beta - weight admit a negative cycle")
+    D, _, h = _bellman_ints(graph, beta)
     return [Fraction(x, D) for x in h]
-
-
-def tight_edges(graph: PrependGraph, beta: Fraction, h: Sequence[Fraction]) -> list[Edge]:
-    return [
-        e
-        for e in graph.edges
-        if (beta - e.weight) + h[e.src] - h[e.tgt] == 0
-    ]
 
 
 def _minimal_cycle(graph: PrependGraph, edge_pool: list[Edge]) -> tuple[Edge, ...]:
@@ -265,12 +276,13 @@ def _cycle_dfs(
 def max_mean_cycle(graph: PrependGraph) -> BetaResult:
     """Karp's algorithm with a canonical witness cycle of mean exactly beta."""
     beta = _karp_value(graph)
-    h = bellman_potentials(graph, beta)
-    witness = _minimal_cycle(graph, tight_edges(graph, beta, h))
+    D, arcs, h = _bellman_ints(graph, beta)
+    tight = [e for e, (a, b, c) in zip(graph.edges, arcs) if c + h[a] == h[b]]
+    witness = _minimal_cycle(graph, tight)
     total = sum((e.weight for e in witness), Fraction(0))
     if total / len(witness) != beta:
         raise AssertionError("witness cycle mean differs from beta")
-    return BetaResult(beta, witness, "karp", tuple(h))
+    return BetaResult(beta, witness, "karp", tuple(Fraction(x, D) for x in h))
 
 
 def certificate_subaction(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
@@ -345,19 +357,36 @@ def parametric_beta(graph: PrependGraph) -> Fraction:
 class ManeMatrix:
     """Minimum cost of a nonempty path between node pairs, costs beta - weight.
 
-    None encodes an unreachable pair (possible only off strongly connected
-    graphs).
+    cost[i][j] is that cost times D, the common denominator of beta and the
+    weights, as an int; None encodes an unreachable pair (possible only off
+    strongly connected graphs).
     """
 
     beta: Fraction
-    phi: tuple[tuple[Fraction | None, ...], ...]
+    D: int
+    cost: tuple[tuple[int | None, ...], ...]
 
     def value(self, src: int, tgt: int) -> Fraction | None:
-        return self.phi[src][tgt]
+        c = self.cost[src][tgt]
+        return None if c is None else Fraction(c, self.D)
+
+    @cached_property
+    def phi(self) -> tuple[tuple[Fraction | None, ...], ...]:
+        """Every entry as an exact Fraction."""
+        n = len(self.cost)
+        return tuple(tuple(self.value(i, j) for j in range(n)) for i in range(n))
 
 
 def min_cost_all_pairs(graph: PrependGraph, beta: Fraction) -> ManeMatrix:
-    """Floyd-Warshall over nonempty paths; diagonal entries stay path costs."""
+    """Floyd-Warshall over nonempty paths; diagonal entries stay path costs.
+
+    The matrix is kept on the graph, so a repeated call with the same beta
+    returns the same object. Below the optimum every call raises
+    NegativeCycle and nothing is kept.
+    """
+    kept = graph._mane_by_beta.get(beta)
+    if kept is not None:
+        return kept
     n = len(graph.nodes)
     D, edges = _scaled_costs(graph, beta)
     INF = math.inf
@@ -380,10 +409,11 @@ def min_cost_all_pairs(graph: PrependGraph, beta: Fraction) -> ManeMatrix:
     for v in range(n):
         if phi[v][v] < 0:
             raise NegativeCycle(f"node {graph.nodes[v]} lies on a cycle of mean above beta")
-    return ManeMatrix(
-        beta,
-        tuple(tuple(None if c == INF else Fraction(c, D) for c in row) for row in phi),
+    mane = ManeMatrix(
+        beta, D, tuple(tuple(None if c == INF else c for c in row) for row in phi)
     )
+    graph._mane_by_beta[beta] = mane
+    return mane
 
 
 @dataclass(frozen=True)
@@ -448,13 +478,14 @@ def _scc(n: int, adj: dict[int, list[int]]) -> list[list[int]]:
 
 def critical_structure(graph: PrependGraph, beta: Fraction) -> CriticalStructure:
     """Nodes/edges on mean-beta cycles, grouped into strongly connected classes."""
-    mane = min_cost_all_pairs(graph, beta)
-    nodes = frozenset(v for v in range(len(graph.nodes)) if mane.value(v, v) == 0)
+    cost = min_cost_all_pairs(graph, beta).cost
+    _, arcs = _scaled_costs(graph, beta)
+    nodes = frozenset(v for v in range(len(graph.nodes)) if cost[v][v] == 0)
     edge_ids = []
-    for e in graph.edges:
-        back = mane.value(e.tgt, e.src)
-        if back is not None and (beta - e.weight) + back == 0:
-            edge_ids.append(e.index)
+    for i, (src, tgt, c) in enumerate(arcs):
+        back = cost[tgt][src]
+        if back is not None and c + back == 0:
+            edge_ids.append(i)
     adj: dict[int, list[int]] = {}
     for i in edge_ids:
         e = graph.edges[i]

@@ -42,7 +42,7 @@ def omega_set(graph: PrependGraph) -> OmegaSet:
     beta = max_mean_cycle(graph).beta
     critical = critical_structure(graph, beta)
     mane = min_cost_all_pairs(graph, beta)
-    if not all(v is not None for row in mane.phi for v in row):
+    if any(None in row for row in mane.cost):
         raise AssertionError("excursion costs on a transitive system are all finite")
     return OmegaSet(graph, beta, critical, mane)
 

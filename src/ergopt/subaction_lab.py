@@ -7,7 +7,8 @@ Bellman fixed-point form. Everything here is exact, the discounted
 construction included: its policy iteration runs on ints, with the weights
 scaled once by their common denominator W and every value of one policy
 held over one common denominator, W * lcm over policy cycles of
-(b^L - a^L) * b^d at rho = a/b.
+(b^L - a^L) * b^d at rho = a/b. The residuals and the contact locus compare
+edge slacks as ints over the common denominator of beta, the weights and u.
 """
 
 from __future__ import annotations
@@ -82,16 +83,26 @@ def convex_combination(t, u: NodeFunction, v: NodeFunction) -> NodeFunction:
 # verification predicates
 
 
+def _scaled_slacks(u: NodeFunction, graph: PrependGraph, beta) -> tuple[int, list[int]]:
+    """L and every edge's slack weight + u(src) - u(tgt) - beta times L, in edge order.
+
+    L is the lcm of the denominators of beta, of the weights and of u, so
+    every scaled slack is an int.
+    """
+    D, costs = _scaled_costs(graph, Fraction(beta))
+    L = math.lcm(D, *(x.denominator for x in u.values))
+    U = [x.numerator * (L // x.denominator) for x in u.values]
+    m = L // D
+    return L, [U[a] - U[b] - c * m for a, b, c in costs]
+
+
 def subaction_residual(
     u: NodeFunction, graph: PrependGraph, beta: Fraction
 ) -> tuple[Fraction, tuple[Edge, ...]]:
     """Worst edge slack and the edges violating the defining inequality."""
-    slacks = [
-        (e.weight + u[e.src] - u[e.tgt] - beta, e) for e in graph.edges
-    ]
-    worst = max(s for s, _ in slacks)
-    violations = tuple(e for s, e in slacks if s > 0)
-    return worst, violations
+    L, slacks = _scaled_slacks(u, graph, beta)
+    violations = tuple(e for e, s in zip(graph.edges, slacks) if s > 0)
+    return Fraction(max(slacks), L), violations
 
 
 def is_subaction(u: NodeFunction, graph: PrependGraph, beta: Fraction) -> bool:
@@ -99,17 +110,18 @@ def is_subaction(u: NodeFunction, graph: PrependGraph, beta: Fraction) -> bool:
 
 
 def calibration_residual(u: NodeFunction, graph: PrependGraph, beta) -> Fraction:
-    """Max over nodes of |u(V) - min over out-edges (u(tgt) - weight + beta)|."""
-    beta = Fraction(beta)
-    worst = None
-    for v in range(len(graph.nodes)):
-        bell = min(u[e.tgt] - e.weight + beta for e in graph.out_edges(v))
-        gap = abs(u[v] - bell)
-        if worst is None or gap > worst:
-            worst = gap
-    if worst is None:
+    """Max over nodes of |u(V) - min over out-edges (u(tgt) - weight + beta)|.
+
+    That gap is |max slack over V's out-edges|.
+    """
+    if not graph.nodes:
         raise AssertionError("graph has no nodes")
-    return worst
+    L, slacks = _scaled_slacks(u, graph, beta)
+    worst = max(
+        abs(max(slacks[e.index] for e in graph.out_edges(v)))
+        for v in range(len(graph.nodes))
+    )
+    return Fraction(worst, L)
 
 
 @dataclass(frozen=True)
@@ -120,13 +132,11 @@ class ContactLocus:
 
 
 def contact_locus(u: NodeFunction, graph: PrependGraph, beta: Fraction) -> ContactLocus:
-    worst, _ = subaction_residual(u, graph, beta)
+    L, slacks = _scaled_slacks(u, graph, beta)
+    worst = max(slacks)
     if worst > 0:
-        raise NotSubaction(f"edge slack {worst} is positive")
-    tight = frozenset(
-        e.index for e in graph.edges if e.weight + u[e.src] - u[e.tgt] == beta
-    )
-    return ContactLocus(tight)
+        raise NotSubaction(f"edge slack {Fraction(worst, L)} is positive")
+    return ContactLocus(frozenset(i for i, s in enumerate(slacks) if s == 0))
 
 
 def contact_sources(locus: ContactLocus, graph: PrependGraph) -> frozenset[int]:

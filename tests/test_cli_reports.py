@@ -25,6 +25,7 @@ from ergopt.cli_reports import (
     render_report,
 )
 from ergopt.errors import ConfigError
+from ergopt.graph_engine import ManeMatrix
 from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
 from ergopt.subaction_lab import OUTER_STOP, SCHEDULE_K_MAX
 
@@ -355,6 +356,27 @@ def test_reports_byte_stable(tmp_path):
             assert main(command + ["--config", path, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mane"], ["check"], ["classify", "--boundary", "0,0"], ["subaction", "--kind", "u0"]],
+    ids=lambda c: c[-1] if c[0] == "subaction" else c[0],
+)
+def test_one_excursion_matrix_per_command(tmp_path, monkeypatch, command):
+    path = write_fixture(tmp_path, "f5")
+    built = []
+    init = ManeMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ManeMatrix, "__init__", counting_init)
+    # a second run in the same process builds its own matrix again
+    for run in (1, 2):
+        assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == run
 
 
 def test_render_report_csv_flattens():

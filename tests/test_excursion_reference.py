@@ -1,0 +1,191 @@
+"""The integer excursion layer against the Fraction code it replaced.
+
+The references below are the Fraction forms of the critical structure (read
+off the Fraction Floyd-Warshall reference of ``test_integer_kernel``), of
+the witness selection in max_mean_cycle (tight edges tested on Fraction
+potentials) and of the three residuals. The integer code compares scaled
+ints instead, so every class, critical edge, witness cycle, residual,
+violation set, contact locus and error message must match them exactly: on
+full 2-, 3- and 4-shifts, golden-mean shifts, a random transitive system
+and a reducible system, at weight denominators up to 10 and up to 1000, and
+with weights in {0, 1}, which gives several critical classes.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ergopt.errors import NotSubaction
+from ergopt.graph_engine import (
+    CriticalStructure,
+    _minimal_cycle,
+    _scc,
+    bellman_potentials,
+    build_prepend_graph,
+    certificate_subaction,
+    critical_structure,
+    max_mean_cycle,
+)
+from ergopt.potential_model import LocallyConstantPotential
+from ergopt.subaction_lab import (
+    NodeFunction,
+    calibration_residual,
+    contact_locus,
+    maximal_subaction,
+    subaction_residual,
+)
+from ergopt.symbolic_core import allowed_words
+
+from conftest import full_shift, golden_mean, random_fraction, random_system, reducible_system
+from test_integer_kernel import ref_all_pairs
+
+
+# ---------------------------------------------------------------------------
+# Fraction references
+
+
+def ref_critical_structure(graph, beta) -> CriticalStructure:
+    phi = ref_all_pairs(graph, beta)
+    nodes = frozenset(v for v in range(len(graph.nodes)) if phi[v][v] == 0)
+    edge_ids = []
+    for e in graph.edges:
+        back = phi[e.tgt][e.src]
+        if back is not None and (beta - e.weight) + back == 0:
+            edge_ids.append(e.index)
+    adj: dict[int, list[int]] = {}
+    for i in edge_ids:
+        e = graph.edges[i]
+        adj.setdefault(e.src, []).append(e.tgt)
+    comps = _scc(len(graph.nodes), adj)
+    classes = sorted(
+        (tuple(sorted(c)) for c in comps if any(v in nodes for v in c)),
+        key=lambda c: c[0],
+    )
+    return CriticalStructure(beta, nodes, frozenset(edge_ids), tuple(classes))
+
+
+def ref_witness(graph, beta):
+    h = bellman_potentials(graph, beta)
+    tight = [e for e in graph.edges if (beta - e.weight) + h[e.src] - h[e.tgt] == 0]
+    return _minimal_cycle(graph, tight), tuple(h)
+
+
+def ref_subaction_residual(u, graph, beta):
+    slacks = [(e.weight + u[e.src] - u[e.tgt] - beta, e) for e in graph.edges]
+    worst = max(s for s, _ in slacks)
+    violations = tuple(e for s, e in slacks if s > 0)
+    return worst, violations
+
+
+def ref_calibration_residual(u, graph, beta):
+    beta = Fraction(beta)
+    worst = None
+    for v in range(len(graph.nodes)):
+        bell = min(u[e.tgt] - e.weight + beta for e in graph.out_edges(v))
+        gap = abs(u[v] - bell)
+        if worst is None or gap > worst:
+            worst = gap
+    return worst
+
+
+def ref_contact_locus(u, graph, beta):
+    worst, _ = ref_subaction_residual(u, graph, beta)
+    if worst > 0:
+        raise NotSubaction(f"edge slack {worst} is positive")
+    return frozenset(e.index for e in graph.edges if e.weight + u[e.src] - u[e.tgt] == beta)
+
+
+# ---------------------------------------------------------------------------
+# instances
+
+
+SYSTEMS = {
+    "full2": (full_shift(2), (1, 2, 3)),
+    "full3": (full_shift(3), (1, 2, 3)),
+    "full4": (full_shift(4), (1, 2, 3)),
+    "golden": (golden_mean(), (1, 2, 3)),
+    "random3": (random_system(random.Random(31), 3, require_transitive=True), (1, 2)),
+    "reducible": (reducible_system(), (1, 2, 3)),
+}
+
+WEIGHTS = {
+    "d10": lambda rng: random_fraction(rng, max_den=10),
+    "d1000": lambda rng: random_fraction(rng, max_den=1000),
+    "01": lambda rng: Fraction(rng.randint(0, 1)),
+}
+
+
+def _instances():
+    out = []
+    for kind, draw in WEIGHTS.items():
+        rng = random.Random(f"excursion-{kind}")
+        for name, (system, depths) in SYSTEMS.items():
+            for q in depths:
+                table = {k: draw(rng) for k in allowed_words(system, 1 + q)}
+                A = LocallyConstantPotential(system, 1, q, table)
+                graph = build_prepend_graph(system, A)
+                out.append(pytest.param(graph, id=f"{name}-q{q}-{kind}"))
+    return out
+
+
+INSTANCES = _instances()
+
+
+def _node_functions(graph, beta):
+    """Calibrated, sub-action and arbitrary node functions on one graph."""
+    rng = random.Random(len(graph.nodes) * 7919 + len(graph.edges))
+    n = len(graph.nodes)
+    return [
+        maximal_subaction(graph, beta),
+        NodeFunction(graph, tuple(certificate_subaction(graph, beta))),
+        NodeFunction(graph, tuple(random_fraction(rng, max_den=10) for _ in range(n))),
+        NodeFunction(graph, tuple(random_fraction(rng, max_den=1000) for _ in range(n))),
+        NodeFunction(graph, tuple(Fraction(0) for _ in range(n))),
+    ]
+
+
+@pytest.mark.parametrize("graph", INSTANCES)
+def test_critical_structure_matches_reference(graph):
+    beta = max_mean_cycle(graph).beta
+    assert critical_structure(graph, beta) == ref_critical_structure(graph, beta)
+
+
+@pytest.mark.parametrize("graph", INSTANCES)
+def test_witness_and_potential_match_reference(graph):
+    result = max_mean_cycle(graph)
+    witness, h = ref_witness(graph, result.beta)
+    assert result.witness_cycle == witness
+    assert result.potential == h
+
+
+@pytest.mark.parametrize("graph", INSTANCES)
+def test_residuals_match_reference(graph):
+    beta = max_mean_cycle(graph).beta
+    nonzero = 0
+    for b in (beta, beta + Fraction(1, 7), beta - Fraction(2, 3)):
+        for u in _node_functions(graph, beta):
+            assert subaction_residual(u, graph, b) == ref_subaction_residual(u, graph, b)
+            residual = calibration_residual(u, graph, b)
+            assert residual == ref_calibration_residual(u, graph, b)
+            nonzero += residual != 0
+            try:
+                expected = ref_contact_locus(u, graph, b)
+            except NotSubaction as exc:
+                with pytest.raises(NotSubaction) as got:
+                    contact_locus(u, graph, b)
+                assert str(got.value) == str(exc)
+            else:
+                assert contact_locus(u, graph, b).edges == expected
+    assert nonzero > 0
+
+
+def test_zero_one_weights_give_several_classes():
+    counts = []
+    for param in INSTANCES:
+        graph = param.values[0]
+        if param.id.endswith("-01"):
+            counts.append(len(critical_structure(graph, max_mean_cycle(graph).beta).classes))
+    assert max(counts) >= 2

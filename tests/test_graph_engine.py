@@ -159,6 +159,39 @@ class TestManeMatrix:
                             assert ij is not None and ij <= ik + kj
 
 
+class TestManeMemo:
+    """One Floyd-Warshall run per graph and beta, kept on the graph itself."""
+
+    def test_same_graph_and_beta_give_the_same_matrix(self):
+        g = f5_graph()
+        assert min_cost_all_pairs(g, Fraction(1)) is min_cost_all_pairs(g, Fraction(1))
+
+    def test_another_beta_gives_another_matrix(self):
+        g = f5_graph()
+        at_beta = min_cost_all_pairs(g, Fraction(1))
+        above = min_cost_all_pairs(g, Fraction(3, 2))
+        assert above is not at_beta
+        assert above.value(0, 0) == Fraction(1, 2) and at_beta.value(0, 0) == 0
+        assert min_cost_all_pairs(g, Fraction(1)) is at_beta
+
+    def test_below_the_optimum_raises_every_time_and_keeps_nothing(self):
+        g = f1_graph()
+        for _ in range(2):
+            with pytest.raises(NegativeCycle):
+                min_cost_all_pairs(g, Fraction(1, 2))
+        assert g._mane_by_beta == {}
+        assert min_cost_all_pairs(g, Fraction(1)).value(1, 1) == 0
+        with pytest.raises(NegativeCycle):
+            min_cost_all_pairs(g, Fraction(1, 2))
+
+    def test_a_rebuilt_graph_computes_again(self):
+        g5 = f5_graph()
+        first = min_cost_all_pairs(g5, Fraction(1))
+        again = min_cost_all_pairs(build_prepend_graph(g5.system, g5.potential), Fraction(1))
+        assert again is not first
+        assert again == first
+
+
 class TestCriticalStructure:
     def test_f1(self):
         g = f1_graph()
