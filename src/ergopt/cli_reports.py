@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -92,9 +93,11 @@ class ExperimentConfig:
 def _parse_rational(text: str, line: int, field: str) -> Fraction:
     if not _RATIONAL.match(text):
         raise ConfigError(f"expected a rational 'n' or 'n/d', got {text!r}", line, field)
-    if "/" in text and int(text.split("/")[1]) == 0:
+    num, _, den = text.partition("/")
+    d = int(den) if den else 1
+    if d == 0:
         raise ConfigError("zero denominator", line, field)
-    return Fraction(text)
+    return Fraction(int(num), d)
 
 
 def _parse_int(text: str, line: int, field: str) -> int:
@@ -322,6 +325,12 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _rat_over(num: int, den: int) -> str:
+    """_rat of num / den for a positive den, without building the Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def _word_str(word: Word) -> str:
     return "".join(str(s) for s in word)
 
@@ -408,11 +417,10 @@ def cmd_mane(config: ExperimentConfig) -> dict:
     graph = _graph_of(config)
     omega = omega_set(graph)
     words = [_word_str(w) for w in graph.nodes]
+    D = omega.mane.D
     matrix = {
-        words[i]: {
-            words[j]: _rat(omega.mane.value(i, j)) for j in range(len(words))
-        }
-        for i in range(len(words))
+        words[i]: {words[j]: _rat_over(c, D) for j, c in enumerate(row)}
+        for i, row in enumerate(omega.mane.cost)
     }
     return {
         "beta": _rat(omega.beta),

@@ -7,13 +7,21 @@ potential value there. All arithmetic is exact; criticality is an equality
 predicate on rationals.
 
 The dynamic programs (Karp, Bellman, the negative-cycle search and the
-all-pairs costs) run on Python ints: every edge cost is scaled once by the
+all-pairs costs) run on Python ints: every edge cost is scaled by the
 common denominator of the weights and of beta, and results turn back into
 exact Fractions when they return. The excursion-cost matrix stays on ints:
 ``ManeMatrix`` holds the Floyd-Warshall costs over their denominator D and
 builds a Fraction only when an entry is read, and the critical structure
-compares those ints directly. ``min_cost_all_pairs`` keeps each matrix on
-its graph, so one graph and beta run Floyd-Warshall once.
+compares those ints directly.
+
+Each graph keeps what it has computed, so nothing is computed twice for
+one graph:
+
+- its weights as ints over their common denominator W (``_scaled_costs``
+  rescales and shifts these for each beta);
+- its ``BetaResult``, so Karp, Bellman and the witness search run once
+  (``max_mean_cycle``);
+- one excursion-cost matrix per beta (``min_cost_all_pairs``).
 
 One Bellman-Ford kernel, ``_bellman_ford``, solves every least-cost problem
 from a super-source: the Bellman potentials (``bellman_potentials``), the
@@ -73,6 +81,19 @@ class PrependGraph:
     def _mane_by_beta(self) -> dict[Fraction, ManeMatrix]:
         return {}
 
+    @cached_property
+    def _beta_result(self) -> BetaResult:
+        return _solve_max_mean_cycle(self)
+
+    @cached_property
+    def _scaled_weights(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """W, the lcm of the weight denominators, and the arcs (src, tgt, -W * weight)."""
+        W = math.lcm(*(e.weight.denominator for e in self.edges))
+        return W, tuple(
+            (e.src, e.tgt, -e.weight.numerator * (W // e.weight.denominator))
+            for e in self.edges
+        )
+
     def out_edges(self, src: int) -> tuple[Edge, ...]:
         return self._out[src]
 
@@ -118,18 +139,21 @@ def build_prepend_graph(
 
 def _scaled_costs(
     graph: PrependGraph, shift: Fraction
-) -> tuple[int, list[tuple[int, int, int]]]:
+) -> tuple[int, Sequence[tuple[int, int, int]]]:
     """Edge costs shift - weight as ints scaled by a common denominator D.
 
     D is the lcm of the weight denominators and of shift's denominator, so
     (src, tgt, D * (shift - weight)) is exact for every edge, in edge order.
+    The arcs are the graph's kept shift-0 arcs over W, rescaled by D / W and
+    shifted; at shift 0 they are the kept tuple itself.
     """
-    D = math.lcm(shift.denominator, *(e.weight.denominator for e in graph.edges))
+    W, arcs = graph._scaled_weights
+    if shift == 0:
+        return W, arcs
+    D = math.lcm(shift.denominator, W)
     base = shift.numerator * (D // shift.denominator)
-    return D, [
-        (e.src, e.tgt, base - e.weight.numerator * (D // e.weight.denominator))
-        for e in graph.edges
-    ]
+    m = D // W
+    return D, [(a, b, base + c * m) for a, b, c in arcs]
 
 
 def _bellman_ford(
@@ -209,7 +233,7 @@ def _karp_value(graph: PrependGraph) -> Fraction:
 
 def _bellman_ints(
     graph: PrependGraph, beta: Fraction
-) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+) -> tuple[int, Sequence[tuple[int, int, int]], list[int]]:
     """D, the scaled arcs of beta - weight and the least costs h over D.
 
     Raises NegativeCycle if beta is below the true maximum mean.
@@ -274,7 +298,15 @@ def _cycle_dfs(
 
 
 def max_mean_cycle(graph: PrependGraph) -> BetaResult:
-    """Karp's algorithm with a canonical witness cycle of mean exactly beta."""
+    """Karp's algorithm with a canonical witness cycle of mean exactly beta.
+
+    The result is kept on the graph, so a repeated call returns the same
+    object and Karp, Bellman and the witness search run once per graph.
+    """
+    return graph._beta_result
+
+
+def _solve_max_mean_cycle(graph: PrependGraph) -> BetaResult:
     beta = _karp_value(graph)
     D, arcs, h = _bellman_ints(graph, beta)
     tight = [e for e, (a, b, c) in zip(graph.edges, arcs) if c + h[a] == h[b]]

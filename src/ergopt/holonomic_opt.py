@@ -21,6 +21,7 @@ from .potential_model import (
     LocallyConstantPotential,
     as_potential,
     combine,
+    pad_potential,
 )
 from .rational_simplex import INFEASIBLE, OPTIMAL, solve_lp
 from .symbolic_core import SubshiftSystem, Word
@@ -34,28 +35,31 @@ class CirculationMeasure:
     edge_masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        masses = tuple(Fraction(m) for m in self.edge_masses)
+        masses = tuple(m if type(m) is Fraction else Fraction(m) for m in self.edge_masses)
         object.__setattr__(self, "edge_masses", masses)
-        if len(masses) != len(self.graph.edges):
+        edges = self.graph.edges
+        if len(masses) != len(edges):
             raise ValueError("one mass per edge required")
-        if any(m < 0 for m in masses):
+        nonzero = [(i, m) for i, m in enumerate(masses) if m]
+        if any(m < 0 for _, m in nonzero):
             raise ValueError("masses must be nonnegative")
-        if sum(masses) != 1:
+        if sum(m for _, m in nonzero) != 1:
             raise ValueError("total mass must be one")
-        n = len(self.graph.nodes)
-        net = [Fraction(0)] * n
-        for e in self.graph.edges:
-            net[e.src] -= masses[e.index]
-            net[e.tgt] += masses[e.index]
-        if any(v != 0 for v in net):
+        net = [0] * len(self.graph.nodes)
+        for i, m in nonzero:
+            e = edges[i]
+            net[e.src] -= m
+            net[e.tgt] += m
+        if any(net):
             raise ValueError("flow is not conserved")
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.edge_masses) if m > 0)
 
     def weight_average(self) -> Fraction:
+        edges = self.graph.edges
         return sum(
-            (m * e.weight for m, e in zip(self.edge_masses, self.graph.edges)),
+            (m * edges[i].weight for i, m in enumerate(self.edge_masses) if m),
             Fraction(0),
         )
 
@@ -231,9 +235,19 @@ def _edge_component_value(phi: LocallyConstantPotential, key: Word) -> Fraction:
 
 
 def constrained_beta(graph: PrependGraph, constraints: ConstraintSpec) -> Fraction:
-    """Best weight average among circulations hitting the moment targets."""
+    """Best weight average among circulations hitting the moment targets.
+
+    A component that reads more future symbols than the graph's windows is
+    met on the graph of the potential padded to that depth: circulations
+    there are the consistent marginals of longer words, so the optimum is
+    the same.
+    """
     if constraints.target is None:
         raise ValueError("constrained optimization needs a target vector")
+    depth = max(phi.future_depth for phi in constraints.components)
+    if depth > graph.q:
+        A = graph.potential
+        graph = build_prepend_graph(graph.system, pad_potential(A, A.past_depth, depth))
     rows, rhs = _circulation_rows(graph)
     for phi, h in zip(constraints.components, constraints.target):
         rows.append([_edge_component_value(phi, e.key) for e in graph.edges])

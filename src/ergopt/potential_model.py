@@ -25,6 +25,8 @@ from .symbolic_core import (
 
 
 def _as_fraction(v) -> Fraction:
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise TypeError("potential tables are exact; pass Fraction/int/str")
     return Fraction(v)
@@ -47,7 +49,8 @@ class LocallyConstantPotential:
         extra = set(given) - set(keys)
         if extra:
             raise ValueError(f"windows not allowed by the transition matrix: {sorted(extra)[:3]}")
-        full = {k: given.get(k, Fraction(0)) for k in keys}
+        zero = Fraction(0)
+        full = {k: given.get(k, zero) for k in keys}
         object.__setattr__(self, "table", full)
 
     def value(self, key: Word) -> Fraction:

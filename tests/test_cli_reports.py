@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import ergopt.graph_engine as graph_engine
 from ergopt import fixtures
 from ergopt.cli_reports import (
     ExperimentConfig,
@@ -377,6 +378,70 @@ def test_one_excursion_matrix_per_command(tmp_path, monkeypatch, command):
     for run in (1, 2):
         assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
         assert len(built) == run
+
+
+@pytest.mark.parametrize(
+    "command, graphs",
+    [
+        (["beta"], 1),
+        (["subaction", "--kind", "u0"], 1),
+        (["subaction", "--kind", "calibrated"], 1),
+        (["check"], 3),
+    ],
+    ids=lambda c: c[-1] if isinstance(c, list) else str(c),
+)
+def test_one_karp_run_per_graph(tmp_path, monkeypatch, command, graphs):
+    path = write_fixture(tmp_path, "f5")
+    solved = []
+    karp = graph_engine._karp_value
+
+    def counting_karp(graph):
+        solved.append(graph)  # kept alive, so no id is reused
+        return karp(graph)
+
+    monkeypatch.setattr(graph_engine, "_karp_value", counting_karp)
+    assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(solved) == graphs
+    assert len({id(g) for g in solved}) == graphs
+
+
+# A 3-symbol system with p = 2, q = 1 and a component on 3-words: the
+# component reads one symbol past the prepend graph's windows.
+WIDE_COMPONENT = """
+[system]
+alphabet_size = 3
+row = 1 1 1
+row = 1 1 1
+row = 1 1 1
+
+[potential]
+past_depth = 2
+future_depth = 1
+window 0 1 2 = 2
+window 1 2 0 = 1
+window 2 0 1 = 3
+window 1 1 1 = 1
+
+[constraints]
+phi1 0 1 2 = 1
+phi1 1 2 0 = 1
+"""
+
+
+def test_beta_meets_a_component_wider_than_the_window(tmp_path, capsys):
+    path = tmp_path / "wide.cfg"
+    out = tmp_path / "wide.json"
+    # the component's averages over circulations fill [0, 2/3]
+    path.write_text(WIDE_COMPONENT + "h = -2\n")
+    assert main(["beta", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("hypothesis not met: no circulation")
+    assert not out.exists()
+    # 9/5 agrees with a search over pairs of cycles of length <= 9
+    path.write_text(WIDE_COMPONENT + "h = 1/3\n")
+    assert main(["beta", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["beta"] == "2/1"
+    assert report["constrained_beta"] == "9/5"
 
 
 def test_render_report_csv_flattens():

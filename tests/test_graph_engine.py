@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import ergopt.graph_engine as graph_engine
 from ergopt.errors import NegativeCycle
 from ergopt.graph_engine import (
     build_prepend_graph,
@@ -190,6 +191,33 @@ class TestManeMemo:
         again = min_cost_all_pairs(build_prepend_graph(g5.system, g5.potential), Fraction(1))
         assert again is not first
         assert again == first
+
+
+class TestBetaMemo:
+    """One Karp, Bellman and witness search per graph, kept on the graph itself."""
+
+    def test_a_repeat_call_returns_the_same_result(self):
+        g = f5_graph()
+        assert max_mean_cycle(g) is max_mean_cycle(g)
+
+    def test_a_rebuilt_graph_computes_again(self, monkeypatch):
+        solved = []
+        karp = graph_engine._karp_value
+
+        def counting_karp(graph):
+            solved.append(graph)
+            return karp(graph)
+
+        monkeypatch.setattr(graph_engine, "_karp_value", counting_karp)
+        g5 = f5_graph()
+        first = max_mean_cycle(g5)
+        assert max_mean_cycle(g5) is first
+        rebuilt = build_prepend_graph(g5.system, g5.potential)
+        again = max_mean_cycle(rebuilt)
+        assert again is not first
+        assert again == first
+        # the graphs compare equal by value, so count them by identity
+        assert [id(g) for g in solved] == [id(g5), id(rebuilt)]
 
 
 class TestCriticalStructure:

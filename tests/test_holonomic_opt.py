@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from ergopt.holonomic_opt import (
     optimal_trajectory_average,
     orbit_circulation,
 )
-from ergopt.potential_model import ConstraintSpec, LocallyConstantPotential
+from ergopt.potential_model import ConstraintSpec, LocallyConstantPotential, pad_potential
+from ergopt.symbolic_core import allowed_words
 
 from conftest import (
     f1_graph,
@@ -32,7 +34,9 @@ from conftest import (
     f6_graph,
     full_shift,
     golden_mean,
+    random_fraction,
     random_graph,
+    random_system,
 )
 
 
@@ -90,16 +94,43 @@ def test_beta_lp_matches_cycle_optimum(rng):
         assert len(support) * next(iter(masses)) == 1
 
 
+def test_beta_lp_at_128_nodes_is_a_uniform_cycle_at_karps_beta():
+    rng = random.Random(128)
+    system = full_shift()
+    table = {k: random_fraction(rng, max_den=1000) for k in allowed_words(system, 8)}
+    g = build_prepend_graph(system, LocallyConstantPotential(system, 1, 7, table))
+    assert len(g.nodes) == 128
+    value, measure = beta_lp(g)
+    assert value == max_mean_cycle(g).beta
+    support = [g.edges[i] for i in measure.support()]
+    assert {measure.edge_masses[e.index] for e in support} == {Fraction(1, len(support))}
+    # the support is one cycle: each node on it has one edge in and one out
+    assert sorted(e.src for e in support) == sorted(e.tgt for e in support)
+    assert len({e.src for e in support}) == len(support)
+    v, walked = support[0].src, 0
+    out = {e.src: e.tgt for e in support}
+    while True:
+        v, walked = out[v], walked + 1
+        if v == support[0].src:
+            break
+    assert walked == len(support)
+
+
 def test_circulation_validation():
     g = f1_graph()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one mass per edge"):
         CirculationMeasure(g, (1, 0, 0))
     bad = [Fraction(0)] * len(g.edges)
     bad[g.edge_by_key((1, 0)).index] = Fraction(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not conserved"):
         CirculationMeasure(g, tuple(bad))  # edge flow without return flow
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="total mass"):
         CirculationMeasure(g, tuple(Fraction(0) for _ in g.edges))
+    loops = [0] * len(g.edges)
+    loops[g.edge_by_key((0, 0)).index] = -1
+    loops[g.edge_by_key((1, 1)).index] = 2
+    with pytest.raises(ValueError, match="nonnegative"):
+        CirculationMeasure(g, tuple(loops))  # total one and conserved
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +240,32 @@ def test_constrained_beta_binds():
     g = f1_graph()
     # forcing half the mass onto symbol-0 windows costs half the optimum
     assert constrained_beta(g, spec_with(target=(Fraction(1, 2),))) == Fraction(1, 2)
+
+
+def test_constrained_beta_pads_a_component_wider_than_the_window():
+    # Padding the potential one level deeper leaves the optimum unchanged, on
+    # seeded instances whose component reads up to one symbol past the window.
+    rng = random.Random(20261018)
+    for _ in range(60):
+        system = random_system(rng, rng.randint(2, 3), require_transitive=True)
+        p, q = rng.randint(1, 2), rng.randint(1, 2)
+        table = {k: random_fraction(rng) for k in allowed_words(system, p + q)}
+        A = LocallyConstantPotential(system, p, q, table)
+        f = rng.randint(1, q + 1)
+        phi = LocallyConstantPotential(
+            system, 1, f, {k: rng.randint(0, 1) for k in allowed_words(system, 1 + f)}
+        )
+        # the midpoint of the component's range over circulations is attainable
+        top = max_mean_cycle(build_prepend_graph(system, phi)).beta
+        bottom = -max_mean_cycle(build_prepend_graph(system, phi.scale(-1))).beta
+        graph = build_prepend_graph(system, A)
+        deeper = build_prepend_graph(system, pad_potential(A, p, max(q, f) + 1))
+        target = ConstraintSpec((phi,), target=((top + bottom) / 2,))
+        assert constrained_beta(graph, target) == constrained_beta(deeper, target)
+        beyond = ConstraintSpec((phi,), target=(top + 1,))
+        for g in (graph, deeper):
+            with pytest.raises(InfeasibleTarget):
+                constrained_beta(g, beyond)
 
 
 def test_alpha_pinned():

@@ -8,6 +8,7 @@ unreachable pairs), at weight denominators up to 10 and up to 1000.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import pytest
 from ergopt.errors import NegativeCycle
 from ergopt.graph_engine import (
     _negative_cycle,
+    _scaled_costs,
     bellman_potentials,
     build_prepend_graph,
     max_mean_cycle,
@@ -173,6 +175,23 @@ def test_kernel_matches_fraction_reference(graph):
     assert bellman_potentials(graph, beta) == ref_bellman(graph, beta)
     assert min_cost_all_pairs(graph, beta).phi == ref_all_pairs(graph, beta)
     assert maximal_subaction(graph, beta).values == ref_maximal_subaction(graph, beta)
+
+
+@pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
+def test_scaled_costs_match_the_direct_formula(graph):
+    # shifts whose denominators are new to the weights rescale the kept arcs
+    rng = random.Random(len(graph.edges))
+    shifts = [Fraction(0)] + [
+        Fraction(rng.randint(-50, 50), rng.choice((1, 3, 7, 997, 1000, 2**20)))
+        for _ in range(6)
+    ]
+    for shift in shifts + shifts[::-1]:
+        D = math.lcm(shift.denominator, *(e.weight.denominator for e in graph.edges))
+        direct = [(e.src, e.tgt, D * (shift - e.weight)) for e in graph.edges]
+        got_D, arcs = _scaled_costs(graph, shift)
+        assert got_D == D
+        assert list(arcs) == direct
+        assert all(type(c) is int for _, _, c in arcs)
 
 
 @pytest.mark.parametrize("graph", INSTANCES)
