@@ -38,7 +38,6 @@ from .errors import (
 from .graph_engine import (
     PrependGraph,
     build_prepend_graph,
-    certificate_subaction,
     max_mean_cycle,
     parametric_beta,
 )
@@ -56,7 +55,6 @@ from .mane_aubry import (
 from .oracle_bruteforce import oracle_beta, oracle_omega
 from .potential_model import ConstraintSpec, LocallyConstantPotential
 from .subaction_lab import (
-    OUTER_STOP,
     SCHEDULE_K_MAX,
     calibrated_via_discount,
     calibration_residual,
@@ -362,13 +360,12 @@ def cmd_beta(config: ExperimentConfig) -> dict:
     cycle = max_mean_cycle(graph)
     parametric = parametric_beta(graph)
     lp_value, _ = beta_lp(graph)
-    certificate = certificate_subaction(graph, cycle.beta)
     report = {
         "beta": _rat(cycle.beta),
         "methods_agree": cycle.beta == parametric == lp_value,
         "witness_cycle": [_word_str(e.key) for e in cycle.witness_cycle],
         "certificate_subaction": {
-            _word_str(w): _rat(certificate[i]) for i, w in enumerate(graph.nodes)
+            _word_str(w): _rat(-h) for w, h in zip(graph.nodes, cycle.potential)
         },
     }
     if config.constraints is not None and config.constraints.target is not None:
@@ -391,13 +388,8 @@ def cmd_subaction(config: ExperimentConfig, kind: str = "maximal") -> dict:
         steps: list = []
         u, _ = calibrated_via_discount(graph, config.schedule_k_max, steps)
         report["discount_trace"] = [
-            {
-                "k": k,
-                "rho": _rat(rho),
-                "a_float": float(a_est),
-                "delta_float": None if change is None else float(change),
-            }
-            for k, (rho, a_est, change) in enumerate(steps, 1)
+            {"k": k, "rho": _rat(rho), "a_float": float(a_est)}
+            for k, (rho, a_est) in enumerate(steps, 1)
         ]
     else:
         raise ConfigError(f"unknown sub-action kind {kind!r}")
@@ -517,7 +509,7 @@ def _check_items(
 
     def calibrated_discount() -> tuple[str, str]:
         u, a = calibrated_via_discount(graph, config.schedule_k_max)
-        ok = calibration_residual(u, graph, beta) == 0 and abs(a - beta) <= OUTER_STOP
+        ok = calibration_residual(u, graph, beta) == 0 and a == beta
         return ("pass" if ok else "fail", "discount limit exactly calibrated")
 
     def mane_triangle() -> tuple[str, str]:

@@ -28,7 +28,7 @@ class NotCalibrated(ErgoptError):
 
 
 class NonConvergence(ErgoptError):
-    """Discount schedule exhausted before reaching the outer tolerance."""
+    """The discount schedule reached its cap k_max before a policy was shown bias-optimal."""
 
 
 class NotHolonomic(ErgoptError):

@@ -317,11 +317,6 @@ def _solve_max_mean_cycle(graph: PrependGraph) -> BetaResult:
     return BetaResult(beta, witness, "karp", tuple(Fraction(x, D) for x in h))
 
 
-def certificate_subaction(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
-    """Node values u with weight + u(src) - u(tgt) <= beta on every edge."""
-    return [-v for v in bellman_potentials(graph, beta)]
-
-
 # ---------------------------------------------------------------------------
 # parametric route (independent of Karp)
 

@@ -7,8 +7,10 @@ Bellman fixed-point form. Everything here is exact, the discounted
 construction included: its policy iteration runs on ints, with the weights
 scaled once by their common denominator W and every value of one policy
 held over one common denominator, W * lcm over policy cycles of
-(b^L - a^L) * b^d at rho = a/b. The residuals and the contact locus compare
-edge slacks as ints over the common denominator of beta, the weights and u.
+(b^L - a^L) * b^d at rho = a/b, and its limit is the bias of the first
+optimal policy shown bias-optimal. The residuals and the contact locus
+compare edge slacks as ints over the common denominator of beta, the
+weights and u.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ from .potential_model import pad_potential
 from .symbolic_core import Word, classify_transitivity
 
 # The discount walk solves rho_k = 1 - 2^-k for k = 1..k_max, by default up
-# to SCHEDULE_K_MAX, and stops once successive normalized solutions differ by
-# at most OUTER_STOP.
+# to SCHEDULE_K_MAX; the cap is its only stop short of a bias-optimal policy.
 SCHEDULE_K_MAX = 30
-OUTER_STOP = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -195,32 +195,10 @@ def _policy_values(
     exact division by b.
     """
     n = len(arcs)
-    step = [arcs[v][policy[v]] for v in range(n)]
-    # split the policy graph into cycles and trees, the tree nodes listed
-    # after their successors
-    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
+    step, cycles, tree = _policy_split(arcs, policy)
     depth = [0] * n
-    cycles: list[list[int]] = []
-    tree: list[int] = []
-    for start in range(n):
-        if state[start]:
-            continue
-        chain = []
-        v = start
-        while not state[v]:
-            state[v] = 1
-            chain.append(v)
-            v = step[v][0]
-        if state[v] == 1:
-            cut = chain.index(v)
-            cycles.append(chain[cut:])
-            for node in chain[cut:]:
-                state[node] = 2
-            del chain[cut:]
-        for node in reversed(chain):
-            depth[node] = depth[step[node][0]] + 1
-            state[node] = 2
-            tree.append(node)
+    for node in tree:
+        depth[node] = depth[step[node][0]] + 1
     lcm = math.lcm(*{b ** len(c) - a ** len(c) for c in cycles})
     den = lcm * b ** max(depth)
     X = [0] * n
@@ -248,6 +226,80 @@ def _policy_values(
     for node in tree:
         X[node] = back(node)
     return X, den
+
+
+def _policy_split(
+    arcs: list[list[tuple[int, int]]], policy: list[int]
+) -> tuple[list[tuple[int, int]], list[list[int]], list[int]]:
+    """Each node's policy arc (t, c), the policy's cycles, each in policy
+    order, and its other nodes, each listed after its successor."""
+    n = len(arcs)
+    step = [out[i] for out, i in zip(arcs, policy)]
+    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
+    cycles: list[list[int]] = []
+    tree: list[int] = []
+    for start in range(n):
+        if state[start]:
+            continue
+        chain = []
+        v = start
+        while not state[v]:
+            state[v] = 1
+            chain.append(v)
+            v = step[v][0]
+        # the walk closed a new cycle iff it met a node of its own chain
+        cut = chain.index(v) if state[v] == 1 else len(chain)
+        if chain[cut:]:
+            cycles.append(chain[cut:])
+        tree += reversed(chain[:cut])
+        for node in chain:
+            state[node] = 2
+    return step, cycles, tree
+
+
+def _certified_bias(
+    arcs: list[list[tuple[int, int]]], policy: list[int]
+) -> tuple[list[int], int] | None:
+    """The policy's bias u as (U, M), u = U / (W M), if Veinott's test shows
+    the policy bias-optimal (Puterman, MDPs, ch. 10); None otherwise.
+
+    The bias, the constant term of the policy's discounted values as rho -> 1
+    (Blackwell 1962), has u(v) = u(t) - w + g on each policy arc (v, t) of
+    weight w, g the cycle mean, and mean 0 on each policy cycle; the next
+    term y has y(v) = y(t) + u(v) there, also of mean 0. The test: the cycles
+    share g, w + u(v) - u(t) <= g on every arc (so g = beta), and y(t) <=
+    y(t') on every arc (v, t) where that is an equality, t' being v's policy
+    successor. A bias-optimal policy's bias is the limit of the normalized
+    optimal discounted values.
+    """
+    step, cycles, tree = _policy_split(arcs, policy)
+    M = 2 * math.lcm(*map(len, cycles))  # makes every U an int
+    means = {-sum(step[v][1] for v in cycle) * (M // len(cycle)) for cycle in cycles}
+    if len(means) != 1:
+        return None
+    (G,) = means
+    order = [v for cycle in cycles for v in reversed(cycle[1:])] + tree
+
+    def along(d: list[int]) -> list[int]:
+        # X(v) = X(t) + d(v) on policy arcs, of mean 0 on each policy cycle
+        # c_0 ... c_(L-1) as X(c_0) = sum_j (L - 1 - j) d(c_j) / L, an int here
+        X = [0] * len(d)
+        for cycle in cycles:
+            L = len(cycle)
+            X[cycle[0]] = sum((L - 1 - j) * d[v] for j, v in enumerate(cycle)) // L
+        for node in order:
+            X[node] = X[step[node][0]] + d[node]
+        return X
+
+    # U = u * W * M, G = g * W * M and Y = y * W * M * M, as w = -c / W
+    U = along([c * M + G for _, c in step])
+    Y = along([M * x for x in U])
+    for v, out in enumerate(arcs):
+        for t, c in out:
+            slack = U[v] - U[t] - c * M - G  # (w + u(v) - u(t) - g) * W * M
+            if slack > 0 or (slack == 0 and Y[t] > Y[step[v][0]]):
+                return None
+    return U, M
 
 
 def _exact_discounted(
@@ -293,60 +345,31 @@ def discounted_fixed_point(graph: PrependGraph, rho) -> NodeFunction:
 def calibrated_via_discount(
     graph: PrependGraph,
     k_max: int = SCHEDULE_K_MAX,
-    steps: list[tuple[Fraction, Fraction, Fraction | None]] | None = None,
+    steps: list[tuple[Fraction, Fraction]] | None = None,
 ) -> tuple[NodeFunction, Fraction]:
-    """Calibrated sub-action as the limit of normalized discounted solutions.
+    """Calibrated sub-action as the exact limit of normalized discounted solutions.
 
-    Walks rho_k = 1 - 2^-k for k = 1..k_max until successive normalized
-    solutions differ by at most OUTER_STOP, reconstructs rational values, and
-    verifies exact calibration. Also returns a, the discounted estimate of
-    beta.
+    Walks rho_k = 1 - 2^-k for k = 1..k_max. At the first rho whose optimal
+    policy is shown bias-optimal, that policy's bias, normalized by the
+    maximum, is returned with a = beta. Raises NonConvergence when k_max runs
+    out first.
 
-    If ``steps`` is given, each solved rho appends (rho, (1 - rho) * -max u,
-    max change of the normalized solution since the previous rho or None at
-    the first), all exact; on return the last entry is the rho where the stop
-    fired.
+    If ``steps`` is given, each solved rho appends (rho, (1 - rho) * -max x)
+    for its discounted values x; the last entry is the rho of acceptance.
     """
     W, arcs = _discount_arcs(graph)
-    # each rho's values are U / Den; prev holds (U - max U, Den, b, max U)
-    prev: tuple[list[int], int, int, int] | None = None
+    beta = max_mean_cycle(graph).beta
     # warm start: each rho's optimal policy seeds policy iteration at the next
     policy = [0] * len(arcs)
     for k in range(1, k_max + 1):
         b = 2**k
         X, den = _exact_discounted(arcs, b - 1, b, policy)
-        Den = W * den
-        top = max(X)
-        norm = [x - top for x in X]
-        change = None
-        if prev is not None:
-            prev_norm, prev_Den, _, _ = prev
-            # max |norm / Den - prev_norm / prev_Den| = change / (Den * prev_Den)
-            change = max(abs(x * prev_Den - y * Den) for x, y in zip(norm, prev_norm))
         if steps is not None:
-            steps.append((
-                Fraction(b - 1, b),
-                Fraction(-top, b * Den),
-                None if change is None else Fraction(change, Den * prev_Den),
-            ))
-        if change is not None and (
-            change * OUTER_STOP.denominator <= OUTER_STOP.numerator * Den * prev_Den
-        ):
-            candidate = NodeFunction(
-                graph, tuple(Fraction(x, Den).limit_denominator(10**6) for x in norm)
-            )
-            beta = max_mean_cycle(graph).beta
-            if calibration_residual(candidate, graph, beta) != 0:
-                raise NonConvergence("rational reconstruction is not exactly calibrated")
-            # The estimate converges linearly in (1 - rho); one Richardson
-            # step over the last two exact values removes the linear term.
-            _, _, prev_b, prev_top = prev
-            delta, prev_delta = Fraction(1, b), Fraction(1, prev_b)
-            a_est = Fraction(-top, b * Den)
-            prev_a = Fraction(-prev_top, prev_b * prev_Den)
-            return candidate, a_est + (a_est - prev_a) * delta / (prev_delta - delta)
-        prev = (norm, Den, b, top)
-    raise NonConvergence("discount schedule exhausted before the outer stop")
+            steps.append((Fraction(b - 1, b), Fraction(-max(X), b * W * den)))
+        if bias := _certified_bias(arcs, policy):
+            U, M = bias
+            return NodeFunction(graph, tuple(Fraction(x, W * M) for x in U)).normalized(), beta
+    raise NonConvergence("discount schedule exhausted before a policy was shown bias-optimal")
 
 
 # ---------------------------------------------------------------------------

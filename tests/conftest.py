@@ -88,6 +88,34 @@ def f6_graph():
     return _pattern({(1, 0): 2, (1, 1): 1})
 
 
+# Full 4-shift, p = q = 1, keyed (target, source) like every table here: the
+# loop at 0 and the 3-cycle 0 -> 1 -> 2 -> 0 (weights 9/5, -4/5, 2) both have
+# mean 1, as has the loop at 3; every other edge weighs -10. Two critical
+# classes, {0, 1, 2} and {3}. The optimal policy at rho = 1/2 and 3/4 takes
+# the 3-cycle at 0; its bias is calibrated but not the limit, which takes the
+# loop at 0 and is first optimal at rho = 7/8.
+TWO_CLASS_WEIGHTS = {(s, w): Fraction(-10) for s in range(4) for w in range(4)}
+TWO_CLASS_WEIGHTS.update(
+    {(0, 0): Fraction(1), (1, 0): Fraction(9, 5), (2, 1): Fraction(-4, 5), (0, 2): Fraction(2),
+     (3, 3): Fraction(1)}
+)
+
+
+def two_class_graph():
+    from ergopt.graph_engine import build_prepend_graph
+    from ergopt.potential_model import LocallyConstantPotential
+
+    system = full_shift(4)
+    return build_prepend_graph(system, LocallyConstantPotential(system, 1, 1, TWO_CLASS_WEIGHTS))
+
+
+def two_class_config_text() -> str:
+    lines = ["[system]", "alphabet_size = 4"] + ["row = 1 1 1 1"] * 4
+    lines += ["", "[potential]", "past_depth = 1", "future_depth = 1"]
+    lines += [f"window {s} {w} = {x}" for (s, w), x in sorted(TWO_CLASS_WEIGHTS.items())]
+    return "\n".join(lines) + "\n"
+
+
 def random_graph(rng: random.Random, r: int, q: int, max_den: int = 10, p: int = 1,
                  require_transitive: bool = False):
     from ergopt.graph_engine import build_prepend_graph

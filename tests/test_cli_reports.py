@@ -28,7 +28,9 @@ from ergopt.cli_reports import (
 from ergopt.errors import ConfigError
 from ergopt.graph_engine import ManeMatrix
 from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
-from ergopt.subaction_lab import OUTER_STOP, SCHEDULE_K_MAX
+from ergopt.subaction_lab import SCHEDULE_K_MAX
+
+from conftest import two_class_config_text
 
 MINIMAL = """
 [system]
@@ -194,7 +196,7 @@ def test_check_reducible_skips():
 
 def test_check_reports_a_raising_item_and_goes_on(tmp_path, capsys):
     path = tmp_path / "slow.cfg"
-    path.write_text(fixtures.fixture_text("f1") + "\n[solver]\nschedule_k_max = 3\n")
+    path.write_text(two_class_config_text() + "\n[solver]\nschedule_k_max = 1\n")
     assert main(["check", "--config", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     checks = {c["name"]: c for c in report["checks"]}
@@ -260,11 +262,13 @@ def test_check_skips_the_beta_oracle_on_sixteen_nodes(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["f1", "f6"])
 def test_discount_trace_ends_where_the_exact_stop_fired(name):
-    trace = cmd_subaction(fixtures.load(name), "calibrated")["discount_trace"]
-    assert [entry["k"] for entry in trace] == list(range(1, 31))
-    assert trace[0]["delta_float"] is None
-    assert trace[-1]["delta_float"] <= OUTER_STOP
-    assert all(entry["delta_float"] > OUTER_STOP for entry in trace[1:-1])
+    # the optimal policy at rho = 1/2 is already shown bias-optimal
+    report = cmd_subaction(fixtures.load(name), "calibrated")
+    trace = report["discount_trace"]
+    assert [entry["k"] for entry in trace] == [1]
+    assert [entry["rho"] for entry in trace] == ["1/2"]
+    assert all(set(entry) == {"k", "rho", "a_float"} for entry in trace)
+    assert report["residuals"]["calibration"] == "0/1"
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +311,17 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_main_nonconvergence_exit(tmp_path, capsys):
     path = tmp_path / "slow.cfg"
-    path.write_text(fixtures.fixture_text("f1") + "\n[solver]\nschedule_k_max = 3\n")
+    path.write_text(two_class_config_text() + "\n[solver]\nschedule_k_max = 2\n")
     assert main(["subaction", "--config", str(path), "--kind", "calibrated"]) == 4
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("non-convergence: ")
 
 
 def test_main_schedule_flag_overrides(tmp_path, capsys):
-    path = write_fixture(tmp_path, "f1")
-    assert main(["subaction", "--config", path, "--kind", "calibrated", "--schedule", "3"]) == 4
+    path = tmp_path / "two_class.cfg"
+    path.write_text(two_class_config_text() + "\n[solver]\nschedule_k_max = 2\n")
+    argv = ["subaction", "--config", str(path), "--kind", "calibrated", "--schedule"]
+    assert main(argv + ["3"]) == 0
+    assert main(argv + ["1"]) == 4
     capsys.readouterr()
 
 

@@ -2,10 +2,17 @@
 
 The references below are the plain Fraction policy evaluation, policy
 iteration and discount walk. The integer kernel keeps every value over one
-common denominator, so its values, its policies, the walk's ``steps``, the
-returned (u, a) and each NonConvergence must match them exactly: on seeded
-random transitive systems (r in {2, 3}, q in {1, 2, 3}, weight denominators
-up to 10 and up to 1000) and on the named fixtures.
+common denominator, so its values and its policies must match them exactly:
+on seeded random transitive systems (r in {2, 3}, q in {1, 2, 3}, weight
+denominators up to 10 and up to 1000) and on the named fixtures.
+
+The reference walk is the route's earlier form: it stopped once successive
+normalized solutions were close and guessed the limit from the last one.
+The route now takes the exact bias of the first optimal policy that
+Veinott's test shows bias-optimal, so its steps are a prefix of the
+reference's, and its values equal the reference's wherever the reference
+converges. Three seeded sets of 60
+instances check that the route is accepted on every one of them.
 """
 
 from __future__ import annotations
@@ -16,9 +23,9 @@ from fractions import Fraction
 import pytest
 
 from ergopt.errors import NonConvergence
-from ergopt.graph_engine import Edge, max_mean_cycle
+from ergopt.graph_engine import Edge, build_prepend_graph, critical_structure, max_mean_cycle
+from ergopt.potential_model import LocallyConstantPotential
 from ergopt.subaction_lab import (
-    OUTER_STOP,
     SCHEDULE_K_MAX,
     NodeFunction,
     _discount_arcs,
@@ -27,8 +34,18 @@ from ergopt.subaction_lab import (
     calibration_residual,
     discounted_fixed_point,
 )
+from ergopt.symbolic_core import allowed_words
 
-from conftest import f1_graph, f3_graph, f5_graph, f6_graph, random_graph
+from conftest import (
+    f1_graph,
+    f3_graph,
+    f5_graph,
+    f6_graph,
+    random_fraction,
+    random_graph,
+    random_system,
+    two_class_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +102,11 @@ def ref_exact_discounted(graph, rho: Fraction, policy: list[Edge] | None = None)
                 improved = True
         if not improved:
             return values
+
+
+# The route this reference walk comes from stopped once successive normalized
+# solutions differed by at most this much, and then guessed the limit.
+OUTER_STOP = Fraction(1, 10**9)
 
 
 def ref_calibrated_via_discount(graph, k_max: int, steps: list):
@@ -167,43 +189,100 @@ def test_discounted_fixed_point_at_general_rho(graph):
         assert list(discounted_fixed_point(graph, rho).values) == ref_exact_discounted(graph, rho)
 
 
-@pytest.mark.parametrize("graph", INSTANCES)
-def test_route_matches_the_fraction_route(graph):
+def _ref_route(graph):
+    """The reference walk's (rho, a) steps and its values, or None if it refused."""
     ref_steps: list = []
     try:
-        expected = ref_calibrated_via_discount(graph, SCHEDULE_K_MAX, ref_steps)
-    except NonConvergence as exc:
-        expected = str(exc)
+        values = ref_calibrated_via_discount(graph, SCHEDULE_K_MAX, ref_steps)[0].values
+    except NonConvergence:
+        values = None
+    return [(rho, a) for rho, a, _ in ref_steps], values
+
+
+@pytest.mark.parametrize("graph", INSTANCES)
+def test_route_matches_the_fraction_route(graph):
+    ref_steps, ref_values = _ref_route(graph)
     steps: list = []
-    try:
-        got = calibrated_via_discount(graph, SCHEDULE_K_MAX, steps)
-    except NonConvergence as exc:
-        got = str(exc)
-    assert steps == ref_steps
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert got[0].values == expected[0].values
-        assert got[1] == expected[1]
+    u, a = calibrated_via_discount(graph, SCHEDULE_K_MAX, steps)
+    assert steps == ref_steps[: len(steps)]
+    if ref_values is not None:
+        assert u.values == ref_values
+    assert a == max_mean_cycle(graph).beta
 
 
-def test_some_instances_converge_and_some_do_not():
-    outcomes = set()
+def _accepting_k(graph) -> int:
+    steps: list = []
+    calibrated_via_discount(graph, SCHEDULE_K_MAX, steps)
+    return len(steps)
+
+
+def test_every_instance_converges_and_refuses_below_its_k():
+    later = 0
     for param in INSTANCES:
-        try:
-            calibrated_via_discount(param.values[0])
-            outcomes.add("converged")
-        except NonConvergence:
-            outcomes.add("refused")
-    assert outcomes == {"converged", "refused"}
+        graph = param.values[0]
+        K = _accepting_k(graph)
+        if K > 1:
+            later += 1
+            with pytest.raises(NonConvergence):
+                calibrated_via_discount(graph, K - 1)
+    assert later > 0
 
 
 def test_short_schedule_refuses_like_the_reference():
     ref_steps: list = []
-    with pytest.raises(NonConvergence) as ref:
-        ref_calibrated_via_discount(f1_graph(), 2, ref_steps)
+    with pytest.raises(NonConvergence):
+        ref_calibrated_via_discount(two_class_graph(), 2, ref_steps)
     steps: list = []
-    with pytest.raises(NonConvergence) as got:
-        calibrated_via_discount(f1_graph(), 2, steps)
-    assert str(got.value) == str(ref.value)
-    assert steps == ref_steps
+    with pytest.raises(NonConvergence, match="schedule exhausted"):
+        calibrated_via_discount(two_class_graph(), 2, steps)
+    assert steps == [(rho, a) for rho, a, _ in ref_steps]
+
+
+# ---------------------------------------------------------------------------
+# seeded convergence
+
+
+def _seeded_instances(seed: int, count: int = 60):
+    """Random transitive instances: r in {2, 3, 4}, q in {1, 2, 3}, at most
+    4^4 = 256 windows; weights in {0, 1} for every fourth instance, else
+    n/d with |n| <= 20 and d up to 10 or up to 1000."""
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        r, q = rng.choice((2, 3, 4)), rng.choice((1, 2, 3))
+        system = random_system(rng, r, require_transitive=True)
+        words = allowed_words(system, q + 1)
+        if i % 4 == 0:
+            table = {w: Fraction(rng.randint(0, 1)) for w in words}
+        else:
+            table = {w: random_fraction(rng, max_den=(10, 1000)[i % 2]) for w in words}
+        graphs.append(build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table)))
+    return graphs
+
+
+SEEDED = {seed: _seeded_instances(seed) for seed in (7, 11, 13)}
+NEAR_ONE = 1 - Fraction(1, 2**40)
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED))
+def test_route_accepts_every_seeded_instance(seed):
+    several_classes = 0
+    for graph in SEEDED[seed]:
+        beta = max_mean_cycle(graph).beta
+        u, a = calibrated_via_discount(graph)
+        assert a == beta
+        assert calibration_residual(u, graph, beta) == 0
+        _, ref_values = _ref_route(graph)
+        if ref_values is not None:
+            assert u.values == ref_values
+        near = discounted_fixed_point(graph, NEAR_ONE).normalized()
+        assert max(abs(x - y) for x, y in zip(u.values, near.values)) <= Fraction(1, 10**8)
+        several_classes += len(critical_structure(graph, beta).classes) >= 2
+    assert several_classes > 0
+
+
+def test_cap_one_below_the_accepting_k_refuses():
+    K, graph = next((k, g) for g in SEEDED[7] if (k := _accepting_k(g)) >= 5)
+    with pytest.raises(NonConvergence):
+        calibrated_via_discount(graph, K - 1)
+    calibrated_via_discount(graph, K)

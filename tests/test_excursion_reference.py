@@ -25,7 +25,6 @@ from ergopt.graph_engine import (
     _scc,
     bellman_potentials,
     build_prepend_graph,
-    certificate_subaction,
     critical_structure,
     max_mean_cycle,
 )
@@ -140,7 +139,7 @@ def _node_functions(graph, beta):
     n = len(graph.nodes)
     return [
         maximal_subaction(graph, beta),
-        NodeFunction(graph, tuple(certificate_subaction(graph, beta))),
+        NodeFunction(graph, tuple(-h for h in max_mean_cycle(graph).potential)),
         NodeFunction(graph, tuple(random_fraction(rng, max_den=10) for _ in range(n))),
         NodeFunction(graph, tuple(random_fraction(rng, max_den=1000) for _ in range(n))),
         NodeFunction(graph, tuple(Fraction(0) for _ in range(n))),

@@ -245,7 +245,7 @@ def test_roundtrip_on_random_calibrated(rng):
     for _ in range(12):
         graph = random_graph(rng, 2, rng.choice([1, 2]), require_transitive=True)
         omega = omega_set(graph)
-        u, _ = calibrated_via_discount(graph, 50)
+        u, _ = calibrated_via_discount(graph)
         assert reconstruct(represent(u, omega)).values == u.values
 
 

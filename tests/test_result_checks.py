@@ -89,4 +89,4 @@ def test_module_has_no_float(name):
 
 
 def test_float_scan_sees_the_discount_trace():
-    assert len(_float_uses(_functions(cli_reports)["cmd_subaction"])) == 2
+    assert len(_float_uses(_functions(cli_reports)["cmd_subaction"])) == 1

@@ -11,8 +11,8 @@ from ergopt.errors import HypothesisFails, NonConvergence, NotSubaction, NotTran
 from ergopt.graph_engine import build_prepend_graph, critical_structure, max_mean_cycle
 from ergopt.potential_model import LocallyConstantPotential, coboundary_modify
 from ergopt.subaction_lab import (
-    OUTER_STOP,
     NodeFunction,
+    _certified_bias,
     _discount_arcs,
     _exact_discounted,
     calibrated_via_discount,
@@ -43,13 +43,10 @@ from conftest import (
     random_fraction,
     random_graph,
     reducible_system,
+    two_class_graph,
 )
 
 ONE = Fraction(1)
-
-# Random tables here have larger weights than the named fixtures, so their
-# discounted estimates need discounts beyond the default schedule's reach.
-LONG_K_MAX = 50
 
 
 def nf(graph, *values):
@@ -253,22 +250,53 @@ def test_calibrated_via_discount_pinned():
     g = f1_graph()
     u, a = calibrated_via_discount(g)
     assert u.values == (0, -1)
-    assert abs(a - 1) <= OUTER_STOP
+    assert a == 1
 
     u3, a3 = calibrated_via_discount(f3_graph())
     assert u3.values == (0, 0)
-    assert abs(a3 - 5) <= OUTER_STOP
+    assert a3 == 5
 
     g6 = f6_graph()
     u6, a6 = calibrated_via_discount(g6)
     assert u6[0] - u6[1] == -1
-    assert abs(a6 - 1) <= OUTER_STOP
+    assert a6 == 1
     assert calibration_residual(u6, g6, ONE) == 0
+
+
+def test_calibrated_via_discount_offsets_two_classes_like_the_discounted_limit():
+    # two critical 2-cycles of mean 1, weights (2, 0) on 0 <-> 1 and (1, 1) on
+    # 2 <-> 3, every other edge -10: many calibrated sub-actions exist, and
+    # the limit's offset between the classes comes from the bias of each cycle
+    system = full_shift(4)
+    table = {(s, w): Fraction(-10) for s in range(4) for w in range(4)}
+    table.update({(1, 0): 2, (0, 1): 0, (3, 2): 1, (2, 3): 1})
+    g = build_prepend_graph(system, LocallyConstantPotential(system, 1, 1, table))
+    assert len(critical_structure(g, ONE).classes) == 2
+    u, a = calibrated_via_discount(g)
+    assert u.values == (-1, 0, Fraction(-1, 2), Fraction(-1, 2))
+    assert a == 1
+    near = discounted_fixed_point(g, 1 - Fraction(1, 2**40)).normalized()
+    assert max(abs(x - y) for x, y in zip(u.values, near.values)) <= Fraction(1, 10**9)
+
+
+def test_calibrated_via_discount_takes_the_bias_optimal_policy():
+    # at rho = 1/2 and 3/4 the optimal policy takes the 3-cycle at node 0; its
+    # bias is calibrated, but the tight loop at 0 beats it in the next
+    # coefficient, and the limit takes the loop
+    g = two_class_graph()
+    assert len(critical_structure(g, ONE).classes) == 2
+    steps = []
+    u, a = calibrated_via_discount(g, steps=steps)
+    assert len(steps) == 3
+    assert u.values == (Fraction(-4, 5), 0, Fraction(-9, 5), Fraction(-4, 5))
+    assert a == 1
+    near = discounted_fixed_point(g, 1 - Fraction(1, 2**40)).normalized()
+    assert max(abs(x - y) for x, y in zip(u.values, near.values)) <= Fraction(1, 10**9)
 
 
 def test_calibrated_via_discount_schedule_too_short():
     with pytest.raises(NonConvergence):
-        calibrated_via_discount(f1_graph(), 2)
+        calibrated_via_discount(two_class_graph(), 2)
 
 
 def test_discount_steps_record_each_solve_of_the_route(rng, monkeypatch):
@@ -276,31 +304,36 @@ def test_discount_steps_record_each_solve_of_the_route(rng, monkeypatch):
 
     solve = lab._exact_discounted
     solved = []
+    policies = []
 
     def counted(arcs, a, b, policy):
         solved.append(Fraction(a, b))
-        return solve(arcs, a, b, policy)
+        out = solve(arcs, a, b, policy)
+        policies.append(list(policy))
+        return out
 
     monkeypatch.setattr(lab, "_exact_discounted", counted)
+    near_one = 1 - Fraction(1, 2**60)
     for _ in range(16):
         g = random_graph(rng, rng.choice([2, 3]), rng.choice([1, 2]), require_transitive=True)
         solved.clear()
+        policies.clear()
         steps = []
-        u, _ = calibrated_via_discount(g, LONG_K_MAX, steps)
-        assert [rho for rho, _, _ in steps] == solved
-        # reference walk: cold-started solves, stopped on the exact change
-        prev = None
-        for k in range(1, LONG_K_MAX + 1):
-            rho = Fraction(2**k - 1, 2**k)
-            vals = solve_discounted(g, rho, solve)
-            norm = [v - max(vals) for v in vals]
-            if prev is not None and max(abs(a - b) for a, b in zip(norm, prev)) <= OUTER_STOP:
-                break
-            prev = norm
-        assert steps[-1][0] == rho
-        assert steps[-1][2] <= OUTER_STOP
-        assert all(change > OUTER_STOP for _, _, change in steps[1:-1])
-        assert u.values == tuple(v.limit_denominator(10**6) for v in norm)
+        u, a = calibrated_via_discount(g, steps=steps)
+        assert [rho for rho, _ in steps] == solved
+        # each estimate is (1 - rho) * -max of the cold-started solution
+        for rho, a_est in steps:
+            assert a_est == (1 - rho) * -max(solve_discounted(g, rho, solve))
+        # accepted at the first policy shown bias-optimal, with an exactly
+        # calibrated limit of the normalized discounted solutions
+        W, arcs = _discount_arcs(g)
+        shown = [_certified_bias(arcs, p) is not None for p in policies]
+        assert shown == [False] * (len(steps) - 1) + [True]
+        beta = max_mean_cycle(g).beta
+        assert a == beta and calibration_residual(u, g, beta) == 0
+        near = solve_discounted(g, near_one, solve)
+        top = max(near)
+        assert max(abs(x - y + top) for x, y in zip(u.values, near)) <= Fraction(1, 10**9)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +464,7 @@ def test_rigidity_on_critical_classes(rng):
         g = random_graph(rng, 2, rng.choice([1, 2]), require_transitive=True)
         beta = max_mean_cycle(g).beta
         u = maximal_subaction(g, beta)
-        v, _ = calibrated_via_discount(g, LONG_K_MAX)
+        v, _ = calibrated_via_discount(g)
         for cls in critical_structure(g, beta).classes:
             assert rigidity_check(u, v, cls)
 
@@ -489,7 +522,7 @@ def test_critical_nodes_have_tight_edges(rng):
     for _ in range(20):
         g = random_graph(rng, rng.choice([2, 3]), 1, require_transitive=True)
         beta = max_mean_cycle(g).beta
-        for u in (maximal_subaction(g, beta), calibrated_via_discount(g, LONG_K_MAX)[0]):
+        for u in (maximal_subaction(g, beta), calibrated_via_discount(g)[0]):
             locus = contact_locus(u, g, beta)
             srcs = contact_sources(locus, g)
             for node in critical_structure(g, beta).critical_nodes:
