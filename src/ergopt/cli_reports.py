@@ -7,9 +7,9 @@ rejected at parse time so exactness survives the boundary. Reports are
 JSON (default) or CSV, byte-stable for a fixed config: rationals are
 emitted as "n/d" strings and floats appear only inside discount traces.
 
-Exit codes: 0 ok, 1 check-suite failure, 2 config error, 3 hypothesis not
-met (reducible system, class count mismatch, infeasible target, ...),
-4 non-convergence.
+Exit codes: 0 ok, 1 check-suite failure, 2 config error (also an
+unwritable --out path), 3 hypothesis not met (reducible system, class
+count mismatch, infeasible target, ...), 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -513,13 +513,24 @@ def _check_items(
         return ("pass" if ok else "fail", "discount limit exactly calibrated")
 
     def mane_triangle() -> tuple[str, str]:
+        # cost[i][k] <= cost[i][j] + cost[j][k] is tested for every k at once:
+        # row r is packed as the sum of cost[r][k] * 2^(B k), and field k of
+        # packs[j] + cost[i][j] * ones + guard - packs[i] is then
+        # cost[j][k] + cost[i][j] - cost[i][k] + 2^(B-1). Every field lies in
+        # [0, 2^B), so no borrow crosses fields, and its top bit (the guard)
+        # is set exactly when the inequality holds at k.
         cost = omega_set(graph).mane.cost
-        n = len(graph.nodes)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if cost[i][k] > cost[i][j] + cost[j][k]:
-                        return ("fail", f"triangle fails at ({i}, {j}, {k})")
+        B = (3 * max(max(map(abs, row)) for row in cost)).bit_length() + 1
+        ones = sum(1 << (B * k) for k in range(len(cost)))
+        guard = ones << (B - 1)
+        packs = [sum(c << (B * k) for k, c in enumerate(row)) for row in cost]
+        for i, row_i in enumerate(cost):
+            base = packs[i] - guard
+            for j, c_ij in enumerate(row_i):
+                if (packs[j] + c_ij * ones - base) & guard != guard:
+                    row_j = cost[j]
+                    k = next(k for k, c in enumerate(row_i) if c > c_ij + row_j[k])
+                    return ("fail", f"triangle fails at ({i}, {j}, {k})")
         return ("pass", "excursion costs satisfy the triangle inequality")
 
     def mane_diagonal() -> tuple[str, str]:
@@ -659,7 +670,10 @@ def render_report(report: dict, fmt: str, command: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -688,36 +702,60 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return dataclasses.replace(config, schedule_k_max=args.schedule)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMON = (
+    ("--config", {"required": True, "help": "config file path"}),
+    ("--out", {"help": "write the report here instead of stdout"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+)
+_SCHEDULE = ("--schedule", {"type": int, "help": "override discount schedule k_max"})
+
+# command -> (help, the options it adds after the common ones)
+_COMMANDS = {
+    "beta": ("optimal average with certificate", ()),
+    "subaction": (
+        "maximal, calibrated, or u0 sub-action",
+        (_SCHEDULE, ("--kind", {"choices": ("maximal", "calibrated", "u0"), "default": "maximal"})),
+    ),
+    "mane": ("excursion costs and critical classes", ()),
+    "classify": (
+        "calibrated sub-action from boundary data",
+        (("--boundary", {"required": True, "help": "one rational per critical class"}),),
+    ),
+    "alpha": ("Legendre value at the config's multiplier", ()),
+    "check": ("invariant suite including oracles", (_SCHEDULE,)),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The ergopt parser for argv.
+
+    When argv starts with a command, only that command's subparser is built;
+    the metavar keeps the top-level usage line listing every command.
+    Otherwise (no argv, -h, a misspelt command, an option first) every
+    subparser is built, and help and usage errors read as they always have.
+    """
     parser = argparse.ArgumentParser(
         prog="ergopt",
         description="Exact reports for optimal averages on subshifts.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, schedule: bool = False) -> None:
-        p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if schedule:
-            p.add_argument("--schedule", type=int, help="override discount schedule k_max")
-
-    common(sub.add_parser("beta", help="optimal average with certificate"))
-    p_sub = sub.add_parser("subaction", help="maximal, calibrated, or u0 sub-action")
-    common(p_sub, schedule=True)
-    p_sub.add_argument("--kind", choices=("maximal", "calibrated", "u0"), default="maximal")
-    common(sub.add_parser("mane", help="excursion costs and critical classes"))
-    p_cls = sub.add_parser("classify", help="calibrated sub-action from boundary data")
-    common(p_cls)
-    p_cls.add_argument("--boundary", required=True, help="one rational per critical class")
-    common(sub.add_parser("alpha", help="Legendre value at the config's multiplier"))
-    p_chk = sub.add_parser("check", help="invariant suite including oracles")
-    common(p_chk, schedule=True)
+    named = bool(argv) and argv[0] in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if named else None,
+    )
+    for name in (argv[0],) if named else _COMMANDS:
+        help_text, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "beta":
@@ -732,6 +770,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = cmd_alpha(config)
         else:
             report = cmd_check(config)
+        _emit(render_report(report, args.format, args.command), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -741,7 +780,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ErgoptError as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
         return 3
-    _emit(render_report(report, args.format, args.command), args.out)
     if args.command == "check" and not report["ok"]:
         return 1
     return 0

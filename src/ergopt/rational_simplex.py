@@ -42,7 +42,7 @@ class LPResult:
     basis: tuple[int, ...] | None
 
 
-def _nonzero(row: list[int]) -> list[int]:
+def _nonzero(row: Sequence) -> list[int]:
     """The columns where row is nonzero."""
     return list(compress(range(len(row)), row))
 
@@ -155,15 +155,21 @@ def solve_lp(
         value = -flipped.value if flipped.value is not None else None
         return LPResult(flipped.status, value, flipped.solution, flipped.basis)
 
-    # phase 1: one artificial per row; row i is scaled to integers by s
+    # phase 1: one artificial per row; row i is scaled to integers by s,
+    # which only its nonzero entries can raise
     m = len(rows)
     T: list[list[int]] = []
     D: list[int] = []
     for i, (row, b) in enumerate(zip(rows, rhs)):
-        s = lcm(*(v.denominator for v in row), b.denominator)
+        nz = _nonzero(row)
+        s = lcm(*(row[j].denominator for j in nz), b.denominator)
         sign = -1 if b < 0 else 1  # keep every right-hand side nonnegative
-        scaled = [sign * v.numerator * (s // v.denominator) for v in (*row, b)]
-        T.append(scaled[:n] + [s if k == i else 0 for k in range(m)] + scaled[n:])
+        scaled = [0] * (n + m + 1)
+        for j in nz:
+            scaled[j] = sign * row[j].numerator * (s // row[j].denominator)
+        scaled[n + i] = s
+        scaled[-1] = sign * b.numerator * (s // b.denominator)
+        T.append(scaled)
         D.append(s)
     basis = [n + i for i in range(m)]
     _cost_row(T, D, basis, [0] * n + [-1] * m)

@@ -1,0 +1,129 @@
+"""The per-command parser build against the full parser it replaced.
+
+The reference below builds every subparser on every call, as ``main`` did
+before it built only the named command's. Help and usage errors are the
+whole surface a parser shows, so exit code, stdout and stderr must match
+byte for byte, at a wide and a narrow terminal: for no arguments, top-level
+help, unknown commands, each command's help, missing and malformed options,
+extra arguments and options placed before the command. Argument lists that
+parse must give the same namespace.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+
+import pytest
+
+from ergopt.cli_reports import _build_parser, main
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ergopt",
+        description="Exact reports for optimal averages on subshifts.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, schedule: bool = False) -> None:
+        p.add_argument("--config", required=True, help="config file path")
+        p.add_argument("--out", help="write the report here instead of stdout")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if schedule:
+            p.add_argument("--schedule", type=int, help="override discount schedule k_max")
+
+    common(sub.add_parser("beta", help="optimal average with certificate"))
+    p_sub = sub.add_parser("subaction", help="maximal, calibrated, or u0 sub-action")
+    common(p_sub, schedule=True)
+    p_sub.add_argument("--kind", choices=("maximal", "calibrated", "u0"), default="maximal")
+    common(sub.add_parser("mane", help="excursion costs and critical classes"))
+    p_cls = sub.add_parser("classify", help="calibrated sub-action from boundary data")
+    common(p_cls)
+    p_cls.add_argument("--boundary", required=True, help="one rational per critical class")
+    common(sub.add_parser("alpha", help="Legendre value at the config's multiplier"))
+    p_chk = sub.add_parser("check", help="invariant suite including oracles")
+    common(p_chk, schedule=True)
+    return parser
+
+
+COMMANDS = ("beta", "subaction", "mane", "classify", "alpha", "check")
+
+# argument lists that end in help (exit 0) or a usage error (exit 2)
+EXITING = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bench"],
+    ["betaa", "--config", "f.cfg"],
+    ["-h", "beta"],
+    *([command, "--help"] for command in COMMANDS),
+    ["beta", "-h", "--config"],
+    ["beta"],
+    ["mane", "--out", "o.json"],
+    ["classify", "--config", "f.cfg"],
+    ["beta", "--config"],
+    ["subaction", "--config", "f.cfg", "--kind", "bogus"],
+    ["mane", "--config", "f.cfg", "--format", "xml"],
+    ["check", "--config", "f.cfg", "--schedule", "x"],
+    ["beta", "--config", "f.cfg", "--schedule", "3"],
+    ["alpha", "--config", "f.cfg", "--kind", "u0"],
+    ["beta", "--config", "f.cfg", "extra"],
+    ["beta", "mane", "--config", "f.cfg"],
+    ["beta", "--config", "f.cfg", "--", "extra"],
+    ["--config", "f.cfg", "beta"],
+    ["--format", "csv", "mane", "--config", "f.cfg"],
+    ["--", "beta", "--config", "f.cfg"],
+]
+
+PARSING = [
+    ["beta", "--config", "f.cfg"],
+    ["beta", "--conf", "f.cfg", "--out", "o.json"],
+    ["subaction", "--config", "f.cfg", "--kind", "u0", "--schedule", "5"],
+    ["subaction", "--config=f.cfg", "--k", "calibrated"],
+    ["mane", "--format", "csv", "--config", "f.cfg"],
+    ["classify", "--config", "f.cfg", "--boundary", "0,1/2"],
+    ["alpha", "--config", "f.cfg"],
+    ["check", "--config", "f.cfg", "--schedule", "3", "--format", "csv"],
+]
+
+
+def run(call, argv):
+    """(exit code or None, namespace dict or None, stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            namespace = vars(result)
+    return code, namespace, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("argv", EXITING, ids=lambda argv: " ".join(argv) or "<none>")
+def test_help_and_usage_errors_match_the_full_parser(argv, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = run(lambda a: reference_parser().parse_args(a), list(argv))
+    got = run(main, list(argv))
+    assert expected[0] in (0, 2)
+    assert got == expected
+
+
+@pytest.mark.parametrize("argv", PARSING, ids=" ".join)
+def test_parsed_namespaces_match_the_full_parser(argv):
+    expected = run(lambda a: reference_parser().parse_args(a), argv)
+    got = run(lambda a: _build_parser(a).parse_args(a), argv)
+    assert expected[0] is None
+    assert got == expected
+
+
+def test_main_without_argv_reads_the_command_line(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["ergopt", "subaction", "--help"])
+    expected = run(lambda a: reference_parser().parse_args(a), ["subaction", "--help"])
+    assert run(main, None) == expected

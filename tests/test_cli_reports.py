@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import itertools
 import json
 import random
@@ -10,10 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+import ergopt.cli_reports as cli_reports
 import ergopt.graph_engine as graph_engine
 from ergopt import fixtures
 from ergopt.cli_reports import (
     ExperimentConfig,
+    _check_items,
     cmd_alpha,
     cmd_beta,
     cmd_check,
@@ -26,7 +30,8 @@ from ergopt.cli_reports import (
     render_report,
 )
 from ergopt.errors import ConfigError
-from ergopt.graph_engine import ManeMatrix
+from ergopt.graph_engine import ManeMatrix, build_prepend_graph
+from ergopt.mane_aubry import omega_set
 from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
 from ergopt.subaction_lab import SCHEDULE_K_MAX
 
@@ -260,6 +265,67 @@ def test_check_skips_the_beta_oracle_on_sixteen_nodes(tmp_path, capsys):
     assert elapsed < RANDOM_CHECK_SECONDS
 
 
+def reference_triangle(cost) -> tuple[str, str]:
+    """The mane_triangle item as the triple loop it was: first (i, j, k) in order."""
+    n = len(cost)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if cost[i][k] > cost[i][j] + cost[j][k]:
+                    return ("fail", f"triangle fails at ({i}, {j}, {k})")
+    return ("pass", "excursion costs satisfy the triangle inequality")
+
+
+def triangle_item(monkeypatch, config):
+    """The mane_triangle item of config's check, run on any cost matrix."""
+    base = omega_set(build_prepend_graph(config.system, config.potential))
+    shown = {}
+    monkeypatch.setattr(cli_reports, "omega_set", lambda graph: shown["omega"])
+    run = {name: run for name, _, run in _check_items(config)}["mane_triangle"]
+
+    def on(cost) -> tuple[str, str]:
+        mane = dataclasses.replace(base.mane, cost=tuple(map(tuple, cost)))
+        shown["omega"] = dataclasses.replace(base, mane=mane)
+        return run()
+
+    return base.mane, on
+
+
+@pytest.mark.parametrize("r, q, binary", [(2, 3, False), (3, 2, False), (2, 3, True)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mane_triangle_names_the_triple_loop_first_failure(monkeypatch, r, q, binary, seed):
+    rng = random.Random(seed)
+    config = parse_config_text(random_full_shift_config(rng, r, q, binary))
+    mane, triangle = triangle_item(monkeypatch, config)
+    n = len(mane.cost)
+    verdicts = []
+    for trial in range(40):
+        cost = [list(row) for row in mane.cost]
+        if trial:  # trial 0 keeps the true matrix
+            cost[rng.randrange(n)][rng.randrange(n)] -= rng.randint(1, 2 * mane.D)
+        verdict = triangle(cost)
+        assert verdict == reference_triangle(cost)
+        verdicts.append(verdict[0])
+    assert verdicts[0] == "pass"
+    assert "fail" in verdicts
+
+
+def test_mane_triangle_on_extreme_entries(monkeypatch):
+    # entries at +-M make cost[j][k] + cost[i][j] - cost[i][k] reach +-3M,
+    # the widest a packed field has to hold
+    rng = random.Random(5)
+    _, triangle = triangle_item(monkeypatch, fixtures.load("f5"))
+    verdicts = set()
+    for trial in range(300):
+        M, n = rng.choice([1, 3, 5, 1000]), rng.randint(1, 6)
+        entries = [-M, M, 0, rng.randint(-M, M)]
+        cost = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        verdict = triangle(cost)
+        assert verdict == reference_triangle(cost)
+        verdicts.add(verdict[0])
+    assert verdicts == {"pass", "fail"}
+
+
 @pytest.mark.parametrize("name", ["f1", "f6"])
 def test_discount_trace_ends_where_the_exact_stop_fired(name):
     # the optimal policy at rho = 1/2 is already shown bias-optimal
@@ -345,6 +411,43 @@ def test_help_lists_only_options_that_change_behaviour(command, capsys):
     assert "--jobs" not in text
     assert "--timings" not in text
     assert ("--schedule" in text) == (command in ("subaction", "check"))
+
+
+
+def test_a_named_command_builds_only_its_parser_on_every_call(tmp_path, monkeypatch, capsys):
+    path = write_fixture(tmp_path, "f1")
+    added, parsers = [], []
+    add_parser = argparse._SubParsersAction.add_parser
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counting_add_parser(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    def recording_parse_args(self, args=None, namespace=None):
+        parsers.append(self)  # kept alive, so no id is reused
+        return parse_args(self, args, namespace)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    # a second call builds its own parser again: nothing is kept across calls
+    for run in (1, 2):
+        assert main(["beta", "--config", path]) == 0
+        assert added == ["beta"] * run
+        assert len(parsers) == run
+    assert parsers[0] is not parsers[1]
+    capsys.readouterr()
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    path = write_fixture(tmp_path, "f1")
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main(["beta", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write report: ")
+    assert "No such file or directory" in captured.err
+    assert not out.exists()
 
 
 def test_schedule_flag_rejected_where_no_schedule_is_read(tmp_path, capsys):
