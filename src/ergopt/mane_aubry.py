@@ -10,6 +10,7 @@ per-class boundary values through reconstruct/represent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,14 +167,17 @@ def reconstruct(data: BoundaryData) -> NodeFunction:
     """
     omega = data.omega
     anchors = omega.critical.anchors()
-    # Anchors are critical, so phi(anchor -> anchor) = 0 and the minimum
-    # evaluates to f(class) at each anchor of a compatible f.
+    # The boundary values and the int excursion costs over D go on one
+    # common denominator L, so each node's minimum is over ints and builds
+    # one Fraction. Anchors are critical, so phi(anchor -> anchor) = 0 and
+    # the minimum evaluates to f(class) at each anchor of a compatible f.
+    D = omega.mane.D
+    L = math.lcm(D, *(f.denominator for f in data.values))
+    m = L // D
+    scaled = [(f.numerator * (L // f.denominator), a) for f, a in zip(data.values, anchors)]
     vals = tuple(
-        min(
-            data.values[i] + omega.mane.value(v, anchors[i])
-            for i in range(len(anchors))
-        )
-        for v in range(len(omega.graph.nodes))
+        Fraction(min(f + row[a] * m for f, a in scaled), L)  # type: ignore[operator]
+        for row in omega.mane.cost
     )
     u = NodeFunction(omega.graph, vals)
     if calibration_residual(u, omega.graph, omega.beta) != 0:

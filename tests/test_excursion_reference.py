@@ -1,4 +1,4 @@
-"""The integer excursion layer against the Fraction code it replaced.
+"""The integer excursion layer against the code it replaced.
 
 The references below are the Fraction forms of the critical structure (read
 off the Fraction Floyd-Warshall reference of ``test_integer_kernel``), of
@@ -9,25 +9,36 @@ violation set, contact locus and error message must match them exactly: on
 full 2-, 3- and 4-shifts, golden-mean shifts, a random transitive system
 and a reducible system, at weight denominators up to 10 and up to 1000, and
 with weights in {0, 1}, which gives several critical classes.
+
+``ref_int_floyd_warshall`` is the integer Floyd-Warshall that
+``min_cost_all_pairs`` used before it reweighted by the Bellman potential
+and searched from each source. D and every int entry of the excursion
+matrix must match it, at beta and above, on the instances above plus more
+random transitive systems and one 128-node full shift per weight kind;
+below beta both must raise NegativeCycle.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ergopt.errors import NotSubaction
+from ergopt.errors import NegativeCycle, NotSubaction
 from ergopt.graph_engine import (
     CriticalStructure,
     _minimal_cycle,
+    _scaled_costs,
     _scc,
     bellman_potentials,
     build_prepend_graph,
     critical_structure,
     max_mean_cycle,
+    min_cost_all_pairs,
 )
+from ergopt.mane_aubry import BoundaryData, omega_set, reconstruct
 from ergopt.potential_model import LocallyConstantPotential
 from ergopt.subaction_lab import (
     NodeFunction,
@@ -64,6 +75,33 @@ def ref_critical_structure(graph, beta) -> CriticalStructure:
         key=lambda c: c[0],
     )
     return CriticalStructure(beta, nodes, frozenset(edge_ids), tuple(classes))
+
+
+def ref_int_floyd_warshall(graph, beta):
+    """D and the least nonempty-path costs over D; None where unreachable."""
+    n = len(graph.nodes)
+    D, edges = _scaled_costs(graph, beta)
+    INF = math.inf
+    phi = [[INF] * n for _ in range(n)]
+    for src, tgt, c in edges:
+        if c < phi[src][tgt]:
+            phi[src][tgt] = c
+    for k in range(n):
+        # a snapshot of row k is exact: round k changes row k only when
+        # phi[k][k] < 0, which raises below anyway
+        pk = [(j, kj) for j, kj in enumerate(phi[k]) if kj != INF]
+        for row in phi:
+            ik = row[k]
+            if ik == INF:
+                continue
+            for j, kj in pk:
+                cand = ik + kj
+                if cand < row[j]:
+                    row[j] = cand
+    for v in range(n):
+        if phi[v][v] < 0:
+            raise NegativeCycle(f"node {graph.nodes[v]} lies on a cycle of mean above beta")
+    return D, tuple(tuple(None if c == INF else c for c in row) for row in phi)
 
 
 def ref_witness(graph, beta):
@@ -188,3 +226,63 @@ def test_zero_one_weights_give_several_classes():
         if param.id.endswith("-01"):
             counts.append(len(critical_structure(graph, max_mean_cycle(graph).beta).classes))
     assert max(counts) >= 2
+
+
+def _all_pairs_instances():
+    out = list(INSTANCES)
+    for kind, draw in WEIGHTS.items():
+        rng = random.Random(f"all-pairs-{kind}")
+        graphs = []
+        for i in range(4):
+            system = random_system(rng, rng.choice((3, 4)), require_transitive=True)
+            graphs.append((f"random{i}", system, rng.choice((1, 2))))
+        graphs.append(("full2", full_shift(2), 7))  # 128 nodes
+        for name, system, q in graphs:
+            table = {k: draw(rng) for k in allowed_words(system, 1 + q)}
+            graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
+            out.append(pytest.param(graph, id=f"{name}-q{q}-{kind}-n{len(graph.nodes)}"))
+    return out
+
+
+ALL_PAIRS_INSTANCES = _all_pairs_instances()
+
+
+@pytest.mark.parametrize("graph", ALL_PAIRS_INSTANCES)
+def test_all_pairs_matches_the_int_floyd_warshall(graph):
+    beta = max_mean_cycle(graph).beta
+    for b in (beta, beta + Fraction(1, 7)):
+        mane = min_cost_all_pairs(graph, b)
+        assert (mane.D, mane.cost) == ref_int_floyd_warshall(graph, b)
+        assert all(type(c) is int for row in mane.cost for c in row if c is not None)
+    below = beta - Fraction(1, 997)
+    with pytest.raises(NegativeCycle):
+        ref_int_floyd_warshall(graph, below)
+    for _ in range(2):
+        with pytest.raises(NegativeCycle):
+            min_cost_all_pairs(graph, below)
+        assert below not in graph._mane_by_beta
+
+
+def test_all_pairs_reference_covers_its_cases():
+    graphs = [param.values[0] for param in ALL_PAIRS_INSTANCES]
+    assert max(len(g.nodes) for g in graphs) == 128
+    unreachable = zeros = 0
+    for g in graphs:
+        cost = min_cost_all_pairs(g, max_mean_cycle(g).beta).cost
+        unreachable += sum(c is None for row in cost for c in row)
+        zeros += sum(c == 0 for row in cost for c in row)
+    assert unreachable > 0 and zeros > 0
+
+
+@pytest.mark.parametrize("graph", [p for p in INSTANCES if not p.id.startswith("reducible")])
+def test_reconstruct_matches_the_fraction_formula(graph):
+    omega = omega_set(graph)
+    anchors = omega.critical.anchors()
+    rng = random.Random(len(graph.nodes) * 31 + len(anchors))
+    for max_den in (1, 10, 1000):
+        values = tuple(random_fraction(rng, max_den=max_den) for _ in anchors)
+        expected = tuple(
+            min(f + omega.mane.value(v, a) for f, a in zip(values, anchors))
+            for v in range(len(graph.nodes))
+        )
+        assert reconstruct(BoundaryData(omega, values)).values == expected

@@ -160,7 +160,7 @@ class TestManeMatrix:
 
 
 class TestManeMemo:
-    """One Floyd-Warshall run per graph and beta, kept on the graph itself."""
+    """One excursion-matrix build per graph and beta, kept on the graph itself."""
 
     def test_same_graph_and_beta_give_the_same_matrix(self):
         g = f5_graph()

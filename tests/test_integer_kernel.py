@@ -16,6 +16,7 @@ import pytest
 
 from ergopt.errors import NegativeCycle
 from ergopt.graph_engine import (
+    _karp,
     _negative_cycle,
     _scaled_costs,
     bellman_potentials,
@@ -192,6 +193,17 @@ def test_scaled_costs_match_the_direct_formula(graph):
         assert got_D == D
         assert list(arcs) == direct
         assert all(type(c) is int for _, _, c in arcs)
+
+
+@pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
+def test_karp_kernel_on_shifted_arcs(graph):
+    # the least mean of the arcs of shift - weight is shift - beta
+    beta = ref_karp(graph)
+    for shift in (Fraction(0), beta, beta + Fraction(1, 7), Fraction(-3, 11)):
+        D, arcs = _scaled_costs(graph, shift)
+        num, den = _karp(len(graph.nodes), arcs)
+        assert den > 0
+        assert Fraction(num, den * D) == shift - beta
 
 
 @pytest.mark.parametrize("graph", INSTANCES)
