@@ -88,7 +88,7 @@ class ExperimentConfig:
     schedule_k_max: int = SCHEDULE_K_MAX
 
 
-def _parse_rational(text: str, line: int, field: str) -> Fraction:
+def _parse_rational(text: str, line: int | None, field: str) -> Fraction:
     if not _RATIONAL.match(text):
         raise ConfigError(f"expected a rational 'n' or 'n/d', got {text!r}", line, field)
     num, _, den = text.partition("/")
@@ -686,12 +686,7 @@ def _parse_boundary(text: str) -> tuple[Fraction, ...]:
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
         raise ConfigError("boundary vector is empty", field="boundary")
-    values = []
-    for tok in tokens:
-        if not _RATIONAL.match(tok):
-            raise ConfigError(f"bad boundary entry {tok!r}", field="boundary")
-        values.append(Fraction(tok))
-    return tuple(values)
+    return tuple(_parse_rational(tok, None, "boundary") for tok in tokens)
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:

@@ -11,12 +11,14 @@ all-pairs costs) run on Python ints: every edge cost is scaled by the
 common denominator of the weights and of beta, and results turn back into
 exact Fractions when they return.
 
-The excursion-cost matrix comes from Johnson's method: the Bellman
-potential at beta reweights every arc to a cost >= 0, one label-correcting
-search per source runs on those reduced costs, and each row is shifted
-back by the potential. It stays on ints: ``ManeMatrix`` holds the costs
-over their denominator D and builds a Fraction only when an entry is read,
-and the critical structure compares those ints directly.
+The excursion-cost matrix lives at the graph's own beta and comes from
+Johnson's method: the Bellman potential that ``max_mean_cycle`` kept
+reweights every arc to a cost >= 0, one label-correcting search per source
+runs on those reduced costs, and each row is shifted back by the potential.
+It stays on ints: ``ManeMatrix`` holds the costs over their denominator D
+and builds a Fraction only when an entry is read, and the critical
+structure compares those ints directly. The critical classes are the
+connected components of the critical edges.
 
 Each graph keeps what it has computed, so nothing is computed twice for
 one graph:
@@ -25,7 +27,8 @@ one graph:
   rescales and shifts these for each beta);
 - its ``BetaResult``, so Karp, Bellman and the witness search run once
   (``max_mean_cycle``);
-- one excursion-cost matrix per beta (``min_cost_all_pairs``).
+- its excursion-cost matrix at beta, built from the kept Bellman potential
+  with no Bellman run of its own (``min_cost_all_pairs``).
 
 One Bellman-Ford kernel, ``_bellman_ford``, solves every least-cost problem
 from a super-source: the Bellman potentials (``bellman_potentials``), the
@@ -82,12 +85,12 @@ class PrependGraph:
         return {e.key: e for e in self.edges}
 
     @cached_property
-    def _mane_by_beta(self) -> dict[Fraction, ManeMatrix]:
-        return {}
-
-    @cached_property
     def _beta_result(self) -> BetaResult:
         return _solve_max_mean_cycle(self)
+
+    @cached_property
+    def _mane(self) -> ManeMatrix:
+        return _solve_min_cost_all_pairs(self)
 
     @cached_property
     def _scaled_weights(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -413,32 +416,37 @@ class ManeMatrix:
         return tuple(tuple(self.value(i, j) for j in range(n)) for i in range(n))
 
 
-def min_cost_all_pairs(graph: PrependGraph, beta: Fraction) -> ManeMatrix:
+def min_cost_all_pairs(graph: PrependGraph) -> ManeMatrix:
     """Least costs of nonempty paths between all node pairs, costs beta - weight.
 
-    Johnson's reweighting (Johnson 1977): the Bellman potential h over D
-    (``_bellman_ints``) satisfies h[tgt] <= h[src] + c on every scaled arc
-    (src, tgt, c), since h is a least cost from a super-source and no arc
-    can lower it further. So every reduced cost c + h[src] - h[tgt] is
-    >= 0, and a path's reduced cost is its cost plus h[s] - h[v] for its
-    ends s and v. From each source s, one FIFO label-correcting search (a
-    Bellman-Ford-Moore queue) over the reduced costs finds the least
-    reduced cost d to every node, and the cost over D is d - h[s] + h[v].
-    The search is seeded from the out-arcs of s, never from the empty
-    path, so the diagonal entry of s is the least cost of a nonempty cycle
-    through s. Each search takes O(n * m) in the worst case, as any
-    Bellman-Ford does; on random full shifts of 64-256 nodes it scanned
-    each node about 2-2.5 times per source.
-
-    The matrix is kept on the graph, so a repeated call with the same beta
-    returns the same object. Below the optimum every call raises
-    NegativeCycle (from the Bellman run) and nothing is kept.
+    beta is the graph's own maximum mean. The matrix is kept on the graph,
+    so a repeated call returns the same object.
     """
-    kept = graph._mane_by_beta.get(beta)
-    if kept is not None:
-        return kept
+    return graph._mane
+
+
+def _solve_min_cost_all_pairs(graph: PrependGraph) -> ManeMatrix:
+    """Johnson's reweighting (Johnson 1977) by the kept Bellman potential.
+
+    The potential h of ``BetaResult``, as ints over D, satisfies
+    h[tgt] <= h[src] + c on every scaled arc (src, tgt, c), since h is a
+    least cost from a super-source and no arc can lower it further. So
+    every reduced cost c + h[src] - h[tgt] is >= 0, and a path's reduced
+    cost is its cost plus h[s] - h[v] for its ends s and v. From each
+    source s, one FIFO label-correcting search (a Bellman-Ford-Moore queue)
+    over the reduced costs finds the least reduced cost d to every node,
+    and the cost over D is d - h[s] + h[v]. The search is seeded from the
+    out-arcs of s, never from the empty path, so the diagonal entry of s is
+    the least cost of a nonempty cycle through s. Each search takes
+    O(n * m) in the worst case, as any Bellman-Ford does; on random full
+    shifts of 64-256 nodes it scanned each node about 2-2.5 times per
+    source.
+    """
+    result = graph._beta_result
     n = len(graph.nodes)
-    D, arcs, h = _bellman_ints(graph, beta)
+    D, arcs = _scaled_costs(graph, result.beta)
+    # every denominator of the potential divides D
+    h = [x.numerator * (D // x.denominator) for x in result.potential]
     out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, b, c in arcs:
         out[a].append((b, c + h[a] - h[b]))
@@ -468,9 +476,7 @@ def min_cost_all_pairs(graph: PrependGraph, beta: Fraction) -> ManeMatrix:
         rows.append(
             tuple(None if d == INF else d - hs + hv for d, hv in zip(dist, h))
         )
-    mane = ManeMatrix(beta, D, tuple(rows))  # type: ignore[arg-type]
-    graph._mane_by_beta[beta] = mane
-    return mane
+    return ManeMatrix(result.beta, D, tuple(rows))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -484,75 +490,53 @@ class CriticalStructure:
         return tuple(cls[0] for cls in self.classes)
 
 
-def _scc(n: int, adj: dict[int, list[int]]) -> list[list[int]]:
-    """Tarjan strongly connected components (iterative)."""
-    index = [0]
-    low = {}
-    disc = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    out: list[list[int]] = []
+def critical_structure(graph: PrependGraph) -> CriticalStructure:
+    """Edges on mean-beta cycles, their source nodes, and the classes they join.
 
-    for root in range(n):
-        if root in disc:
-            continue
-        work = [(root, iter(adj.get(root, [])))]
-        disc[root] = low[root] = index[0]
-        index[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in disc:
-                    disc[w] = low[w] = index[0]
-                    index[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, []))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == disc[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
+    An arc (src, tgt, c) is critical when c + cost[tgt][src] == 0, that is
+    when it closes a zero-cost cycle. Every arc of such a cycle is critical
+    too, so the classes (two nodes share one exactly when their round-trip
+    cost is 0) are the connected components of the critical edges, found by
+    union-find. The round trips are then checked against the matrix: 0 from
+    each anchor to every member of its class, > 0 between two anchors.
+    """
+    mane = min_cost_all_pairs(graph)
+    cost = mane.cost
+    _, arcs = _scaled_costs(graph, mane.beta)
+    root = list(range(len(graph.nodes)))
 
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
 
-def critical_structure(graph: PrependGraph, beta: Fraction) -> CriticalStructure:
-    """Nodes/edges on mean-beta cycles, grouped into strongly connected classes."""
-    cost = min_cost_all_pairs(graph, beta).cost
-    _, arcs = _scaled_costs(graph, beta)
-    nodes = frozenset(v for v in range(len(graph.nodes)) if cost[v][v] == 0)
     edge_ids = []
     for i, (src, tgt, c) in enumerate(arcs):
         back = cost[tgt][src]
         if back is not None and c + back == 0:
             edge_ids.append(i)
-    adj: dict[int, list[int]] = {}
-    for i in edge_ids:
-        e = graph.edges[i]
-        adj.setdefault(e.src, []).append(e.tgt)
-    comps = _scc(len(graph.nodes), adj)
-    classes = sorted(
-        (tuple(sorted(c)) for c in comps if any(v in nodes for v in c)),
-        key=lambda c: c[0],
+            root[find(src)] = find(tgt)
+    nodes = frozenset(arcs[i][0] for i in edge_ids)
+    # in ascending node order, each class first appears at its least node
+    classes: dict[int, list[int]] = {}
+    for v in sorted(nodes):
+        classes.setdefault(find(v), []).append(v)
+    structure = CriticalStructure(
+        mane.beta, nodes, frozenset(edge_ids), tuple(map(tuple, classes.values()))
     )
-    # a critical node always sits in a class with at least one of its cycles
-    if not all(any(v in cls for cls in classes) for v in nodes):
-        raise AssertionError("a critical node lies outside every critical class")
-    return CriticalStructure(beta, nodes, frozenset(edge_ids), tuple(classes))
+
+    def round_trip(u: int, v: int) -> int | None:
+        there, back = cost[u][v], cost[v][u]
+        return None if there is None or back is None else there + back
+
+    anchors = structure.anchors()
+    for a, cls in zip(anchors, structure.classes):
+        if any(round_trip(a, v) != 0 for v in cls):
+            raise AssertionError("a critical class holds a node off its anchor's zero-cost cycles")
+    for i, a in enumerate(anchors):
+        for b in anchors[:i]:
+            trip = round_trip(a, b)
+            if trip is not None and trip <= 0:
+                raise AssertionError("two critical classes share a zero-cost cycle")
+    return structure

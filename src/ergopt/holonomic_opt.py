@@ -179,8 +179,7 @@ class MaximizingFace:
 
 def maximizing_face(graph: PrependGraph) -> MaximizingFace:
     beta = max_mean_cycle(graph).beta
-    critical = critical_structure(graph, beta)
-    return MaximizingFace(beta, critical.critical_edges)
+    return MaximizingFace(beta, critical_structure(graph).critical_edges)
 
 
 def face_contains(face: MaximizingFace, m: CirculationMeasure) -> bool:

@@ -41,8 +41,8 @@ def omega_set(graph: PrependGraph) -> OmegaSet:
     if classify_transitivity(graph.system).kind == "reducible":
         raise NotTransitive("the non-wandering analysis needs a transitive system")
     beta = max_mean_cycle(graph).beta
-    critical = critical_structure(graph, beta)
-    mane = min_cost_all_pairs(graph, beta)
+    critical = critical_structure(graph)
+    mane = min_cost_all_pairs(graph)
     if any(None in row for row in mane.cost):
         raise AssertionError("excursion costs on a transitive system are all finite")
     return OmegaSet(graph, beta, critical, mane)

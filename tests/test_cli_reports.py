@@ -212,6 +212,33 @@ def test_check_reports_a_raising_item_and_goes_on(tmp_path, capsys):
     assert report["ok"] is False
 
 
+def test_check_fails_a_zero_diagonal_off_the_critical_nodes(tmp_path, capsys, monkeypatch):
+    # the f5 loops at depth 2: the 2-cycle 01 <-> 10 weighs 0, so neither
+    # node is critical, and neither has a loop, so no critical-edge test
+    # reads its diagonal entry
+    path = tmp_path / "f5q2.cfg"
+    path.write_text(
+        MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
+            "window 1 1 = 1", "window 0 0 0 = 1\nwindow 1 1 1 = 1"
+        )
+    )
+    solve = graph_engine._solve_min_cost_all_pairs
+
+    def zero_diagonal_at_01(graph):
+        mane = solve(graph)
+        v = graph.node_index[(0, 1)]
+        if any(e.src == v == e.tgt for e in graph.edges) or mane.cost[v][v] == 0:
+            raise AssertionError("node 01 must be off the critical nodes and carry no loop")
+        cost = [list(row) for row in mane.cost]
+        cost[v][v] = 0
+        return dataclasses.replace(mane, cost=tuple(map(tuple, cost)))
+
+    monkeypatch.setattr(graph_engine, "_solve_min_cost_all_pairs", zero_diagonal_at_01)
+    assert main(["check", "--config", str(path)]) == 1
+    items = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert items["mane_diagonal"]["status"] == "fail"
+
+
 def random_full_shift_config(rng: random.Random, r: int, q: int, binary: bool) -> str:
     """Config text: full r-shift, past depth 1, future depth q, seeded weights."""
     lines = ["[system]", f"alphabet_size = {r}"] + [f"row = {' '.join(['1'] * r)}"] * r
@@ -373,6 +400,14 @@ def test_main_exit_codes(tmp_path, capsys):
     f5 = write_fixture(tmp_path, "f5")
     assert main(["classify", "--config", f5, "--boundary", "0"]) == 3
     capsys.readouterr()
+
+
+def test_main_zero_denominator_boundary_is_a_config_error(tmp_path, capsys):
+    f5 = write_fixture(tmp_path, "f5")
+    assert main(["classify", "--config", f5, "--boundary", "0,1/0"]) == 2
+    assert capsys.readouterr().err == "config error: zero denominator [field 'boundary']\n"
+    assert main(["classify", "--config", f5, "--boundary", "0,x"]) == 2
+    assert "expected a rational" in capsys.readouterr().err
 
 
 def test_main_nonconvergence_exit(tmp_path, capsys):

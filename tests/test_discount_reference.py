@@ -277,7 +277,7 @@ def test_route_accepts_every_seeded_instance(seed):
             assert u.values == ref_values
         near = discounted_fixed_point(graph, NEAR_ONE).normalized()
         assert max(abs(x - y) for x, y in zip(u.values, near.values)) <= Fraction(1, 10**8)
-        several_classes += len(critical_structure(graph, beta).classes) >= 2
+        several_classes += len(critical_structure(graph).classes) >= 2
     assert several_classes > 0
 
 

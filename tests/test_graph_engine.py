@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import ergopt.graph_engine as graph_engine
-from ergopt.errors import NegativeCycle
 from ergopt.graph_engine import (
     build_prepend_graph,
     critical_structure,
@@ -16,7 +17,7 @@ from ergopt.graph_engine import (
     min_cost_all_pairs,
     parametric_beta,
 )
-from ergopt.potential_model import constant_potential
+from ergopt.potential_model import LocallyConstantPotential, constant_potential
 from ergopt.symbolic_core import allowed_words
 
 from conftest import (
@@ -27,6 +28,7 @@ from conftest import (
     full_shift,
     golden_mean,
     random_graph,
+    two_class_graph,
 )
 
 
@@ -119,7 +121,7 @@ class TestCertificate:
 class TestManeMatrix:
     def test_f1_values(self):
         g = f1_graph()
-        mane = min_cost_all_pairs(g, Fraction(1))
+        mane = min_cost_all_pairs(g)
         idx = g.node_index
         n0, n1 = idx[(0,)], idx[(1,)]
         assert mane.value(n0, n1) == 1
@@ -128,12 +130,12 @@ class TestManeMatrix:
         assert mane.value(n0, n0) == 1
 
     def test_f3_zero(self):
-        mane = min_cost_all_pairs(f3_graph(), Fraction(5))
+        mane = min_cost_all_pairs(f3_graph())
         assert all(v == 0 for row in mane.phi for v in row)
 
     def test_f6_values(self):
         g = f6_graph()
-        mane = min_cost_all_pairs(g, Fraction(1))
+        mane = min_cost_all_pairs(g)
         idx = g.node_index
         n0, n1 = idx[(0,)], idx[(1,)]
         assert mane.value(n0, n1) == -1
@@ -141,15 +143,10 @@ class TestManeMatrix:
         assert mane.value(n0, n0) == 0
         assert mane.value(n1, n0) == 1
 
-    def test_negative_cycle_guard(self):
-        with pytest.raises(NegativeCycle):
-            min_cost_all_pairs(f1_graph(), Fraction(1, 2))
-
     def test_triangle_inequality(self, rng: random.Random):
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 3), rng.randint(1, 2))
-            beta = max_mean_cycle(g).beta
-            mane = min_cost_all_pairs(g, beta)
+            mane = min_cost_all_pairs(g)
             n = len(g.nodes)
             for i in range(n):
                 for j in range(n):
@@ -160,36 +157,34 @@ class TestManeMatrix:
 
 
 class TestManeMemo:
-    """One excursion-matrix build per graph and beta, kept on the graph itself."""
+    """One excursion-matrix build per graph, at its beta, kept on the graph itself."""
 
     def test_same_graph_and_beta_give_the_same_matrix(self):
         g = f5_graph()
-        assert min_cost_all_pairs(g, Fraction(1)) is min_cost_all_pairs(g, Fraction(1))
-
-    def test_another_beta_gives_another_matrix(self):
-        g = f5_graph()
-        at_beta = min_cost_all_pairs(g, Fraction(1))
-        above = min_cost_all_pairs(g, Fraction(3, 2))
-        assert above is not at_beta
-        assert above.value(0, 0) == Fraction(1, 2) and at_beta.value(0, 0) == 0
-        assert min_cost_all_pairs(g, Fraction(1)) is at_beta
-
-    def test_below_the_optimum_raises_every_time_and_keeps_nothing(self):
-        g = f1_graph()
-        for _ in range(2):
-            with pytest.raises(NegativeCycle):
-                min_cost_all_pairs(g, Fraction(1, 2))
-        assert g._mane_by_beta == {}
-        assert min_cost_all_pairs(g, Fraction(1)).value(1, 1) == 0
-        with pytest.raises(NegativeCycle):
-            min_cost_all_pairs(g, Fraction(1, 2))
+        assert min_cost_all_pairs(g) is min_cost_all_pairs(g)
 
     def test_a_rebuilt_graph_computes_again(self):
         g5 = f5_graph()
-        first = min_cost_all_pairs(g5, Fraction(1))
-        again = min_cost_all_pairs(build_prepend_graph(g5.system, g5.potential), Fraction(1))
+        first = min_cost_all_pairs(g5)
+        again = min_cost_all_pairs(build_prepend_graph(g5.system, g5.potential))
         assert again is not first
         assert again == first
+
+    def test_reads_the_kept_bellman_potential(self, monkeypatch):
+        runs = []
+        bellman_ford = graph_engine._bellman_ford
+
+        def counting_bellman_ford(n, arcs):
+            runs.append(n)
+            return bellman_ford(n, arcs)
+
+        g = two_class_graph()
+        max_mean_cycle(g)
+        monkeypatch.setattr(graph_engine, "_bellman_ford", counting_bellman_ford)
+        mane = min_cost_all_pairs(g)
+        assert runs == []
+        # every node lies on a zero-cost cycle: the loops at 0 and 3, the 3-cycle
+        assert [mane.value(v, v) for v in range(4)] == [0, 0, 0, 0]
 
 
 class TestBetaMemo:
@@ -222,26 +217,26 @@ class TestBetaMemo:
 class TestCriticalStructure:
     def test_f1(self):
         g = f1_graph()
-        cs = critical_structure(g, Fraction(1))
+        cs = critical_structure(g)
         assert cs.classes == ((g.node_index[(1,)],),)
         assert cs.critical_edges == {g.edge_by_key((1, 1)).index}
 
     def test_f5_two_classes(self):
         g = f5_graph()
-        cs = critical_structure(g, Fraction(1))
+        cs = critical_structure(g)
         assert len(cs.classes) == 2
         assert [g.nodes[c[0]] for c in cs.classes] == [(0,), (1,)]
 
     def test_f3_everything(self):
         g = f3_graph()
-        cs = critical_structure(g, Fraction(5))
+        cs = critical_structure(g)
         assert len(cs.classes) == 1
         assert set(cs.classes[0]) == set(range(len(g.nodes)))
         assert cs.critical_edges == {e.index for e in g.edges}
 
     def test_f6_single_class_with_three_edges(self):
         g = f6_graph()
-        cs = critical_structure(g, Fraction(1))
+        cs = critical_structure(g)
         assert len(cs.classes) == 1
         assert set(cs.classes[0]) == {0, 1}
         keys = {g.edges[i].key for i in cs.critical_edges}
@@ -251,7 +246,7 @@ class TestCriticalStructure:
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 3), rng.randint(1, 2))
             beta = max_mean_cycle(g).beta
-            cs = critical_structure(g, beta)
+            cs = critical_structure(g)
             pool = [g.edges[i] for i in cs.critical_edges]
             # brute force simple cycles in the critical subgraph
             out: dict[int, list] = {}
@@ -271,8 +266,50 @@ class TestCriticalStructure:
     def test_phi_diagonal_zero_iff_critical(self, rng: random.Random):
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 3), rng.randint(1, 2))
-            beta = max_mean_cycle(g).beta
-            mane = min_cost_all_pairs(g, beta)
-            cs = critical_structure(g, beta)
+            mane = min_cost_all_pairs(g)
+            cs = critical_structure(g)
             for v in range(len(g.nodes)):
                 assert (mane.value(v, v) == 0) == (v in cs.critical_nodes)
+
+
+class TestCriticalStructureCheck:
+    """critical_structure rejects classes that its matrix does not support.
+
+    Each test keeps a tampered copy of the graph's matrix on the graph. Only
+    entries between two nodes with no arc either way change, so no
+    critical-edge test reads them and the critical edges stay the same.
+    """
+
+    @staticmethod
+    def q2_graph(table):
+        system = full_shift()
+        return build_prepend_graph(system, LocallyConstantPotential(system, 1, 2, table))
+
+    @staticmethod
+    def keep_tampered(g, entries):
+        mane = min_cost_all_pairs(g)
+        cost = [list(row) for row in mane.cost]
+        for (i, j), c in entries.items():
+            assert not any({e.src, e.tgt} == {i, j} for e in g.edges)
+            cost[i][j] = c
+        g.__dict__["_mane"] = dataclasses.replace(mane, cost=tuple(map(tuple, cost)))
+
+    def test_two_anchors_on_a_zero_cost_cycle(self):
+        # the f5 loops at depth 2: classes {00} and {11}, which share no arc
+        g = self.q2_graph({(0, 0, 0): 1, (1, 1, 1): 1})
+        a, b = g.node_index[(0, 0)], g.node_index[(1, 1)]
+        assert critical_structure(g).classes == ((a,), (b,))
+        cost = min_cost_all_pairs(g).cost
+        self.keep_tampered(g, {(a, b): -cost[b][a]})
+        with pytest.raises(AssertionError, match="two critical classes"):
+            critical_structure(g)
+
+    def test_a_member_off_its_anchors_zero_cost_cycles(self):
+        # constant weights at depth 2: one class of all four nodes, anchor 00
+        g = self.q2_graph({k: 5 for k in itertools.product(range(2), repeat=3)})
+        a, v = g.node_index[(0, 0)], g.node_index[(1, 1)]
+        assert critical_structure(g).classes == ((0, 1, 2, 3),)
+        cost = min_cost_all_pairs(g).cost
+        self.keep_tampered(g, {(a, v): cost[a][v] + 1})
+        with pytest.raises(AssertionError, match="a critical class holds"):
+            critical_structure(g)

@@ -174,7 +174,7 @@ def test_kernel_matches_fraction_reference(graph):
     assert max_mean_cycle(graph).beta == beta
     assert parametric_beta(graph) == beta
     assert bellman_potentials(graph, beta) == ref_bellman(graph, beta)
-    assert min_cost_all_pairs(graph, beta).phi == ref_all_pairs(graph, beta)
+    assert min_cost_all_pairs(graph).phi == ref_all_pairs(graph, beta)
     assert maximal_subaction(graph, beta).values == ref_maximal_subaction(graph, beta)
 
 
@@ -215,8 +215,6 @@ def test_negative_cycle_below_the_optimum(graph):
     with pytest.raises(NegativeCycle):
         bellman_potentials(graph, below)
     with pytest.raises(NegativeCycle):
-        min_cost_all_pairs(graph, below)
-    with pytest.raises(NegativeCycle):
         maximal_subaction(graph, below)
 
 
@@ -226,7 +224,7 @@ def test_reducible_matrix_has_unreachable_pairs():
         system, 1, 1, {k: Fraction(1, 3) for k in allowed_words(system, 2)}
     )
     graph = build_prepend_graph(system, A)
-    phi = min_cost_all_pairs(graph, max_mean_cycle(graph).beta).phi
+    phi = min_cost_all_pairs(graph).phi
     assert any(v is None for row in phi for v in row)
     assert phi == ref_all_pairs(graph, Fraction(1, 3))
 

@@ -19,9 +19,10 @@ import pkgutil
 import pytest
 
 import ergopt
-from ergopt import cli_reports, holonomic_opt, mane_aubry, subaction_lab
+from ergopt import cli_reports, graph_engine, holonomic_opt, mane_aubry, subaction_lab
 
 GUARDED = {
+    graph_engine: ("critical_structure",),
     mane_aubry: ("omega_set", "reconstruct", "represent"),
     holonomic_opt: ("beta_lp",),
     subaction_lab: ("_policy_values", "_exact_discounted"),

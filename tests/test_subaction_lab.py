@@ -271,7 +271,7 @@ def test_calibrated_via_discount_offsets_two_classes_like_the_discounted_limit()
     table = {(s, w): Fraction(-10) for s in range(4) for w in range(4)}
     table.update({(1, 0): 2, (0, 1): 0, (3, 2): 1, (2, 3): 1})
     g = build_prepend_graph(system, LocallyConstantPotential(system, 1, 1, table))
-    assert len(critical_structure(g, ONE).classes) == 2
+    assert len(critical_structure(g).classes) == 2
     u, a = calibrated_via_discount(g)
     assert u.values == (-1, 0, Fraction(-1, 2), Fraction(-1, 2))
     assert a == 1
@@ -284,7 +284,7 @@ def test_calibrated_via_discount_takes_the_bias_optimal_policy():
     # bias is calibrated, but the tight loop at 0 beats it in the next
     # coefficient, and the limit takes the loop
     g = two_class_graph()
-    assert len(critical_structure(g, ONE).classes) == 2
+    assert len(critical_structure(g).classes) == 2
     steps = []
     u, a = calibrated_via_discount(g, steps=steps)
     assert len(steps) == 3
@@ -465,7 +465,7 @@ def test_rigidity_on_critical_classes(rng):
         beta = max_mean_cycle(g).beta
         u = maximal_subaction(g, beta)
         v, _ = calibrated_via_discount(g)
-        for cls in critical_structure(g, beta).classes:
+        for cls in critical_structure(g).classes:
             assert rigidity_check(u, v, cls)
 
 
@@ -525,7 +525,7 @@ def test_critical_nodes_have_tight_edges(rng):
         for u in (maximal_subaction(g, beta), calibrated_via_discount(g)[0]):
             locus = contact_locus(u, g, beta)
             srcs = contact_sources(locus, g)
-            for node in critical_structure(g, beta).critical_nodes:
+            for node in critical_structure(g).critical_nodes:
                 assert node in srcs
 
 
