@@ -536,7 +536,7 @@ def _check_items(
     def mane_diagonal() -> tuple[str, str]:
         omega = omega_set(graph)
         for i in range(len(graph.nodes)):
-            zero = omega.mane.cost[i][i] == 0
+            zero = omega.mane.row(i)[i] == 0
             if zero != (i in omega.critical.critical_nodes):
                 return ("fail", f"diagonal mismatch at node {i}")
         return ("pass", "zero diagonal exactly on critical nodes")
@@ -610,12 +610,13 @@ def _contact_source_indices(u, graph: PrependGraph, beta: Fraction) -> frozenset
 def cmd_check(config: ExperimentConfig) -> dict:
     """Run the invariant suite (oracles included) against one config.
 
-    A check that raises an ErgoptError reports status "error" with the
-    message as its note; the suite goes on with the next check. The omega
-    oracle check compares every sample whose search stays within the state
-    budget and names the others in its note; it reports "skip" only when
-    every sample passes the budget, which leaves "ok" as it is. The beta
-    oracle check reports "skip" when its word budget is passed.
+    A check that raises an ErgoptError, or an AssertionError from a guard
+    on an internal result, reports status "error" with the message as its
+    note; the suite goes on with the next check. The omega oracle check
+    compares every sample whose search stays within the state budget and
+    names the others in its note; it reports "skip" only when every sample
+    passes the budget, which leaves "ok" as it is. The beta oracle check
+    reports "skip" when its word budget is passed.
     """
     items = _check_items(config)
     transitive = classify_transitivity(config.system).kind != "reducible"
@@ -626,7 +627,7 @@ def cmd_check(config: ExperimentConfig) -> dict:
         else:
             try:
                 status, note = run()
-            except ErgoptError as exc:
+            except (ErgoptError, AssertionError) as exc:
                 status, note = "error", str(exc)
         checks.append({"name": name, "status": status, "note": note})
     return {

@@ -13,12 +13,15 @@ exact Fractions when they return.
 
 The excursion-cost matrix lives at the graph's own beta and comes from
 Johnson's method: the Bellman potential that ``max_mean_cycle`` kept
-reweights every arc to a cost >= 0, one label-correcting search per source
-runs on those reduced costs, and each row is shifted back by the potential.
-It stays on ints: ``ManeMatrix`` holds the costs over their denominator D
-and builds a Fraction only when an entry is read, and the critical
-structure compares those ints directly. The critical classes are the
-connected components of the critical edges.
+reweights every arc to a cost >= 0, and row s is one label-correcting search
+from s on those reweighted costs, shifted back by the potential. A row is
+searched when it is first read, so a caller pays only for the rows it
+reads. The matrix stays on ints: ``ManeMatrix`` holds the costs over their
+denominator D and builds a Fraction only when an entry is read. The
+critical structure tests only the tight arcs inside the tight core (what is
+left of the tight subgraph once nodes without a tight in-arc or out-arc
+are peeled off), so it reads only the core's rows; the critical classes
+are the connected components of the critical edges.
 
 Each graph keeps what it has computed, so nothing is computed twice for
 one graph:
@@ -28,7 +31,8 @@ one graph:
 - its ``BetaResult``, so Karp, Bellman and the witness search run once
   (``max_mean_cycle``);
 - its excursion-cost matrix at beta, built from the kept Bellman potential
-  with no Bellman run of its own (``min_cost_all_pairs``).
+  with no Bellman run of its own, and each row of it once read
+  (``min_cost_all_pairs``).
 
 One Bellman-Ford kernel, ``_bellman_ford``, solves every least-cost problem
 from a super-source: the Bellman potentials (``bellman_potentials``), the
@@ -43,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import NegativeCycle
 from .potential_model import LocallyConstantPotential, ReducedPotential, reduce_past
@@ -392,91 +396,143 @@ def parametric_beta(graph: PrependGraph) -> Fraction:
 # all-pairs least path costs and the critical structure
 
 
-@dataclass(frozen=True)
+def _label_correcting(
+    adj: Sequence[Sequence[tuple[int, int]]], seeds: Iterable[tuple[int, int]]
+) -> list[int | float]:
+    """Least seed label plus path cost to every node; inf where none reaches.
+
+    adj[v] lists the arcs (t, c), c >= 0, leaving v, and each seed (t, f)
+    labels node t with f. A FIFO label-correcting search (a
+    Bellman-Ford-Moore queue): O(n * m) in the worst case, as any
+    Bellman-Ford is.
+    """
+    dist: list[int | float] = [math.inf] * len(adj)
+    queued = [False] * len(adj)
+    queue = []
+    for t, f in seeds:
+        if f < dist[t]:
+            dist[t] = f
+            if not queued[t]:
+                queued[t] = True
+                queue.append(t)
+    # iterating a list while appending to it visits it first in, first out
+    for v in queue:
+        queued[v] = False
+        dv = dist[v]
+        for t, c in adj[v]:
+            cand = dv + c
+            if cand < dist[t]:
+                dist[t] = cand
+                if not queued[t]:
+                    queued[t] = True
+                    queue.append(t)
+    return dist
+
+
 class ManeMatrix:
     """Minimum cost of a nonempty path between node pairs, costs beta - weight.
 
-    cost[i][j] is that cost times D, the common denominator of beta and the
-    weights, as an int; None encodes an unreachable pair (possible only off
-    strongly connected graphs).
+    Entries are ints over D, the common denominator of beta and the
+    weights; None encodes an unreachable pair (possible only off strongly
+    connected graphs). The matrix holds the Bellman potential h over D and
+    every arc reweighted by it, c + h[src] - h[tgt] >= 0 (Johnson 1977), and
+    fills row s only when it is first read: one label-correcting search
+    from s over the reweighted arcs (``row``). ``cost``, ``value`` and
+    ``phi`` read rows; ``least_into`` searches the reversed arcs once for
+    the least costs into a set of targets, and reads no row.
     """
 
-    beta: Fraction
-    D: int
-    cost: tuple[tuple[int | None, ...], ...]
+    def __init__(
+        self,
+        beta: Fraction,
+        D: int,
+        h: Sequence[int],
+        out: Sequence[Sequence[tuple[int, int]]],
+    ) -> None:
+        self.beta = beta
+        self.D = D
+        self.h = h
+        self.out = out  # out[v]: the arcs (t, reweighted cost) leaving v
+        self._rows: list[tuple[int | None, ...] | None] = [None] * len(h)
+
+    def row(self, src: int) -> tuple[int | None, ...]:
+        """The costs over D from src to every node, searched on first read."""
+        row = self._rows[src]
+        if row is None:
+            row = self._rows[src] = self._build_row(src)
+        return row
+
+    def _build_row(self, src: int) -> tuple[int | None, ...]:
+        # seeded with the out-arcs of src, never with the empty path, so
+        # the diagonal entry is the least cost of a nonempty cycle
+        INF, hs = math.inf, self.h[src]
+        dist = _label_correcting(self.out, self.out[src])
+        return tuple(
+            None if d == INF else d - hs + hv  # type: ignore[misc]
+            for d, hv in zip(dist, self.h)
+        )
+
+    @property
+    def cost(self) -> tuple[tuple[int | None, ...], ...]:
+        """Every row; reading it searches from each source not yet read."""
+        return tuple(self.row(s) for s in range(len(self.h)))
 
     def value(self, src: int, tgt: int) -> Fraction | None:
-        c = self.cost[src][tgt]
+        c = self.row(src)[tgt]
         return None if c is None else Fraction(c, self.D)
 
     @cached_property
     def phi(self) -> tuple[tuple[Fraction | None, ...], ...]:
         """Every entry as an exact Fraction."""
-        n = len(self.cost)
+        n = len(self.h)
         return tuple(tuple(self.value(i, j) for j in range(n)) for i in range(n))
+
+    def least_into(self, seeds: Sequence[tuple[int, int]], m: int) -> list[int | None]:
+        """min over the seeds (t, f) of f + m * cost(v -> t), for every node v.
+
+        The costs are over D, so f and the result are over D * m. The path
+        from v to t may be empty, which gives f at v = t. One multi-source
+        search on the reversed reweighted arcs scaled by m, seeded at each t
+        with f + m * h[t]; None marks a node that reaches no seed.
+        """
+        h = self.h
+        into: list[list[tuple[int, int]]] = [[] for _ in h]
+        for v, arcs in enumerate(self.out):
+            for t, c in arcs:
+                into[t].append((v, c * m))
+        dist = _label_correcting(into, [(t, f + m * h[t]) for t, f in seeds])
+        INF = math.inf
+        return [None if d == INF else d - m * hv for d, hv in zip(dist, h)]  # type: ignore[misc]
 
 
 def min_cost_all_pairs(graph: PrependGraph) -> ManeMatrix:
     """Least costs of nonempty paths between all node pairs, costs beta - weight.
 
     beta is the graph's own maximum mean. The matrix is kept on the graph,
-    so a repeated call returns the same object.
+    so a repeated call returns the same object, with the rows read so far.
     """
     return graph._mane
 
 
 def _solve_min_cost_all_pairs(graph: PrependGraph) -> ManeMatrix:
-    """Johnson's reweighting (Johnson 1977) by the kept Bellman potential.
+    """Johnson's reweighting by the kept Bellman potential; no row searched yet.
 
     The potential h of ``BetaResult``, as ints over D, satisfies
     h[tgt] <= h[src] + c on every scaled arc (src, tgt, c), since h is a
     least cost from a super-source and no arc can lower it further. So
-    every reduced cost c + h[src] - h[tgt] is >= 0, and a path's reduced
-    cost is its cost plus h[s] - h[v] for its ends s and v. From each
-    source s, one FIFO label-correcting search (a Bellman-Ford-Moore queue)
-    over the reduced costs finds the least reduced cost d to every node,
-    and the cost over D is d - h[s] + h[v]. The search is seeded from the
-    out-arcs of s, never from the empty path, so the diagonal entry of s is
-    the least cost of a nonempty cycle through s. Each search takes
-    O(n * m) in the worst case, as any Bellman-Ford does; on random full
-    shifts of 64-256 nodes it scanned each node about 2-2.5 times per
-    source.
+    every reweighted cost c + h[src] - h[tgt] is >= 0, and a path's
+    reweighted cost is its cost plus h[s] - h[v] for its ends s and v. On
+    random full shifts of 64-256 nodes a row search scanned each node about
+    2-2.5 times.
     """
     result = graph._beta_result
-    n = len(graph.nodes)
     D, arcs = _scaled_costs(graph, result.beta)
     # every denominator of the potential divides D
-    h = [x.numerator * (D // x.denominator) for x in result.potential]
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    h = tuple(x.numerator * (D // x.denominator) for x in result.potential)
+    out: list[list[tuple[int, int]]] = [[] for _ in h]
     for a, b, c in arcs:
         out[a].append((b, c + h[a] - h[b]))
-    INF = math.inf
-    rows = []
-    for s, hs in enumerate(h):
-        dist: list[int | float] = [INF] * n
-        queued = [False] * n
-        queue: list[int] = []
-        for t, c in out[s]:
-            if c < dist[t]:
-                dist[t] = c
-                if not queued[t]:
-                    queued[t] = True
-                    queue.append(t)
-        # iterating a list while appending to it visits it first in, first out
-        for v in queue:
-            queued[v] = False
-            dv = dist[v]
-            for t, c in out[v]:
-                cand = dv + c
-                if cand < dist[t]:
-                    dist[t] = cand
-                    if not queued[t]:
-                        queued[t] = True
-                        queue.append(t)
-        rows.append(
-            tuple(None if d == INF else d - hs + hv for d, hv in zip(dist, h))
-        )
-    return ManeMatrix(result.beta, D, tuple(rows))  # type: ignore[arg-type]
+    return ManeMatrix(result.beta, D, h, out)
 
 
 @dataclass(frozen=True)
@@ -490,20 +546,60 @@ class CriticalStructure:
         return tuple(cls[0] for cls in self.classes)
 
 
+def _tight_core_arcs(
+    n: int, arcs: Sequence[tuple[int, int, int]], h: Sequence[int]
+) -> list[int]:
+    """Indices of the tight arcs (c + h[src] == h[tgt]) inside the tight core.
+
+    The core is what remains of the tight subgraph after repeatedly
+    dropping every node with no tight in-arc or no tight out-arc inside it.
+    Every node of a cycle of tight arcs keeps an arc either way, so each
+    such cycle lies in the core.
+    """
+    tight = [i for i, (a, b, c) in enumerate(arcs) if c + h[a] == h[b]]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i in tight:
+        a, b, _ = arcs[i]
+        succ[a].append(b)
+        pred[b].append(a)
+    ins = [len(p) for p in pred]
+    outs = [len(s) for s in succ]
+    dropped = [not (i and o) for i, o in zip(ins, outs)]
+    stack = [v for v in range(n) if dropped[v]]
+    while stack:
+        v = stack.pop()
+        for t in succ[v]:
+            ins[t] -= 1
+            if not (ins[t] or dropped[t]):
+                dropped[t] = True
+                stack.append(t)
+        for s in pred[v]:
+            outs[s] -= 1
+            if not (outs[s] or dropped[s]):
+                dropped[s] = True
+                stack.append(s)
+    return [i for i in tight if not (dropped[arcs[i][0]] or dropped[arcs[i][1]])]
+
+
 def critical_structure(graph: PrependGraph) -> CriticalStructure:
     """Edges on mean-beta cycles, their source nodes, and the classes they join.
 
     An arc (src, tgt, c) is critical when c + cost[tgt][src] == 0, that is
-    when it closes a zero-cost cycle. Every arc of such a cycle is critical
-    too, so the classes (two nodes share one exactly when their round-trip
-    cost is 0) are the connected components of the critical edges, found by
-    union-find. The round trips are then checked against the matrix: 0 from
-    each anchor to every member of its class, > 0 between two anchors.
+    when it closes a zero-cost cycle. Every arc of such a cycle has
+    reweighted cost 0, so it is tight under the Bellman potential and the
+    cycle lies in the tight core (``_tight_core_arcs``): the test runs on
+    the core's arcs only and reads only the core's rows of the matrix.
+    Every arc of a zero-cost cycle is critical, so the classes (two nodes
+    share one exactly when their round-trip cost is 0) are the connected
+    components of the critical edges, found by union-find. The round trips
+    are then checked against the matrix: 0 from each anchor to every
+    member of its class, > 0 between two anchors.
     """
     mane = min_cost_all_pairs(graph)
-    cost = mane.cost
     _, arcs = _scaled_costs(graph, mane.beta)
-    root = list(range(len(graph.nodes)))
+    n = len(graph.nodes)
+    root = list(range(n))
 
     def find(v: int) -> int:
         while root[v] != v:
@@ -512,8 +608,9 @@ def critical_structure(graph: PrependGraph) -> CriticalStructure:
         return v
 
     edge_ids = []
-    for i, (src, tgt, c) in enumerate(arcs):
-        back = cost[tgt][src]
+    for i in _tight_core_arcs(n, arcs, mane.h):
+        src, tgt, c = arcs[i]
+        back = mane.row(tgt)[src]
         if back is not None and c + back == 0:
             edge_ids.append(i)
             root[find(src)] = find(tgt)
@@ -527,7 +624,7 @@ def critical_structure(graph: PrependGraph) -> CriticalStructure:
     )
 
     def round_trip(u: int, v: int) -> int | None:
-        there, back = cost[u][v], cost[v][u]
+        there, back = mane.row(u)[v], mane.row(v)[u]
         return None if there is None or back is None else there + back
 
     anchors = structure.anchors()

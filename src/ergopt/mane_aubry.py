@@ -5,7 +5,9 @@ classifies calibrated sub-actions.
 Everything here works at window resolution over a transitive system: the
 non-wandering set is the critical subgraph, the pairwise potential is the
 all-pairs minimum path cost, and calibrated sub-actions correspond to
-per-class boundary values through reconstruct/represent.
+per-class boundary values through reconstruct/represent. Reconstruction
+reads no row of the excursion-cost matrix: it is one search from the
+anchors along the reversed arcs (``ManeMatrix.least_into``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ def omega_set(graph: PrependGraph) -> OmegaSet:
     beta = max_mean_cycle(graph).beta
     critical = critical_structure(graph)
     mane = min_cost_all_pairs(graph)
-    if any(None in row for row in mane.cost):
+    # the critical rows are the ones critical_structure has read; with
+    # reconstruct's check that every node reaches an anchor, a finite anchor
+    # row means the graph is strongly connected
+    if any(None in mane.row(v) for v in critical.critical_nodes):
         raise AssertionError("excursion costs on a transitive system are all finite")
     return OmegaSet(graph, beta, critical, mane)
 
@@ -163,22 +168,26 @@ def reconstruct(data: BoundaryData) -> NodeFunction:
 
     u(V) = min over classes of [f(class) + phi(V -> anchor)]. Always
     calibrated; equals f on the anchors exactly when f is compatible,
-    otherwise the minimum clips f down to the compatible envelope.
+    otherwise the minimum clips f down to the compatible envelope. Computed
+    by one multi-source search on the reversed arcs seeded at the anchors;
+    a node that reaches no anchor raises AssertionError.
     """
     omega = data.omega
-    anchors = omega.critical.anchors()
+    mane = omega.mane
     # The boundary values and the int excursion costs over D go on one
-    # common denominator L, so each node's minimum is over ints and builds
-    # one Fraction. Anchors are critical, so phi(anchor -> anchor) = 0 and
-    # the minimum evaluates to f(class) at each anchor of a compatible f.
-    D = omega.mane.D
-    L = math.lcm(D, *(f.denominator for f in data.values))
-    m = L // D
-    scaled = [(f.numerator * (L // f.denominator), a) for f, a in zip(data.values, anchors)]
-    vals = tuple(
-        Fraction(min(f + row[a] * m for f, a in scaled), L)  # type: ignore[operator]
-        for row in omega.mane.cost
-    )
+    # common denominator L, so one search over ints gives every node's
+    # minimum. Paths may be empty, which gives f(class) at its anchor: the
+    # anchors are critical, so phi(anchor -> anchor) = 0 and the nonempty
+    # minimum is the same.
+    L = math.lcm(mane.D, *(f.denominator for f in data.values))
+    seeds = [
+        (a, f.numerator * (L // f.denominator))
+        for f, a in zip(data.values, omega.critical.anchors())
+    ]
+    least = mane.least_into(seeds, L // mane.D)
+    if None in least:
+        raise AssertionError("excursion costs on a transitive system are all finite")
+    vals = tuple(Fraction(x, L) for x in least)  # type: ignore[arg-type]
     u = NodeFunction(omega.graph, vals)
     if calibration_residual(u, omega.graph, omega.beta) != 0:
         raise AssertionError("the reconstructed sub-action is not calibrated")

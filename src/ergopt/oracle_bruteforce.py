@@ -205,9 +205,11 @@ def oracle_omega(
     """Search for a cheap return path: prepends leading from x back near x.
 
     A path of length >= 1 qualifies when it ends within eps of x and its
-    accumulated gain (table value minus beta per step) is below eps in
-    absolute value. True is definitive (a qualifying path was found); False
-    only reports the horizon searched.
+    accumulated gain (table value minus beta per step) is exactly 0; eps
+    is only the distance, which fixes how many leading symbols must agree.
+    True is definitive (a qualifying path was found); False only reports
+    the horizon searched. For eps <= 0 no number of agreeing symbols will
+    do, and the answer is False.
 
     The search is breadth first over states (leading max(N, q) symbols,
     exact accumulated gain), where N is the least k with lambda**k <= eps:
@@ -220,12 +222,11 @@ def oracle_omega(
         max_path_len = 3 * len(allowed_words(system, q)) + 8
     eps = Fraction(eps)
     if eps <= 0:
-        return False  # no accumulated gain has abs(acc) < eps
-    # gains and eps scaled by one common denominator, so sums stay ints
+        return False  # no finite agreement depth puts a point within eps of x
+    # gains scaled by one common denominator, so sums stay exact ints
     gains = {key: v - beta for key, v in _step_max_table(system, A).items()}
-    scale = math.lcm(eps.denominator, *(g.denominator for g in gains.values()))
+    scale = math.lcm(*(g.denominator for g in gains.values()))
     gains = {key: int(g * scale) for key, g in gains.items()}
-    bound = int(eps * scale)
     preds = _predecessors(system)
     n = _agreement_depth(system, eps)
     m = max(n, q)
@@ -246,7 +247,7 @@ def oracle_omega(
             for s in preds[head[0]]:
                 new_head = ((s,) + head)[:m]
                 new_acc = acc + gains[(s,) + head[:q]]
-                if new_head[:n] == target and abs(new_acc) < bound:
+                if new_head[:n] == target and new_acc == 0:
                     return True
                 reached.add((new_head, new_acc))
         frontier = reached

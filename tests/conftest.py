@@ -129,3 +129,25 @@ def random_graph(rng: random.Random, r: int, q: int, max_den: int = 10, p: int =
     }
     A = LocallyConstantPotential(system, p, q, table)
     return build_prepend_graph(system, A)
+
+
+def with_rows(mane, rows):
+    """A copy of the excursion matrix that returns the given rows as read.
+
+    rows maps a source to its tampered row; every other row is searched on
+    first read, as in the original.
+    """
+    from ergopt.graph_engine import ManeMatrix
+
+    copy = ManeMatrix(mane.beta, mane.D, mane.h, mane.out)
+    for src, row in rows.items():
+        copy._rows[src] = tuple(row)
+    return copy
+
+
+def matrix_of(cost):
+    """An excursion matrix whose rows are the given int rows, with no arcs behind them."""
+    from ergopt.graph_engine import ManeMatrix
+
+    n = len(cost)
+    return with_rows(ManeMatrix(Fraction(0), 1, (0,) * n, [()] * n), dict(enumerate(cost)))

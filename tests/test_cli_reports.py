@@ -30,12 +30,12 @@ from ergopt.cli_reports import (
     render_report,
 )
 from ergopt.errors import ConfigError
-from ergopt.graph_engine import ManeMatrix, build_prepend_graph
+from ergopt.graph_engine import ManeMatrix, build_prepend_graph, critical_structure
 from ergopt.mane_aubry import omega_set
 from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
 from ergopt.subaction_lab import SCHEDULE_K_MAX
 
-from conftest import two_class_config_text
+from conftest import matrix_of, two_class_config_text, with_rows
 
 MINIMAL = """
 [system]
@@ -212,16 +212,18 @@ def test_check_reports_a_raising_item_and_goes_on(tmp_path, capsys):
     assert report["ok"] is False
 
 
+# the f5 loops at depth 2: nodes 00, 01, 10, 11, classes {00} and {11}
+F5_DEPTH_TWO = MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
+    "window 1 1 = 1", "window 0 0 0 = 1\nwindow 1 1 1 = 1"
+)
+
+
 def test_check_fails_a_zero_diagonal_off_the_critical_nodes(tmp_path, capsys, monkeypatch):
     # the f5 loops at depth 2: the 2-cycle 01 <-> 10 weighs 0, so neither
     # node is critical, and neither has a loop, so no critical-edge test
     # reads its diagonal entry
     path = tmp_path / "f5q2.cfg"
-    path.write_text(
-        MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
-            "window 1 1 = 1", "window 0 0 0 = 1\nwindow 1 1 1 = 1"
-        )
-    )
+    path.write_text(F5_DEPTH_TWO)
     solve = graph_engine._solve_min_cost_all_pairs
 
     def zero_diagonal_at_01(graph):
@@ -229,14 +231,42 @@ def test_check_fails_a_zero_diagonal_off_the_critical_nodes(tmp_path, capsys, mo
         v = graph.node_index[(0, 1)]
         if any(e.src == v == e.tgt for e in graph.edges) or mane.cost[v][v] == 0:
             raise AssertionError("node 01 must be off the critical nodes and carry no loop")
-        cost = [list(row) for row in mane.cost]
-        cost[v][v] = 0
-        return dataclasses.replace(mane, cost=tuple(map(tuple, cost)))
+        row = list(mane.row(v))
+        row[v] = 0
+        return with_rows(mane, {v: row})
 
     monkeypatch.setattr(graph_engine, "_solve_min_cost_all_pairs", zero_diagonal_at_01)
     assert main(["check", "--config", str(path)]) == 1
     items = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert items["mane_diagonal"]["status"] == "fail"
+
+
+def test_check_reports_a_raising_guard_as_error_and_goes_on(tmp_path, capsys, monkeypatch):
+    # f5: classes {0} and {1}; no critical-edge test or round trip reads the
+    # entry 0 -> 1, so the critical structure stands and omega_set's guard
+    # on the critical rows raises in every item that calls it
+    path = write_fixture(tmp_path, "f5")
+    solve = graph_engine._solve_min_cost_all_pairs
+
+    def unreachable_from_0(graph):
+        mane = solve(graph)
+        a, b = graph.node_index[(0,)], graph.node_index[(1,)]
+        row = list(mane.row(a))
+        row[b] = None
+        return with_rows(mane, {a: row})
+
+    monkeypatch.setattr(graph_engine, "_solve_min_cost_all_pairs", unreachable_from_0)
+    assert main(["check", "--config", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    raised = {"family_calibrated", "mane_diagonal", "mane_triangle", "omega_oracle",
+              "representation_roundtrip"}
+    assert {name for name, status in statuses.items() if status == "error"} == raised
+    assert {status for name, status in statuses.items() if name not in raised} == {"pass"}
+    assert len(statuses) == 12
+    notes = {c["note"] for c in report["checks"] if c["status"] == "error"}
+    assert notes == {"excursion costs on a transitive system are all finite"}
+    assert report["ok"] is False
 
 
 def random_full_shift_config(rng: random.Random, r: int, q: int, binary: bool) -> str:
@@ -311,8 +341,7 @@ def triangle_item(monkeypatch, config):
     run = {name: run for name, _, run in _check_items(config)}["mane_triangle"]
 
     def on(cost) -> tuple[str, str]:
-        mane = dataclasses.replace(base.mane, cost=tuple(map(tuple, cost)))
-        shown["omega"] = dataclasses.replace(base, mane=mane)
+        shown["omega"] = dataclasses.replace(base, mane=matrix_of(cost))
         return run()
 
     return base.mane, on
@@ -523,6 +552,51 @@ def test_one_excursion_matrix_per_command(tmp_path, monkeypatch, command):
     for run in (1, 2):
         assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
         assert len(built) == run
+
+
+# full 2-shift at depth 2 whose tight arcs enter nodes 01, 10 and 11, and
+# whose tight core is the critical node 11 alone
+ONE_CORE_NODE = MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
+    "window 1 1 = 1",
+    "\n".join(
+        f"window {' '.join(w)} = {v}"
+        for w, v in zip(
+            ("000", "001", "010", "011", "100", "101", "110", "111"),
+            (-4, 1, -13, 15, 4, 16, -18, 9),
+        )
+    ),
+)
+
+
+@pytest.mark.parametrize("command", ["u0", "classify", "mane"])
+@pytest.mark.parametrize(
+    "text, critical",
+    [(two_class_config_text(), [0, 1, 2, 3]), (F5_DEPTH_TWO, [0, 3]), (ONE_CORE_NODE, [3])],
+    ids=["two_class", "f5q2", "one_core_node"],
+)
+def test_excursion_rows_built_per_command(tmp_path, monkeypatch, command, text, critical):
+    # u0 and classify search only the rows of the tight core, which on these
+    # graphs is the critical node set; the mane report searches every row
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    config = parse_config_text(text)
+    classes = critical_structure(build_prepend_graph(config.system, config.potential)).classes
+    boundary = ",".join(["0"] * len(classes))
+    argv = {
+        "u0": ["subaction", "--kind", "u0"],
+        "classify": ["classify", "--boundary", boundary],
+        "mane": ["mane"],
+    }[command]
+    built = []
+    build = ManeMatrix._build_row
+
+    def counting_build(self, src):
+        built.append(src)
+        return build(self, src)
+
+    monkeypatch.setattr(ManeMatrix, "_build_row", counting_build)
+    assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(built) == (list(range(4)) if command == "mane" else critical)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,7 @@ of width 2 or 3 with a ``c`` or ``h`` vector in 40% of them. Each config goes
 through every command variant in process, ``classify`` with one boundary
 value per critical class, and one variant a config again with
 ``--format csv``. Any exception that escapes ``main`` fails the test, and so
-does a ``check`` item that raised (status "error") or any failing item but
-the omega oracle's.
+does a ``check`` item that raised (status "error") or failed.
 """
 
 from __future__ import annotations
@@ -48,10 +47,9 @@ EXIT_CODES = {
     "check": {0, 1},
 }
 STDERR_PREFIX = {2: "config error: ", 3: "hypothesis not met: ", 4: "non-convergence: "}
-# the only (item, status) a check report may hold besides pass and skip: the
-# omega oracle compares cycle gains with a fixed eps = 1/64, so a nonzero gap
-# below it reads as a return path and the item fails on a correct program
-KNOWN_CHECK_FAILURES = {("omega_oracle", "fail")}
+# the (item, status) pairs a check report may hold besides pass and skip:
+# none, so every failing or raising item fails the gate
+KNOWN_CHECK_FAILURES: set[tuple[str, str]] = set()
 
 
 def _random_rows(rng: random.Random, r: int, reducible: bool) -> tuple[tuple[int, ...], ...]:

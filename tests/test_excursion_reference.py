@@ -18,8 +18,11 @@ before it took the connected components of the critical edges.
 ``min_cost_all_pairs`` used before it reweighted by the Bellman potential
 and searched from each source. D and every int entry of the excursion
 matrix must match it at beta, on the instances above plus more random
-transitive systems and one 128-node full shift per weight kind; below beta
-the reference must raise NegativeCycle.
+transitive systems and one 128-node full shift per weight kind, and so
+must each row read on its own, in any order; below beta the reference must
+raise NegativeCycle. ``critical_structure`` reads only the rows of the
+tight core, and must still match the Tarjan reference, which reads every
+row.
 """
 
 from __future__ import annotations
@@ -52,7 +55,14 @@ from ergopt.subaction_lab import (
 )
 from ergopt.symbolic_core import allowed_words
 
-from conftest import full_shift, golden_mean, random_fraction, random_system, reducible_system
+from conftest import (
+    full_shift,
+    golden_mean,
+    random_fraction,
+    random_system,
+    reducible_system,
+    two_class_graph,
+)
 from test_integer_kernel import ref_all_pairs
 
 
@@ -231,7 +241,9 @@ def _node_functions(graph, beta):
     ]
 
 
-@pytest.mark.parametrize("graph", INSTANCES)
+@pytest.mark.parametrize(
+    "graph", INSTANCES + [pytest.param(two_class_graph(), id="two_class")]
+)
 def test_critical_structure_matches_reference(graph):
     beta = max_mean_cycle(graph).beta
     assert critical_structure(graph) == ref_critical_structure(graph, beta)
@@ -302,6 +314,21 @@ def test_all_pairs_matches_the_int_floyd_warshall(graph):
     assert all(type(c) is int for row in mane.cost for c in row if c is not None)
     with pytest.raises(NegativeCycle):
         ref_int_floyd_warshall(graph, beta - Fraction(1, 997))
+
+
+@pytest.mark.parametrize("graph", ALL_PAIRS_INSTANCES[::3])
+def test_rows_read_one_at_a_time_match_the_int_floyd_warshall(graph):
+    # on a rebuilt graph no row has been read yet; each read searches one
+    # row, and a repeated read returns it without a search
+    graph = build_prepend_graph(graph.system, graph.potential)
+    _, expected = ref_int_floyd_warshall(graph, max_mean_cycle(graph).beta)
+    mane = min_cost_all_pairs(graph)
+    order = list(range(len(graph.nodes)))
+    random.Random(len(order)).shuffle(order)
+    for read, src in enumerate(order, 1):
+        assert mane.row(src) == expected[src]
+        assert mane.row(src) is mane.row(src)
+        assert sum(row is not None for row in mane._rows) == read
 
 
 def test_all_pairs_reference_covers_its_cases():

@@ -8,9 +8,16 @@ from fractions import Fraction
 import pytest
 
 from ergopt.errors import NotCalibrated, NotExtreme, NotInOmega, NotTransitive
-from ergopt.graph_engine import PrependGraph, build_prepend_graph, max_mean_cycle
+from ergopt.graph_engine import (
+    PrependGraph,
+    build_prepend_graph,
+    critical_structure,
+    max_mean_cycle,
+    min_cost_all_pairs,
+)
 from ergopt.mane_aubry import (
     BoundaryData,
+    OmegaSet,
     is_compatible,
     mane_family_subaction,
     mane_potential,
@@ -39,6 +46,7 @@ from conftest import (
     random_fraction,
     random_graph,
     reducible_system,
+    with_rows,
 )
 
 
@@ -100,6 +108,31 @@ def test_omega_requires_transitive():
     A = LocallyConstantPotential(system, 1, 1, {})
     with pytest.raises(NotTransitive):
         omega_set(build_prepend_graph(system, A))
+
+
+def test_omega_set_rejects_an_unreachable_pair_in_a_critical_row():
+    # f5: classes {0} and {1}; no critical-edge test or round trip reads
+    # the entry 0 -> 1, so only omega_set's guard sees it
+    g = f5_graph()
+    mane = min_cost_all_pairs(g)
+    a, b = g.node_index[(0,)], g.node_index[(1,)]
+    row = list(mane.row(a))
+    row[b] = None
+    g.__dict__["_mane"] = with_rows(mane, {a: row})
+    with pytest.raises(AssertionError, match="excursion costs on a transitive system"):
+        omega_set(g)
+
+
+def test_reconstruct_rejects_a_node_that_reaches_no_anchor():
+    # on the reducible system node 0 never reaches node 1, whose loop is
+    # the only critical class; omega_set refuses the system, so the view is
+    # assembled by hand
+    system = reducible_system()
+    g = build_prepend_graph(system, LocallyConstantPotential(system, 1, 1, {(1, 1): 1}))
+    omega = OmegaSet(g, max_mean_cycle(g).beta, critical_structure(g), min_cost_all_pairs(g))
+    assert omega.critical.classes == ((g.node_index[(1,)],),)
+    with pytest.raises(AssertionError, match="excursion costs on a transitive system"):
+        reconstruct(BoundaryData(omega, (Fraction(0),)))
 
 
 # ---------------------------------------------------------------------------

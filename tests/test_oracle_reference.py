@@ -26,7 +26,7 @@ from ergopt.oracle_bruteforce import _step_max_table, oracle_mane, oracle_omega
 from ergopt.potential_model import LocallyConstantPotential
 from ergopt.symbolic_core import allowed_words, distance, point, prepend, window
 
-from conftest import random_fraction, random_system
+from conftest import full_shift, random_fraction, random_system
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +65,12 @@ def ref_oracle_omega(system, A, beta, x, eps, max_path_len=None):
     if max_path_len is None:
         max_path_len = 3 * len(allowed_words(system, q)) + 8
     eps = Fraction(eps)
+    if eps <= 0:
+        return False  # as the oracle: no finite agreement depth reaches eps
     maxes = _step_max_table(system, A)
 
     def explore(pt, acc, steps):
-        if steps > 0 and distance(system, pt, x) <= eps and abs(acc) < eps:
+        if steps > 0 and distance(system, pt, x) <= eps and acc == 0:
             return True
         if steps == max_path_len:
             return False
@@ -209,12 +211,16 @@ def test_mane_matches_reference_on_random_instances():
 
 
 def test_omega_eps_at_least_one_needs_no_agreement():
-    # lambda**0 = 1 <= eps: any return with a small enough gain counts
-    config = fixtures.load("f1")
-    system, A = config.system, config.potential
-    for x in (point("", "0"), point("0", "1")):
-        assert oracle_omega(system, A, Fraction(1), x, Fraction(2), 3)
-        assert ref_oracle_omega(system, A, Fraction(1), x, Fraction(2), 3)
+    # the 2-cycle 0 <-> 1 carries beta = 1: prepending 1 onto 0^inf gains 0
+    # and leads to 1 0^inf, which differs from 0^inf in its first symbol.
+    # lambda**0 = 1 <= eps = 2, so that one step returns; at eps = 1/2 the
+    # first symbol must agree, and one step does not reach such a point.
+    system = full_shift()
+    A = LocallyConstantPotential(system, 1, 1, {(0, 1): Fraction(1), (1, 0): Fraction(1)})
+    x = point("", "0")
+    for eps, expected in ((Fraction(2), True), (Fraction(1, 2), False)):
+        assert oracle_omega(system, A, Fraction(1), x, eps, 1) is expected
+        assert ref_oracle_omega(system, A, Fraction(1), x, eps, 1) is expected
 
 
 def test_omega_nonpositive_eps_is_false():

@@ -22,7 +22,7 @@ import ergopt
 from ergopt import cli_reports, graph_engine, holonomic_opt, mane_aubry, subaction_lab
 
 GUARDED = {
-    graph_engine: ("critical_structure",),
+    graph_engine: ("critical_structure", "_tight_core_arcs", "row", "least_into"),
     mane_aubry: ("omega_set", "reconstruct", "represent"),
     holonomic_opt: ("beta_lp",),
     subaction_lab: ("_policy_values", "_exact_discounted"),
