@@ -36,6 +36,7 @@ from .errors import (
     OracleBudgetExceeded,
 )
 from .graph_engine import (
+    ManeMatrix,
     PrependGraph,
     build_prepend_graph,
     max_mean_cycle,
@@ -513,24 +514,9 @@ def _check_items(
         return ("pass" if ok else "fail", "discount limit exactly calibrated")
 
     def mane_triangle() -> tuple[str, str]:
-        # cost[i][k] <= cost[i][j] + cost[j][k] is tested for every k at once:
-        # row r is packed as the sum of cost[r][k] * 2^(B k), and field k of
-        # packs[j] + cost[i][j] * ones + guard - packs[i] is then
-        # cost[j][k] + cost[i][j] - cost[i][k] + 2^(B-1). Every field lies in
-        # [0, 2^B), so no borrow crosses fields, and its top bit (the guard)
-        # is set exactly when the inequality holds at k.
-        cost = omega_set(graph).mane.cost
-        B = (3 * max(max(map(abs, row)) for row in cost)).bit_length() + 1
-        ones = sum(1 << (B * k) for k in range(len(cost)))
-        guard = ones << (B - 1)
-        packs = [sum(c << (B * k) for k, c in enumerate(row)) for row in cost]
-        for i, row_i in enumerate(cost):
-            base = packs[i] - guard
-            for j, c_ij in enumerate(row_i):
-                if (packs[j] + c_ij * ones - base) & guard != guard:
-                    row_j = cost[j]
-                    k = next(k for k, c in enumerate(row_i) if c > c_ij + row_j[k])
-                    return ("fail", f"triangle fails at ({i}, {j}, {k})")
+        defect = _excursion_cost_defect(graph, beta, omega_set(graph).mane)
+        if defect is not None:
+            return ("fail", defect)
         return ("pass", "excursion costs satisfy the triangle inequality")
 
     def mane_diagonal() -> tuple[str, str]:
@@ -562,12 +548,15 @@ def _check_items(
         samples += [
             point("", (s,)) for s in config.system.symbols() if config.system.allows(s, s)
         ]
+        # a zero-gain return that agrees with x on q + 1 symbols ends on the
+        # window edge at x's front, so at that distance the oracle's answer
+        # on a fixed point is its membership; a coarser eps only asks for a
+        # zero-gain closed walk through x's first window
+        eps = min(Fraction(1, 64), config.system.metric_lambda ** (graph.q + 1))
         over: list[str] = []
         for x in samples:
             try:
-                expected = oracle_omega(
-                    config.system, config.potential, beta, x, Fraction(1, 64)
-                )
+                expected = oracle_omega(config.system, config.potential, beta, x, eps)
             except OracleBudgetExceeded as exc:
                 over.append(str(exc))
                 continue
@@ -601,6 +590,63 @@ def _check_items(
         ("refinement_inclusion", False, refinement),
         ("representation_roundtrip", True, representation),
     ]
+
+
+def _excursion_cost_defect(
+    graph: PrependGraph, beta: Fraction, mane: ManeMatrix
+) -> str | None:
+    """Where the excursion matrix differs from the least path costs, or None.
+
+    A certificate that shares no code with the solver. The arcs are
+    c = D * (beta - weight), read off ``graph.edges``, and row i of the
+    matrix (ints over D, None where no path leads) must satisfy:
+
+    (a) M[i][t] <= c on every out-arc (i, t, c);
+    (b) M[i][b] <= M[i][a] + c on every arc (a, b, c) with M[i][a] finite,
+        and M[i][b] is then finite too;
+    (c) every finite M[i][v] is reached from i along arcs tight in row i,
+        the first of them an out-arc (i, t, c) with M[i][t] = c.
+
+    (a) and (b) put the row at or below the least costs of nonempty paths
+    from i, and (c) exhibits a path of each finite cost, so the row is
+    exactly those costs, None exactly where no path leads, and the triangle
+    inequality follows. Each row costs O(n + m).
+    """
+    D = mane.D
+    out: list[list[tuple[int, int]]] = [[] for _ in graph.nodes]
+    for e in graph.edges:
+        c = D * (beta - e.weight)
+        if c.denominator != 1:
+            return f"the arc {e.src} -> {e.tgt} costs no int over D = {D}"
+        out[e.src].append((e.tgt, c.numerator))
+    for i, out_i in enumerate(out):
+        row = mane.row(i)
+        for t, c in out_i:
+            if row[t] is None or row[t] > c:
+                return f"row {i} exceeds the arc {i} -> {t}"
+        for a, ra in enumerate(row):
+            if ra is not None:
+                for b, c in out[a]:
+                    rb = row[b]
+                    if rb is None or rb > ra + c:
+                        return f"row {i} exceeds the path through the arc {a} -> {b}"
+        reached = [False] * len(row)
+        stack = []
+        for t, c in out_i:
+            if row[t] == c and not reached[t]:
+                reached[t] = True
+                stack.append(t)
+        while stack:
+            a = stack.pop()
+            ra = row[a]
+            for b, c in out[a]:
+                if not reached[b] and row[b] == ra + c:
+                    reached[b] = True
+                    stack.append(b)
+        for v, rv in enumerate(row):
+            if rv is not None and not reached[v]:
+                return f"row {i} at {v} is attained by no path"
+    return None
 
 
 def _contact_source_indices(u, graph: PrependGraph, beta: Fraction) -> frozenset[int]:

@@ -26,8 +26,8 @@ are the connected components of the critical edges.
 Each graph keeps what it has computed, so nothing is computed twice for
 one graph:
 
-- its weights as ints over their common denominator W (``_scaled_costs``
-  rescales and shifts these for each beta);
+- its arcs as ints over a common denominator, once per shift
+  (``_scaled_costs``);
 - its ``BetaResult``, so Karp, Bellman and the witness search run once
   (``max_mean_cycle``);
 - its excursion-cost matrix at beta, built from the kept Bellman potential
@@ -97,13 +97,9 @@ class PrependGraph:
         return _solve_min_cost_all_pairs(self)
 
     @cached_property
-    def _scaled_weights(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        """W, the lcm of the weight denominators, and the arcs (src, tgt, -W * weight)."""
-        W = math.lcm(*(e.weight.denominator for e in self.edges))
-        return W, tuple(
-            (e.src, e.tgt, -e.weight.numerator * (W // e.weight.denominator))
-            for e in self.edges
-        )
+    def _scaled(self) -> dict[Fraction, tuple[int, tuple[tuple[int, int, int], ...]]]:
+        """The memo of ``_scaled_costs``: shift -> (D, arcs)."""
+        return {}
 
     def out_edges(self, src: int) -> tuple[Edge, ...]:
         return self._out[src]
@@ -150,21 +146,23 @@ def build_prepend_graph(
 
 def _scaled_costs(
     graph: PrependGraph, shift: Fraction
-) -> tuple[int, Sequence[tuple[int, int, int]]]:
+) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Edge costs shift - weight as ints scaled by a common denominator D.
 
     D is the lcm of the weight denominators and of shift's denominator, so
     (src, tgt, D * (shift - weight)) is exact for every edge, in edge order.
-    The arcs are the graph's kept shift-0 arcs over W, rescaled by D / W and
-    shifted; at shift 0 they are the kept tuple itself.
+    The graph keeps the result per shift, so each is scaled once per graph.
     """
-    W, arcs = graph._scaled_weights
-    if shift == 0:
-        return W, arcs
-    D = math.lcm(shift.denominator, W)
-    base = shift.numerator * (D // shift.denominator)
-    m = D // W
-    return D, [(a, b, base + c * m) for a, b, c in arcs]
+    memo = graph._scaled
+    found = memo.get(shift)
+    if found is None:
+        D = math.lcm(shift.denominator, *(e.weight.denominator for e in graph.edges))
+        base = shift.numerator * (D // shift.denominator)
+        found = memo[shift] = D, tuple(
+            (e.src, e.tgt, base - e.weight.numerator * (D // e.weight.denominator))
+            for e in graph.edges
+        )
+    return found
 
 
 def _bellman_ford(

@@ -1,11 +1,12 @@
 """Deliberately naive reference computations for tiny instances.
 
 These enumerate decorated cycles and prepend paths directly from the
-potential table, with no pruning beyond admissibility, so they share no code
-with the graph algorithms they certify. The prepend-path searches walk paths
-breadth first and merge paths that end in the same state: the leading
-symbols a step reads, plus the exact cost or gain so far. Merging drops
-duplicates only, so the answers are those of the full enumeration.
+potential table, so they share no code with the graph algorithms they
+certify. The prepend-path searches walk paths breadth first, and at each
+length keep one state per leading word a step reads: ``oracle_mane`` the
+least cost, which is all its minimum needs, and ``oracle_omega`` the best
+gain, which decides whether a path can still close at gain 0 when beta is
+the optimum. The answers are those of the full enumeration.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .symbolic_core import (
     window,
 )
 
-# Most states oracle_omega expands before it gives up. On the bundled
-# fixtures it expands at most 2 367; on random full-shift configs of 8-16
-# window-graph nodes and weights n/d, a point off Omega has passed 400 000
-# states with the frontier still growing, halfway through the horizon.
+# Most states oracle_omega expands before it gives up. With one state per
+# head and length it expands at most 191 on the bundled fixtures (check's
+# samples and every point of period <= 2, eps 1/64 and 1/4), at most 20 479
+# on full 2-shifts of 64-256 nodes, and at most 10 813 on the random configs
+# of the command gate (seeds 1-4 x 100, check's samples and eps), where 2 of
+# 541 calls pass the budget.
 OMEGA_STATE_BUDGET = 50_000
 
 # Most words oracle_beta enumerates before it gives up: all allowed words of
@@ -204,18 +207,27 @@ def oracle_omega(
 ) -> bool:
     """Search for a cheap return path: prepends leading from x back near x.
 
-    A path of length >= 1 qualifies when it ends within eps of x and its
-    accumulated gain (table value minus beta per step) is exactly 0; eps
-    is only the distance, which fixes how many leading symbols must agree.
-    True is definitive (a qualifying path was found); False only reports
-    the horizon searched. For eps <= 0 no number of agreeing symbols will
-    do, and the answer is False.
+    A path of length >= 1 qualifies when it ends within min(eps, lambda**q)
+    of x and its accumulated gain (table value minus beta per step) is
+    exactly 0; eps is only the distance, which fixes how many leading
+    symbols must agree. For eps <= 0 no number of agreeing symbols will do,
+    and the answer is False.
 
-    The search is breadth first over states (leading max(N, q) symbols,
-    exact accumulated gain), where N is the least k with lambda**k <= eps:
-    a step and the acceptance test read nothing else, so equal states at
-    one length are merged. Raises OracleBudgetExceeded rather than expand
-    more than OMEGA_STATE_BUDGET states.
+    The search is breadth first over the leading N symbols, where N is the
+    least k with lambda**k <= eps raised to at least q: a step and the
+    acceptance test read nothing else. N >= q is a stricter distance, so a
+    True still means what it says, and it makes every qualifying path a
+    closed walk in the window graph, whose gain is <= 0 when beta is the
+    true optimum. So the best gain per head at each length decides whether
+    some path with that head can still close at gain 0, and only that gain
+    is kept: at most one state per head and length. This assumes beta is
+    the optimum of A; the beta checks of ``check`` test beta itself.
+
+    True is definitive. The kept gains at one length fix those at the next,
+    so when they repeat an earlier length's, no later length can qualify
+    and False is definitive too; otherwise False only reports the horizon
+    searched. Raises OracleBudgetExceeded rather than expand more than
+    OMEGA_STATE_BUDGET states.
     """
     q = A.future_depth
     if max_path_len is None:
@@ -228,11 +240,10 @@ def oracle_omega(
     scale = math.lcm(*(g.denominator for g in gains.values()))
     gains = {key: int(g * scale) for key, g in gains.items()}
     preds = _predecessors(system)
-    n = _agreement_depth(system, eps)
-    m = max(n, q)
-    start = window(x, 0, m)
-    target = start[:n]
-    frontier = {(start, 0)}
+    n = max(_agreement_depth(system, eps), q)
+    start = window(x, 0, n)
+    frontier = {start: 0}
+    seen = {frozenset(frontier.items())}
     expanded = 0
     for depth in range(max_path_len):
         if expanded + len(frontier) > OMEGA_STATE_BUDGET:
@@ -242,13 +253,18 @@ def oracle_omega(
                 f"{len(frontier)} more at depth {depth}"
             )
         expanded += len(frontier)
-        reached: set[tuple[tuple[int, ...], int]] = set()
-        for head, acc in frontier:
+        reached: dict[tuple[int, ...], int] = {}
+        for head, acc in frontier.items():
             for s in preds[head[0]]:
-                new_head = ((s,) + head)[:m]
+                new_head = ((s,) + head)[:n]
                 new_acc = acc + gains[(s,) + head[:q]]
-                if new_head[:n] == target and new_acc == 0:
-                    return True
-                reached.add((new_head, new_acc))
+                if new_head not in reached or new_acc > reached[new_head]:
+                    reached[new_head] = new_acc
+        if reached.get(start) == 0:
+            return True
         frontier = reached
+        key = frozenset(frontier.items())
+        if key in seen:
+            return False
+        seen.add(key)
     return False

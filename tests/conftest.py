@@ -144,10 +144,3 @@ def with_rows(mane, rows):
         copy._rows[src] = tuple(row)
     return copy
 
-
-def matrix_of(cost):
-    """An excursion matrix whose rows are the given int rows, with no arcs behind them."""
-    from ergopt.graph_engine import ManeMatrix
-
-    n = len(cost)
-    return with_rows(ManeMatrix(Fraction(0), 1, (0,) * n, [()] * n), dict(enumerate(cost)))

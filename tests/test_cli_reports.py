@@ -35,7 +35,7 @@ from ergopt.mane_aubry import omega_set
 from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
 from ergopt.subaction_lab import SCHEDULE_K_MAX
 
-from conftest import matrix_of, two_class_config_text, with_rows
+from conftest import two_class_config_text, with_rows
 
 MINIMAL = """
 [system]
@@ -322,64 +322,152 @@ def test_check_skips_the_beta_oracle_on_sixteen_nodes(tmp_path, capsys):
     assert elapsed < RANDOM_CHECK_SECONDS
 
 
-def reference_triangle(cost) -> tuple[str, str]:
-    """The mane_triangle item as the triple loop it was: first (i, j, k) in order."""
+def triangle_holds(cost) -> bool:
+    """The triangle inequality over every (i, j, k), as the item once tested it."""
     n = len(cost)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if cost[i][k] > cost[i][j] + cost[j][k]:
-                    return ("fail", f"triangle fails at ({i}, {j}, {k})")
-    return ("pass", "excursion costs satisfy the triangle inequality")
+    return all(
+        cost[i][k] <= cost[i][j] + cost[j][k]
+        for i in range(n) for j in range(n) for k in range(n)
+    )
 
 
 def triangle_item(monkeypatch, config):
-    """The mane_triangle item of config's check, run on any cost matrix."""
+    """The mane_triangle item of config's check, run on any rows in place of the matrix's."""
     base = omega_set(build_prepend_graph(config.system, config.potential))
     shown = {}
     monkeypatch.setattr(cli_reports, "omega_set", lambda graph: shown["omega"])
     run = {name: run for name, _, run in _check_items(config)}["mane_triangle"]
 
     def on(cost) -> tuple[str, str]:
-        shown["omega"] = dataclasses.replace(base, mane=matrix_of(cost))
+        mane = with_rows(base.mane, dict(enumerate(cost)))
+        shown["omega"] = dataclasses.replace(base, mane=mane)
         return run()
 
     return base.mane, on
 
 
+PASS = ("pass", "excursion costs satisfy the triangle inequality")
+
+
 @pytest.mark.parametrize("r, q, binary", [(2, 3, False), (3, 2, False), (2, 3, True)])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_mane_triangle_names_the_triple_loop_first_failure(monkeypatch, r, q, binary, seed):
+def test_mane_triangle_passes_only_the_true_matrix(monkeypatch, r, q, binary, seed):
+    # one entry moved either way by 1 to 2 * D, or made None: the
+    # certificate rejects each, at the row moved, though some of them
+    # still satisfy the triangle inequality
     rng = random.Random(seed)
     config = parse_config_text(random_full_shift_config(rng, r, q, binary))
     mane, triangle = triangle_item(monkeypatch, config)
-    n = len(mane.cost)
-    verdicts = []
-    for trial in range(40):
-        cost = [list(row) for row in mane.cost]
-        if trial:  # trial 0 keeps the true matrix
-            cost[rng.randrange(n)][rng.randrange(n)] -= rng.randint(1, 2 * mane.D)
-        verdict = triangle(cost)
-        assert verdict == reference_triangle(cost)
-        verdicts.append(verdict[0])
-    assert verdicts[0] == "pass"
-    assert "fail" in verdicts
+    true = [list(row) for row in mane.cost]
+    n = len(true)
+    assert triangle(true) == PASS
+    triangle_passes = 0
+    for _ in range(40):
+        cost = [list(row) for row in true]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if rng.random() < 0.2:
+            cost[i][j] = None
+        else:
+            cost[i][j] += rng.choice((-1, 1)) * rng.randint(1, 2 * mane.D)
+            triangle_passes += triangle_holds(cost)
+        status, note = triangle(cost)
+        assert status == "fail" and note.startswith(f"row {i} ")
+    assert triangle_passes > 0
 
 
 def test_mane_triangle_on_extreme_entries(monkeypatch):
-    # entries at +-M make cost[j][k] + cost[i][j] - cost[i][k] reach +-3M,
-    # the widest a packed field has to hold
+    # f5 has 2 nodes; entries drawn from +-M, 0, None and the true entries:
+    # only the true matrix passes, and every matrix that passes satisfies
+    # the triangle inequality, which many rejected ones also do
     rng = random.Random(5)
-    _, triangle = triangle_item(monkeypatch, fixtures.load("f5"))
-    verdicts = set()
-    for trial in range(300):
-        M, n = rng.choice([1, 3, 5, 1000]), rng.randint(1, 6)
-        entries = [-M, M, 0, rng.randint(-M, M)]
-        cost = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-        verdict = triangle(cost)
-        assert verdict == reference_triangle(cost)
-        verdicts.add(verdict[0])
-    assert verdicts == {"pass", "fail"}
+    mane, triangle = triangle_item(monkeypatch, fixtures.load("f5"))
+    true = [list(row) for row in mane.cost]
+    verdicts = {"pass": 0, "fail": 0, "fail, triangle holds": 0}
+    for _ in range(300):
+        M = rng.choice([1, 3, 5, 1000])
+        cost = [
+            [rng.choice([-M, M, 0, None, true[i][j], true[i][j]]) for j in range(2)]
+            for i in range(2)
+        ]
+        status, _ = triangle(cost)
+        assert (status == "pass") == (cost == true)
+        finite = None not in cost[0] + cost[1]
+        if status == "fail" and finite and triangle_holds(cost):
+            status = "fail, triangle holds"
+        verdicts[status] += 1
+    assert min(verdicts.values()) > 0
+
+
+def test_mane_triangle_rejects_an_entry_above_its_arc(monkeypatch):
+    # f1, beta = 1: the arcs 0 -> 0 and 0 -> 1 cost 1 each, so row 0 reads
+    # 1 at both. Raised to 2 at node 1, the entry is still the cost of the
+    # path 0 -> 0 -> 1 along arcs tight in its row, and no arc into node 1
+    # undercuts it; only the direct arc 0 -> 1 does
+    mane, triangle = triangle_item(monkeypatch, fixtures.load("f1"))
+    assert mane.D == 1 and list(mane.row(0)) == [1, 1]
+    cost = [list(row) for row in mane.cost]
+    cost[0][1] = 2
+    assert triangle(cost) == ("fail", "row 0 exceeds the arc 0 -> 1")
+
+
+# transitions 0 -> 0, 0 -> 1 and 1 -> 1: prepending leads from node 1 to
+# node 0 but never back, so row 0 holds None at 1
+REDUCIBLE = MINIMAL.replace("row = 1 1\nrow = 1 1", "row = 1 1\nrow = 0 1").replace(
+    "window 1 1 = 1", "window 0 0 = 2\nwindow 0 1 = -1\nwindow 1 1 = 1"
+)
+
+
+def test_mane_certificate_rejects_a_finite_entry_on_an_unreachable_pair():
+    config = parse_config_text(REDUCIBLE)
+    graph = build_prepend_graph(config.system, config.potential)
+    mane = graph_engine.min_cost_all_pairs(graph)
+    beta = mane.beta
+    a, b = graph.node_index[(0,)], graph.node_index[(1,)]
+    assert mane.row(a)[b] is None
+    assert cli_reports._excursion_cost_defect(graph, beta, mane) is None
+    for value in (-5, 0, 5 * mane.D):
+        row = list(mane.row(a))
+        row[b] = value
+        tampered = with_rows(mane, {a: row})
+        assert cli_reports._excursion_cost_defect(graph, beta, tampered) is not None
+
+
+@pytest.mark.parametrize(
+    "mutation", ["uniform_shift", "entry_plus_one", "entry_minus_one", "none_on_a_reachable_pair"]
+)
+def test_check_fails_a_tampered_excursion_matrix(tmp_path, capsys, monkeypatch, mutation):
+    # every entry + 1 keeps the triangle inequality; the single entries are
+    # 01 -> 10 of the f5 loops at depth 2, off the critical rows 00 and 11
+    # that the critical structure and omega_set read
+    path = tmp_path / "f5q2.cfg"
+    path.write_text(F5_DEPTH_TWO)
+    solve = graph_engine._solve_min_cost_all_pairs
+
+    def tampered(graph):
+        mane = solve(graph)
+        if mutation == "uniform_shift":
+            shifted = {i: [c + 1 for c in mane.row(i)] for i in range(len(graph.nodes))}
+            return with_rows(mane, shifted)
+        v, w = graph.node_index[(0, 1)], graph.node_index[(1, 0)]
+        row = list(mane.row(v))
+        row[w] = {
+            "entry_plus_one": row[w] + 1,
+            "entry_minus_one": row[w] - 1,
+            "none_on_a_reachable_pair": None,
+        }[mutation]
+        return with_rows(mane, {v: row})
+
+    monkeypatch.setattr(graph_engine, "_solve_min_cost_all_pairs", tampered)
+    assert main(["check", "--config", str(path)]) == 1
+    items = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert items["mane_triangle"]["status"] == "fail"
+
+
+def test_check_compares_three_omega_samples_on_sixty_four_nodes():
+    # full 2-shift, q = 6: the witness point, 0^inf and 1^inf
+    config = parse_config_text(random_full_shift_config(random.Random(5), 2, 6, binary=False))
+    run = {name: run for name, _, run in _check_items(config)}["omega_oracle"]
+    assert run() == ("pass", "membership matches the oracle on 3 points")
 
 
 @pytest.mark.parametrize("name", ["f1", "f6"])

@@ -2,8 +2,9 @@
 
 A seeded generator writes configs over random 0/1 matrices (r <= 4, no zero
 row or column, about 45% reducible), past and future depths up to 3 with at
-most 400 windows, generic, {0, 1} or sparse weights, and a constraint block
-of width 2 or 3 with a ``c`` or ``h`` vector in 40% of them. Each config goes
+most 400 windows, generic, {0, 1} or sparse weights, a metric lambda of 1/2,
+1/4 or 1/10, and a constraint block of width 2 or 3 with a ``c`` or ``h``
+vector in 40% of them. Each config goes
 through every command variant in process, ``classify`` with one boundary
 value per critical class, and one variant a config again with
 ``--format csv``. Any exception that escapes ``main`` fails the test, and so
@@ -66,7 +67,17 @@ def _rational(rng: random.Random, den: int) -> str:
     return f"{rng.randint(-20, 20)}/{rng.randint(1, den)}"
 
 
-def random_config(rng: random.Random) -> str:
+# the metric lambdas drawn: below 1/2, check's eps = 1/64 asks fewer than q
+# leading symbols to agree, which the omega oracle raises to q
+LAMBDAS = ("1/2", "1/4", "1/10")
+
+
+def random_config(rng: random.Random, i: int) -> str:
+    """Config text from rng; config i's lambda comes from its own Random(i).
+
+    Drawing lambda apart leaves every draw from rng as it was before lambda
+    was drawn.
+    """
     while True:
         r = rng.randint(2, 4)
         rows = _random_rows(rng, r, reducible=rng.random() < 0.45)
@@ -75,7 +86,7 @@ def random_config(rng: random.Random) -> str:
         words = allowed_words(system, p + q)
         if len(words) <= 400:
             break
-    lines = ["[system]", f"alphabet_size = {r}"]
+    lines = ["[system]", f"alphabet_size = {r}", f"lambda = {random.Random(i).choice(LAMBDAS)}"]
     lines += [f"row = {' '.join(map(str, row))}" for row in rows]
     lines += ["", "[potential]", f"past_depth = {p}", f"future_depth = {q}"]
     kind = rng.choice(("generic", "binary", "sparse"))
@@ -112,7 +123,7 @@ def test_every_command_exits_with_a_documented_code(tmp_path):
     codes: dict[str, set[int]] = {}
     start = time.perf_counter()
     for i in range(CONFIGS):
-        text = random_config(rng)
+        text = random_config(rng, i)
         parse_config_text(text)
         path.write_text(text)
         classes = 1

@@ -180,7 +180,8 @@ def test_kernel_matches_fraction_reference(graph):
 
 @pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
 def test_scaled_costs_match_the_direct_formula(graph):
-    # shifts whose denominators are new to the weights rescale the kept arcs
+    # shifts whose denominators are new to the weights, each asked twice:
+    # the second call returns the kept tuple
     rng = random.Random(len(graph.edges))
     shifts = [Fraction(0)] + [
         Fraction(rng.randint(-50, 50), rng.choice((1, 3, 7, 997, 1000, 2**20)))
@@ -193,6 +194,9 @@ def test_scaled_costs_match_the_direct_formula(graph):
         assert got_D == D
         assert list(arcs) == direct
         assert all(type(c) is int for _, _, c in arcs)
+        assert type(arcs) is tuple
+        assert _scaled_costs(graph, shift)[1] is arcs
+    assert len(graph._scaled) == len(set(shifts))
 
 
 @pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))

@@ -2,17 +2,21 @@
 
 The references below walk every prepend path up to the horizon, one
 EventuallyPeriodicPoint at a time, and test acceptance with `distance` and
-`window` on the full point. The breadth-first oracles keep only the leading
-symbols a step reads and merge equal states, so their answers must be the
-references' exactly: on every bundled fixture and on seeded random
-instances (alphabets of 2 and 3 symbols, future depths 1 and 2, 0/1 and
-fractional weights), with enough answers on each side to mean something.
+`window` on the full point; the omega reference accepts within
+min(eps, lambda**q), the distance the oracle's raised depth stands for. The
+breadth-first oracles keep one state per leading word and length (the
+least cost, or the best gain), so their answers must be the references'
+exactly: on every bundled fixture and on seeded random instances
+(alphabets of 2 and 3 symbols, future depths 1 to 3, lambda 1/2 and 1/10,
+0/1 and fractional weights), with enough answers on each side to mean
+something.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +28,14 @@ from ergopt.errors import HorizonTooSmall, OracleBudgetExceeded
 from ergopt.graph_engine import build_prepend_graph, max_mean_cycle
 from ergopt.oracle_bruteforce import _step_max_table, oracle_mane, oracle_omega
 from ergopt.potential_model import LocallyConstantPotential
-from ergopt.symbolic_core import allowed_words, distance, point, prepend, window
+from ergopt.symbolic_core import (
+    SubshiftSystem,
+    allowed_words,
+    distance,
+    point,
+    prepend,
+    window,
+)
 
 from conftest import full_shift, random_fraction, random_system
 
@@ -68,9 +79,10 @@ def ref_oracle_omega(system, A, beta, x, eps, max_path_len=None):
     if eps <= 0:
         return False  # as the oracle: no finite agreement depth reaches eps
     maxes = _step_max_table(system, A)
+    bound = min(eps, system.metric_lambda ** q)  # as the oracle's depth max(N, q)
 
     def explore(pt, acc, steps):
-        if steps > 0 and distance(system, pt, x) <= eps and acc == 0:
+        if steps > 0 and distance(system, pt, x) <= bound and acc == 0:
             return True
         if steps == max_path_len:
             return False
@@ -210,17 +222,39 @@ def test_mane_matches_reference_on_random_instances():
     assert len(set(values)) >= 10
 
 
-def test_omega_eps_at_least_one_needs_no_agreement():
+def test_omega_eps_at_least_one_still_needs_q_symbols():
     # the 2-cycle 0 <-> 1 carries beta = 1: prepending 1 onto 0^inf gains 0
     # and leads to 1 0^inf, which differs from 0^inf in its first symbol.
-    # lambda**0 = 1 <= eps = 2, so that one step returns; at eps = 1/2 the
-    # first symbol must agree, and one step does not reach such a point.
+    # lambda**0 = 1 <= eps = 2, but the agreement depth is raised to q = 1,
+    # so that one step does not return; prepending 0 next gains 0 and lands
+    # on 0 1 0^inf, which agrees with 0^inf in its first symbol.
     system = full_shift()
     A = LocallyConstantPotential(system, 1, 1, {(0, 1): Fraction(1), (1, 0): Fraction(1)})
     x = point("", "0")
-    for eps, expected in ((Fraction(2), True), (Fraction(1, 2), False)):
-        assert oracle_omega(system, A, Fraction(1), x, eps, 1) is expected
-        assert ref_oracle_omega(system, A, Fraction(1), x, eps, 1) is expected
+    for eps in (Fraction(2), Fraction(1, 2)):
+        for horizon, expected in ((1, False), (2, True)):
+            assert oracle_omega(system, A, Fraction(1), x, eps, horizon) is expected
+            assert ref_oracle_omega(system, A, Fraction(1), x, eps, horizon) is expected
+
+
+def test_omega_matches_reference_when_eps_asks_fewer_than_q_symbols():
+    # lambda = 1/10 and q = 3: eps = 1/4, 1/64 and 1 ask for 1, 2 and 0 agreeing
+    # symbols, fewer than q, so the oracle searches at depth q and the
+    # reference accepts within lambda**q
+    rng = random.Random(20261019)
+    answers = []
+    for _ in range(6):
+        system = random_system(rng, 2, require_transitive=True)
+        system = SubshiftSystem(2, system.transition, Fraction(1, 10))
+        table = {k: random_fraction(rng, -3, 3, 2) for k in allowed_words(system, 4)}
+        A = LocallyConstantPotential(system, 1, 3, table)
+        beta = max_mean_cycle(build_prepend_graph(system, A)).beta
+        for x in periodic_points(system):
+            for eps in (Fraction(1, 4), Fraction(1, 64), Fraction(1)):
+                expected = ref_oracle_omega(system, A, beta, x, eps, 7)
+                assert oracle_omega(system, A, beta, x, eps, 7) == expected
+                answers.append(expected)
+    assert answers.count(True) >= 10 and answers.count(False) >= 10
 
 
 def test_omega_nonpositive_eps_is_false():
@@ -265,3 +299,58 @@ def test_check_skips_the_omega_oracle_over_budget(monkeypatch, tmp_path, capsys)
     assert "budget of 100 states" in items[100]["note"]
     assert items[0]["status"] == "skip"
     assert "budget of 0 states" in items[0]["note"]
+
+
+# ---------------------------------------------------------------------------
+# one state per head, and the repeated frontier
+
+
+def depth_sizes(system, A, beta, x, eps, monkeypatch):
+    """The states oracle_omega expands at each depth, read off its budget error.
+
+    Each budget stops the search one depth further on, until the search
+    ends by itself.
+    """
+    pattern = re.compile(r"(\d+) expanded by depth (\d+) of \d+, (\d+) more at depth")
+    sizes = []
+    while True:
+        monkeypatch.setattr(oracle_bruteforce, "OMEGA_STATE_BUDGET", sum(sizes))
+        try:
+            oracle_omega(system, A, beta, x, eps)
+        except OracleBudgetExceeded as exc:
+            expanded, depth, more = map(int, pattern.search(str(exc)).groups())
+            assert (expanded, depth) == (sum(sizes), len(sizes))
+            sizes.append(more)
+        else:
+            return sizes
+
+
+def test_omega_keeps_at_most_one_state_per_head(monkeypatch):
+    # eps = 1/64 makes the heads the 6-words. f1's 0^inf never returns, and
+    # on a random full 3-shift with q = 2 neither does 0^inf; keeping every
+    # (head, gain) pair, these searches held 96 of 64 and 2 106 of 729
+    # possible heads at depth 7
+    rng = random.Random(3)
+    system = full_shift(3)
+    table = {k: random_fraction(rng, -5, 5, 4) for k in allowed_words(system, 3)}
+    A = LocallyConstantPotential(system, 1, 2, table)
+    f1 = fixtures.load("f1")
+    cases = [
+        (f1.system, f1.potential, Fraction(1), point("", "0")),
+        (system, A, max_mean_cycle(build_prepend_graph(system, A)).beta, point("", "0")),
+    ]
+    for system, A, beta, x in cases:
+        sizes = depth_sizes(system, A, beta, x, Fraction(1, 64), monkeypatch)
+        assert len(sizes) >= 8
+        assert max(sizes) <= len(allowed_words(system, 6))
+
+
+def test_omega_off_omega_fixed_point_is_false_before_the_horizon(monkeypatch):
+    # the best gains per head of f1's 0^inf at depth 8 repeat those at
+    # depth 7, so the search stops after expanding 8 depths (191 states):
+    # a horizon of 10 000 steps is never reached, nor a budget of 500
+    monkeypatch.setattr(oracle_bruteforce, "OMEGA_STATE_BUDGET", 500)
+    config = fixtures.load("f1")
+    args = (config.system, config.potential, Fraction(1), point("", "0"), Fraction(1, 64))
+    assert oracle_omega(*args, 10_000) is False
+    assert depth_sizes(*args, monkeypatch) == [1, 2, 4, 8, 16, 32, 64, 64]
