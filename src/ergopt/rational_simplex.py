@@ -1,22 +1,37 @@
 """Two-phase simplex with exact rational answers.
 
-Solves max c.x subject to A x = b, x >= 0. Bland's rule everywhere, so no
-cycling; basic solutions are polytope vertices, which downstream code relies
-on for extremeness. Meant for the prepend-graph LPs of this package: a few
-hundred rows and about a thousand columns, mostly zeros.
+Solves max c.x subject to A x = b, x >= 0. Basic solutions are polytope
+vertices, which downstream code relies on for extremeness. Meant for the
+prepend-graph LPs of this package: a few hundred rows and about a thousand
+columns, mostly zeros, and highly degenerate.
+
+The entering column has the largest reduced cost (Dantzig's rule), ties to
+the smallest index; the leaving row has the minimum ratio, ties to the
+smallest basic index. After m consecutive degenerate pivots (ratio zero, m
+the number of rows) the entering column is Bland's (1977) instead, the
+first with a positive reduced cost, until a pivot raises the objective.
+This terminates: Bland's rule cannot cycle, so every run of degenerate
+pivots ends, and the pivot that ends one raises the objective, so no basis
+met before it comes back; there are finitely many bases.
+
+Phase 1 carries no artificial columns. A basis entry n + i, past the n
+structural columns, marks row i while its artificial is basic. An
+artificial that leaves the basis never re-enters, which only fixes it at
+zero, so phase 1 still reaches zero exactly when the LP is feasible. Only
+structural columns may enter, and the phase-1 reduced costs, those of
+minus the sum of the artificials, start as the sum of the rows.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row is a
 dense list of Python ints over its own positive denominator, and every
 update divides the row and its denominator by their gcd. The reduced-cost
 row is one more row of the tableau, updated by each pivot like the others.
-Input row i is scaled by the lcm of its denominators, and its artificial
-column carries that scale, so row over denominator is, step for step, the
-tableau of the plain rational method and every pivot choice matches it.
+Row over denominator is, step for step, the tableau of the plain rational
+method, so every pivot choice matches it.
 
 A pivot lists the nonzero columns of its row once, and every other row
 changes only in those columns. On circulation LPs the pivot rows stay
-sparse (7-8% nonzero at 256 nodes), and the pivot's denominator divides the
-entry it clears in all but a few eliminations (11 357 of 11 362 on a
+sparse (8% nonzero at 256 nodes), and the pivot's denominator divides the
+entry it clears in all but a few eliminations (7 329 of 7 354 on a
 256-node full 2-shift), so nearly every elimination touches only those
 entries and scales nothing.
 """
@@ -65,18 +80,20 @@ def _eliminate(
         den *= a
     for j in nz:
         row[j] -= b * prow[j]
-    # the content divides den and the changed entries, and is most often 1
-    g = gcd(den, *[row[j] for j in nz])
-    if g > 1:
-        g = gcd(g, *row)
+    # the content divides den and every changed entry; it is most often 1,
+    # and one changed entry (row[col] is now 0) usually shows it
+    if gcd(den, row[nz[0] if nz[0] != col else nz[-1]]) > 1:
+        g = gcd(den, *[row[j] for j in nz])
         if g > 1:
-            row = [x // g for x in row]
-            den //= g
+            g = gcd(g, *row)
+            if g > 1:
+                row = [x // g for x in row]
+                den //= g
     return row, den
 
 
 def _pivot(T: list[list[int]], D: list[int], basis: list[int], row: int, col: int) -> None:
-    """Pivot on (row, col); the last row of T is the reduced-cost row."""
+    """Pivot on (row, col), updating every row of T."""
     prow = T[row]
     g = gcd(*prow) if prow[col] > 0 else -gcd(*prow)  # a positive denominator
     if g != 1:
@@ -91,18 +108,31 @@ def _pivot(T: list[list[int]], D: list[int], basis: list[int], row: int, col: in
     basis[row] = col
 
 
-def _optimize(T: list[list[int]], D: list[int], basis: list[int]) -> str:
-    """Maximize over the tableau in place; Bland's rule.
+def _entering(z: list[int], ncols: int, bland: bool) -> int:
+    """The entering column for reduced costs z, or -1 when none is positive.
 
-    T[-1] holds the reduced costs c_j - c_B B^-1 A_j, so column j may enter
-    when its numerator is positive. Ratios rhs / entry share a row's
-    denominator, which cancels, and are compared by cross-multiplication.
+    Dantzig's largest reduced cost, ties to the smallest index, or with
+    bland the first positive one.
     """
-    z = T[-1]
-    ncols = len(z) - 1
+    if bland:
+        return next((j for j in range(ncols) if z[j] > 0), -1)
+    top = max(z[:ncols], default=0)
+    return z.index(top) if top > 0 else -1
+
+
+def _optimize(T: list[list[int]], D: list[int], basis: list[int]) -> str:
+    """Maximize over the tableau in place.
+
+    T[-1] holds the reduced costs c_j - c_B B^-1 A_j over one denominator,
+    so their numerators compare directly and column j may enter when its
+    numerator is positive. Ratios rhs / entry share a row's denominator,
+    which cancels, and are compared by cross-multiplication.
+    """
+    ncols = len(T[-1]) - 1
     m = len(T) - 1
+    degenerate = 0  # consecutive pivots that left the objective unchanged
     while True:
-        enter = next((j for j in range(ncols) if z[j] > 0), -1)
+        enter = _entering(T[-1], ncols, degenerate >= m)
         if enter < 0:
             return OPTIMAL
         leave = -1
@@ -120,8 +150,8 @@ def _optimize(T: list[list[int]], D: list[int], basis: list[int]) -> str:
                     leave = i
         if leave < 0:
             return UNBOUNDED
+        degenerate = degenerate + 1 if best_num == 0 else 0
         _pivot(T, D, basis, leave, enter)
-        z = T[-1]
 
 
 def _cost_row(T: list[list[int]], D: list[int], basis: list[int], costs: Sequence) -> None:
@@ -155,42 +185,47 @@ def solve_lp(
         value = -flipped.value if flipped.value is not None else None
         return LPResult(flipped.status, value, flipped.solution, flipped.basis)
 
-    # phase 1: one artificial per row; row i is scaled to integers by s,
-    # which only its nonzero entries can raise
+    # phase 1: row i is scaled to integers by s, which only its nonzero
+    # entries can raise; basis entry n + i is its artificial
     m = len(rows)
     T: list[list[int]] = []
     D: list[int] = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
+    for row, b in zip(rows, rhs):
         nz = _nonzero(row)
         s = lcm(*(row[j].denominator for j in nz), b.denominator)
         sign = -1 if b < 0 else 1  # keep every right-hand side nonnegative
-        scaled = [0] * (n + m + 1)
+        scaled = [0] * (n + 1)
         for j in nz:
             scaled[j] = sign * row[j].numerator * (s // row[j].denominator)
-        scaled[n + i] = s
         scaled[-1] = sign * b.numerator * (s // b.denominator)
         T.append(scaled)
         D.append(s)
     basis = [n + i for i in range(m)]
-    _cost_row(T, D, basis, [0] * n + [-1] * m)
+    den = lcm(*D)
+    cost = [0] * (n + 1)
+    for row, s in zip(T, D):
+        for j in _nonzero(row):
+            cost[j] += row[j] * (den // s)
+    T.append(cost)
+    D.append(den)
     status = _optimize(T, D, basis)
     if status != OPTIMAL:
         raise AssertionError("phase 1 is bounded below by 0 yet did not reach an optimum")
-    if T[-1][-1] > 0:  # minus the phase-1 optimum: the artificials' total
+    artificials = T.pop()[-1]  # minus the phase-1 optimum
+    D.pop()
+    if artificials > 0:
         return LPResult(INFEASIBLE, None, None, None)
 
     # drive artificials out of the basis; drop redundant rows
     keep: list[int] = []
     for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
-        if pivot_col is None:
-            continue  # identically zero row: redundant constraint
-        _pivot(T, D, basis, i, pivot_col)
+        if basis[i] >= n:
+            pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
+            if pivot_col is None:
+                continue  # identically zero row: redundant constraint
+            _pivot(T, D, basis, i, pivot_col)
         keep.append(i)
-    T = [T[i][:n] + [T[i][-1]] for i in keep]
+    T = [T[i] for i in keep]
     D = [D[i] for i in keep]
     basis = [basis[i] for i in keep]
 

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+import ergopt.rational_simplex as rational_simplex
+from ergopt.graph_engine import build_prepend_graph
+from ergopt.holonomic_opt import beta_lp
+from ergopt.potential_model import LocallyConstantPotential
 from ergopt.rational_simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+
+from conftest import full_shift
 
 
 class TestHandProblems:
@@ -93,15 +100,39 @@ class TestRandomized:
                 feasible_value = sum(c * x for c, x in zip(obj, x0))
                 assert res.value >= feasible_value
 
-    def test_matches_vertex_enumeration(self, rng: random.Random):
+    def test_matches_vertex_enumeration(self, rng: random.Random, monkeypatch):
         from itertools import combinations
 
+        bland_entries = []
+        real_entering = rational_simplex._entering
+
+        def spy(z, ncols, bland):
+            enter = real_entering(z, ncols, bland)
+            if bland and enter >= 0:
+                bland_entries.append(enter)
+            return enter
+
+        monkeypatch.setattr(rational_simplex, "_entering", spy)
+        lps = []
         for _ in range(20):
             n, m = rng.randint(2, 5), rng.randint(1, 2)
             rows = [[Fraction(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
             x0 = [Fraction(rng.randint(0, 3)) for _ in range(n)]
             rhs = [sum(r[j] * x0[j] for j in range(n)) for r in rows]
             obj = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+            lps.append((obj, rows, rhs))
+        # zero right-hand sides: every pivot is degenerate, so after m of
+        # them the entering column is Bland's
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            m = rng.randint(1, min(5, n))
+            rows = [[Fraction(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
+            obj = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+            lps.append((obj, rows, [Fraction(0)] * m))
+        bland_matches = 0
+        for obj, rows, rhs in lps:
+            n, m = len(obj), len(rows)
+            entered = len(bland_entries)
             res = solve_lp(obj, rows, rhs)
             if res.status != OPTIMAL:
                 continue
@@ -119,6 +150,34 @@ class TestRandomized:
                     best = val
             if best is not None:
                 assert res.value == best
+                bland_matches += len(bland_entries) > entered
+        assert bland_matches > 0
+
+
+def test_circulation_lp_pivot_count(monkeypatch):
+    # Full 2-shift at future depth 7 (128 nodes, 256 edges), weights
+    # randint(-20, 20)/randint(1, 10) from Random(5) in word order. The
+    # count, drive-outs included, pins the pivoting rules: a change to them
+    # moves it.
+    rng = random.Random(5)
+    system = full_shift()
+    table = {
+        word: Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+        for word in itertools.product(range(2), repeat=8)
+    }
+    graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, 7, table))
+    pivots = []
+    real_pivot = rational_simplex._pivot
+
+    def counting(T, D, basis, row, col):
+        pivots.append(col)
+        real_pivot(T, D, basis, row, col)
+
+    monkeypatch.setattr(rational_simplex, "_pivot", counting)
+    beta, _ = beta_lp(graph)
+    assert len(graph.nodes) == 128
+    assert len(pivots) == 188
+    assert beta == Fraction(10697, 2268)
 
 
 def _solve_square(M: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:

@@ -1,12 +1,16 @@
-"""The integer-tableau simplex against the Fraction tableau it replaced.
+"""The integer-tableau simplex against a plain Fraction tableau.
 
 The reference below is the plain Fraction simplex: the same two phases and
-Bland's rule, with the reduced costs rebuilt column by column on every
-iteration. The integer tableau keeps each row as numerators over a
-denominator, so its true tableau is the reference's at every step, and
-status, value, solution and basis must match field for field: on seeded
-random LPs, and on the circulation and moment LPs of full shifts and
-golden-mean shifts at weight denominators up to 10 and up to 1000.
+pivoting rules (largest reduced cost, Bland's first positive one after m
+consecutive degenerate pivots, minimum ratio with ties to the smallest
+basic index), with the reduced costs rebuilt column by column on every
+iteration. It keeps the artificial columns but enters only the n
+structural ones, so an artificial that leaves never comes back. The
+integer tableau keeps each row as numerators over a denominator, so its
+true tableau is the reference's at every step, and status, value, solution
+and basis must match field for field: on seeded random LPs, and on the
+circulation and moment LPs of full shifts and golden-mean shifts at weight
+denominators up to 10 and up to 1000.
 """
 
 from __future__ import annotations
@@ -44,18 +48,15 @@ def _ref_pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _ref_optimize(T, basis, obj):
+def _ref_optimize(T, basis, obj, n):
     m = len(T)
-    ncols = len(T[0]) - 1
+    degenerate = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            zj = obj[j] - sum(obj[basis[i]] * T[i][j] for i in range(m))
-            if zj > 0:
-                enter = j
-                break
-        if enter < 0:
+        z = [obj[j] - sum(obj[basis[i]] * T[i][j] for i in range(m)) for j in range(n)]
+        positive = [j for j in range(n) if z[j] > 0]
+        if not positive:
             return OPTIMAL
+        enter = positive[0] if degenerate >= m else max(positive, key=lambda j: (z[j], -j))
         leave = -1
         best = None
         for i in range(m):
@@ -66,6 +67,7 @@ def _ref_optimize(T, basis, obj):
                     leave = i
         if leave < 0:
             return UNBOUNDED
+        degenerate = degenerate + 1 if best == 0 else 0
         _ref_pivot(T, basis, leave, enter)
 
 
@@ -86,7 +88,7 @@ def ref_solve_lp(objective, rows, rhs, maximize=True):
     T = [A[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)] + [b[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
     phase1_obj = [Fraction(0)] * n + [Fraction(-1)] * m
-    if _ref_optimize(T, basis, phase1_obj) != OPTIMAL:
+    if _ref_optimize(T, basis, phase1_obj, n) != OPTIMAL:
         raise AssertionError("reference phase 1 unbounded")
     if -sum(phase1_obj[basis[i]] * T[i][-1] for i in range(m)) > 0:
         return INFEASIBLE, None, None, None
@@ -102,7 +104,7 @@ def ref_solve_lp(objective, rows, rhs, maximize=True):
         keep.append(i)
     T = [T[i][:n] + [T[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    if _ref_optimize(T, basis, c) == UNBOUNDED:
+    if _ref_optimize(T, basis, c, n) == UNBOUNDED:
         return UNBOUNDED, None, None, None
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
@@ -185,6 +187,31 @@ def test_random_lps_match_reference():
     assert min(seen.values()) >= 50, seen
 
 
+def test_degenerate_lps_match_reference(monkeypatch):
+    # zero right-hand sides make every pivot degenerate, so the Bland
+    # fallback and the pivot count that triggers it decide these bases
+    rng = random.Random(20261019)
+    bland_lps = 0
+    entering = rational_simplex._entering
+    took_bland = []
+
+    def spy(z, ncols, bland):
+        enter = entering(z, ncols, bland)
+        took_bland.append(bland and enter >= 0)
+        return enter
+
+    monkeypatch.setattr(rational_simplex, "_entering", spy)
+    for _ in range(1000):
+        n = rng.randint(2, 7)
+        m = rng.randint(1, min(5, n))
+        rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(m)]
+        objective = [rng.randint(-4, 4) for _ in range(n)]
+        took_bland.clear()
+        assert_matches_reference(objective, rows, [0] * m)
+        bland_lps += any(took_bland)
+    assert bland_lps >= 50, bland_lps
+
+
 # ---------------------------------------------------------------------------
 # circulation and moment LPs of prepend graphs
 
@@ -238,13 +265,13 @@ def test_graph_lps_match_reference(recorded_lps, name, q, max_den):
 
 
 def test_artificial_driven_out_by_negative_entry(monkeypatch):
-    # Phase 1 ends with the first artificial basic at level zero and its row
-    # reading (-3, 0, -1 | 1, -1 | 0), so the drive-out pivot divides by -3
-    # and the row's sign must flip to keep its denominator positive; phase 2
+    # Phase 1 ends with the second artificial basic at level zero and its
+    # row reading (-3, 0, -3 | 0), so the drive-out pivot divides by -3 and
+    # the row's sign must flip to keep its denominator positive; phase 2
     # then pivots on that row again.
-    objective = [3, 3, 3]
-    rows = [[-1, 2, 0], [2, 2, 1]]
-    rhs = [1, 1]
+    objective = [2, 3, 2]
+    rows = [[2, 1, 0], [1, 2, -3]]
+    rhs = [1, 2]
     negative_drive_outs = []
     real_pivot = rational_simplex._pivot
 
@@ -255,11 +282,41 @@ def test_artificial_driven_out_by_negative_entry(monkeypatch):
 
     monkeypatch.setattr(rational_simplex, "_pivot", spy)
     assert assert_matches_reference(objective, rows, rhs) == OPTIMAL
-    assert negative_drive_outs == [(0, 0)]
+    assert negative_drive_outs == [(1, 0)]
     res = solve_lp(objective, rows, rhs)
-    assert res.value == Fraction(3, 2)
-    assert res.solution == (0, Fraction(1, 2), 0)
-    assert res.basis == (2, 1)
+    assert res.value == 3
+    assert res.solution == (0, 1, 0)
+    assert res.basis == (1, 2)
+
+
+def test_fallback_ends_when_the_objective_rises(monkeypatch):
+    # Phase 1 makes m = 6 degenerate pivots by the largest reduced cost;
+    # Bland's rule then takes two more degenerate pivots and one that raises
+    # the objective, after which the largest reduced cost enters again, in
+    # phase 1 once and in phase 2 twice.
+    rows = [
+        [0, 2, -1, 3, 1, 3, 3, 2, 1, 1],
+        [-2, -1, 2, 1, 1, -1, 0, 1, -2, -1],
+        [0, 3, -1, 3, 1, -1, 2, -1, -2, 2],
+        [-1, 3, -2, 1, 1, -1, 3, 2, 1, 3],
+        [-2, 0, -2, -2, 2, -1, 1, 0, 3, -1],
+        [2, 2, 2, 2, -1, -1, 2, 2, 2, -1],
+    ]
+    rhs = [1, 0, 0, 0, 0, 0]
+    objective = [-1, -3, 0, 0, 3, 0, 2, -3, 0, -4]
+    rules = []
+    entering = rational_simplex._entering
+
+    def spy(z, ncols, bland):
+        enter = entering(z, ncols, bland)
+        if enter >= 0:
+            rules.append("B" if bland else "D")
+        return enter
+
+    monkeypatch.setattr(rational_simplex, "_entering", spy)
+    assert assert_matches_reference(objective, rows, rhs) == OPTIMAL
+    assert "".join(rules) == "DDDDDDBBBDDD"
+    assert solve_lp(objective, rows, rhs).value == Fraction(78, 127)
 
 
 def test_constrained_beta_scales_fractional_rows(recorded_lps):
