@@ -200,7 +200,6 @@ class BetaResult:
 
     beta: Fraction
     witness_cycle: tuple[Edge, ...]
-    method: str
     potential: tuple[Fraction, ...]
 
 
@@ -328,7 +327,7 @@ def _solve_max_mean_cycle(graph: PrependGraph) -> BetaResult:
     total = sum((e.weight for e in witness), Fraction(0))
     if total / len(witness) != beta:
         raise AssertionError("witness cycle mean differs from beta")
-    return BetaResult(beta, witness, "karp", tuple(Fraction(x, D) for x in h))
+    return BetaResult(beta, witness, tuple(Fraction(x, D) for x in h))
 
 
 # ---------------------------------------------------------------------------

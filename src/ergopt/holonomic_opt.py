@@ -148,7 +148,7 @@ def beta_lp(graph: PrependGraph) -> tuple[Fraction, CirculationMeasure]:
     """
     rows, rhs = _circulation_rows(graph)
     objective = [e.weight for e in graph.edges]
-    res = solve_lp(objective, rows, rhs, maximize=True)
+    res = solve_lp(objective, rows, rhs)
     if res.status != OPTIMAL:
         raise AssertionError(f"the circulation LP ended {res.status}, not optimal")
     measure = CirculationMeasure(graph, tuple(res.solution))
@@ -252,7 +252,7 @@ def constrained_beta(graph: PrependGraph, constraints: ConstraintSpec) -> Fracti
         rows.append([_edge_component_value(phi, e.key) for e in graph.edges])
         rhs.append(Fraction(h))
     objective = [e.weight for e in graph.edges]
-    res = solve_lp(objective, rows, rhs, maximize=True)
+    res = solve_lp(objective, rows, rhs)
     if res.status == INFEASIBLE:
         raise InfeasibleTarget("no circulation attains the moment target")
     if res.status != OPTIMAL:

@@ -5,12 +5,14 @@ pivoting rules (largest reduced cost, Bland's first positive one after m
 consecutive degenerate pivots, minimum ratio with ties to the smallest
 basic index), with the reduced costs rebuilt column by column on every
 iteration. It keeps the artificial columns but enters only the n
-structural ones, so an artificial that leaves never comes back. The
-integer tableau keeps each row as numerators over a denominator, so its
-true tableau is the reference's at every step, and status, value, solution
-and basis must match field for field: on seeded random LPs, and on the
-circulation and moment LPs of full shifts and golden-mean shifts at weight
-denominators up to 10 and up to 1000.
+structural ones, so an artificial that leaves never comes back; one basic
+at level zero also leaves when its entry in the entering column is
+negative, and phase 2 starts on phase 1's basis, the artificials left in
+it costing zero. The integer tableau keeps each row as numerators over a
+denominator, so its true tableau is the reference's at every step, and
+status, value, solution and basis must match field for field: on seeded
+random LPs, and on the circulation and moment LPs of full shifts and
+golden-mean shifts at weight denominators up to 10 and up to 1000.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ def _ref_optimize(T, basis, obj, n):
         leave = -1
         best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
+            a = T[i][enter]
+            if a > 0 or (a < 0 and basis[i] >= n and T[i][-1] == 0):
+                ratio = T[i][-1] / abs(a)
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
@@ -71,15 +74,11 @@ def _ref_optimize(T, basis, obj, n):
         _ref_pivot(T, basis, leave, enter)
 
 
-def ref_solve_lp(objective, rows, rhs, maximize=True):
-    """Raises IndexError when no row is left, as the Fraction tableau did."""
+def ref_solve_lp(objective, rows, rhs):
     c = [Fraction(v) for v in objective]
     n = len(c)
     A = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs]
-    if not maximize:
-        status, value, solution, basis = ref_solve_lp([-v for v in c], rows, rhs)
-        return status, (-value if value is not None else None), solution, basis
     m = len(A)
     for i in range(m):
         if b[i] < 0:
@@ -92,45 +91,24 @@ def ref_solve_lp(objective, rows, rhs, maximize=True):
         raise AssertionError("reference phase 1 unbounded")
     if -sum(phase1_obj[basis[i]] * T[i][-1] for i in range(m)) > 0:
         return INFEASIBLE, None, None, None
-    keep = []
-    for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
-        if pivot_col is None:
-            continue
-        _ref_pivot(T, basis, i, pivot_col)
-        keep.append(i)
-    T = [T[i][:n] + [T[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    if _ref_optimize(T, basis, c, n) == UNBOUNDED:
+    if _ref_optimize(T, basis, c + [Fraction(0)] * m, n) == UNBOUNDED:
         return UNBOUNDED, None, None, None
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
+        if bi < n:
+            x[bi] = T[i][-1]
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return OPTIMAL, value, tuple(x), tuple(basis)
+    return OPTIMAL, value, tuple(x), tuple(bi for bi in basis if bi < n)
 
 
 def fields(res):
     return res.status, res.value, res.solution, res.basis
 
 
-def assert_matches_reference(objective, rows, rhs, maximize=True):
+def assert_matches_reference(objective, rows, rhs):
     """Field-for-field equality; returns the status."""
-    res = solve_lp(objective, rows, rhs, maximize=maximize)
-    try:
-        expected = ref_solve_lp(objective, rows, rhs, maximize=maximize)
-    except IndexError:
-        # no row left: only x >= 0 constrains, so the sign of c decides
-        sign = 1 if maximize else -1
-        if any(sign * Fraction(v) > 0 for v in objective):
-            expected = (UNBOUNDED, None, None, None)
-        else:
-            zeros = tuple(Fraction(0) for _ in objective)
-            expected = (OPTIMAL, Fraction(0), zeros, ())
-    assert fields(res) == expected
+    res = solve_lp(objective, rows, rhs)
+    assert fields(res) == ref_solve_lp(objective, rows, rhs)
     return res.status
 
 
@@ -139,9 +117,9 @@ def recorded_lps(monkeypatch):
     """Every LP that holonomic_opt hands to solve_lp, in call order."""
     calls = []
 
-    def recording(objective, rows, rhs, maximize=True):
-        calls.append((list(objective), [list(r) for r in rows], list(rhs), maximize))
-        return solve_lp(objective, rows, rhs, maximize=maximize)
+    def recording(objective, rows, rhs):
+        calls.append((list(objective), [list(r) for r in rows], list(rhs)))
+        return solve_lp(objective, rows, rhs)
 
     monkeypatch.setattr(holonomic_opt, "solve_lp", recording)
     return calls
@@ -167,22 +145,21 @@ def _random_lp(rng: random.Random):
     else:
         rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(m)]
     objective = [Fraction(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(n)]
-    return objective, rows, rhs, rng.random() < 0.7
+    return objective, rows, rhs
 
 
 def test_random_lps_match_reference():
     rng = random.Random(20261018)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-    seen = {"fractional": 0, "negative_rhs": 0, "repeated_or_zero_row": 0, "minimize": 0}
+    seen = {"fractional": 0, "negative_rhs": 0, "repeated_or_zero_row": 0}
     for _ in range(600):
-        objective, rows, rhs, maximize = _random_lp(rng)
-        statuses[assert_matches_reference(objective, rows, rhs, maximize)] += 1
+        objective, rows, rhs = _random_lp(rng)
+        statuses[assert_matches_reference(objective, rows, rhs)] += 1
         seen["fractional"] += any(v.denominator > 1 for r in rows for v in r)
         seen["negative_rhs"] += any(v < 0 for v in rhs)
         seen["repeated_or_zero_row"] += any(
             rows[i] == rows[0] or not any(rows[i]) for i in range(1, len(rows))
         )
-        seen["minimize"] += not maximize
     assert min(statuses.values()) >= 50, statuses
     assert min(seen.values()) >= 50, seen
 
@@ -264,25 +241,27 @@ def test_graph_lps_match_reference(recorded_lps, name, q, max_den):
 # paths the random cases may miss
 
 
-def test_artificial_driven_out_by_negative_entry(monkeypatch):
+def test_zero_level_artificial_leaves_on_negative_entry(monkeypatch):
     # Phase 1 ends with the second artificial basic at level zero and its
-    # row reading (-3, 0, -3 | 0), so the drive-out pivot divides by -3 and
-    # the row's sign must flip to keep its denominator positive; phase 2
-    # then pivots on that row again.
+    # row reading (-3, 0, -3 | 0). Column 2 enters phase 2 and the first
+    # row is 0 there, so only that artificial blocks it: the pivot divides
+    # by -3, at ratio zero, and the row's sign flips to keep its
+    # denominator positive. Without the block x2 would grow unbounded,
+    # carrying the artificial with it.
     objective = [2, 3, 2]
     rows = [[2, 1, 0], [1, 2, -3]]
     rhs = [1, 2]
-    negative_drive_outs = []
+    negative_leaves = []
     real_pivot = rational_simplex._pivot
 
     def spy(T, D, basis, row, col):
         if basis[row] >= len(objective) and T[row][col] < 0:
-            negative_drive_outs.append((row, col))
+            negative_leaves.append((row, col))
         real_pivot(T, D, basis, row, col)
 
     monkeypatch.setattr(rational_simplex, "_pivot", spy)
     assert assert_matches_reference(objective, rows, rhs) == OPTIMAL
-    assert negative_drive_outs == [(1, 0)]
+    assert negative_leaves == [(1, 2)]
     res = solve_lp(objective, rows, rhs)
     assert res.value == 3
     assert res.solution == (0, 1, 0)
@@ -290,20 +269,36 @@ def test_artificial_driven_out_by_negative_entry(monkeypatch):
 
 
 def test_fallback_ends_when_the_objective_rises(monkeypatch):
-    # Phase 1 makes m = 6 degenerate pivots by the largest reduced cost;
-    # Bland's rule then takes two more degenerate pivots and one that raises
-    # the objective, after which the largest reduced cost enters again, in
-    # phase 1 once and in phase 2 twice.
-    rows = [
-        [0, 2, -1, 3, 1, 3, 3, 2, 1, 1],
-        [-2, -1, 2, 1, 1, -1, 0, 1, -2, -1],
-        [0, 3, -1, 3, 1, -1, 2, -1, -2, 2],
-        [-1, 3, -2, 1, 1, -1, 3, 2, 1, 3],
-        [-2, 0, -2, -2, 2, -1, 1, 0, 3, -1],
-        [2, 2, 2, 2, -1, -1, 2, 2, 2, -1],
+    # First LP: phase 1 makes m = 6 degenerate pivots by the largest reduced
+    # cost, two of them taking zero-level artificials out on negative
+    # entries; Bland's rule then takes one more degenerate pivot and one
+    # that raises the objective to zero, which ends phase 1, and phase 2
+    # starts again with the largest reduced cost. Second LP: phase 1 makes
+    # m = 4 degenerate pivots, Bland's rule one that raises the objective,
+    # and the largest reduced cost enters again in phase 1 and in phase 2.
+    cases = [
+        (
+            [
+                [0, 2, -1, 3, 1, 3, 3, 2, 1, 1],
+                [-2, -1, 2, 1, 1, -1, 0, 1, -2, -1],
+                [0, 3, -1, 3, 1, -1, 2, -1, -2, 2],
+                [-1, 3, -2, 1, 1, -1, 3, 2, 1, 3],
+                [-2, 0, -2, -2, 2, -1, 1, 0, 3, -1],
+                [2, 2, 2, 2, -1, -1, 2, 2, 2, -1],
+            ],
+            [1, 0, 0, 0, 0, 0],
+            [-1, -3, 0, 0, 3, 0, 2, -3, 0, -4],
+            "DDDDDDBBD",
+            Fraction(78, 127),
+        ),
+        (
+            [[3, -2, 3, -1, 1, 1], [3, 3, -1, -2, 0, 3], [3, 1, 1, 3, -1, 0], [0, 0, -2, -1, 1, 3]],
+            [1, 0, 0, 0],
+            [-1, -1, 4, 0, 3, 4],
+            "DDDDBDD",
+            Fraction(41, 16),
+        ),
     ]
-    rhs = [1, 0, 0, 0, 0, 0]
-    objective = [-1, -3, 0, 0, 3, 0, 2, -3, 0, -4]
     rules = []
     entering = rational_simplex._entering
 
@@ -314,9 +309,11 @@ def test_fallback_ends_when_the_objective_rises(monkeypatch):
         return enter
 
     monkeypatch.setattr(rational_simplex, "_entering", spy)
-    assert assert_matches_reference(objective, rows, rhs) == OPTIMAL
-    assert "".join(rules) == "DDDDDDBBBDDD"
-    assert solve_lp(objective, rows, rhs).value == Fraction(78, 127)
+    for rows, rhs, objective, sequence, value in cases:
+        rules.clear()
+        assert assert_matches_reference(objective, rows, rhs) == OPTIMAL
+        assert "".join(rules) == sequence
+        assert solve_lp(objective, rows, rhs).value == value
 
 
 def test_constrained_beta_scales_fractional_rows(recorded_lps):
