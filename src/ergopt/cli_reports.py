@@ -71,7 +71,6 @@ from .symbolic_core import SubshiftSystem, classify_transitivity, point
 
 Word = tuple[int, ...]
 
-_RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _SECTIONS = ("system", "potential", "constraints", "solver")
 
 
@@ -90,10 +89,13 @@ class ExperimentConfig:
 
 
 def _parse_rational(text: str, line: int | None, field: str) -> Fraction:
-    if not _RATIONAL.match(text):
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (digits.isdecimal() and (den.isdecimal() or not slash)):
         raise ConfigError(f"expected a rational 'n' or 'n/d', got {text!r}", line, field)
-    num, _, den = text.partition("/")
-    d = int(den) if den else 1
+    if not slash:
+        return Fraction(int(num))
+    d = int(den)
     if d == 0:
         raise ConfigError("zero denominator", line, field)
     return Fraction(int(num), d)
@@ -107,12 +109,11 @@ def _parse_int(text: str, line: int, field: str) -> int:
 
 
 def _parse_symbols(tokens: Sequence[str], line: int, field: str) -> Word:
-    out = []
-    for t in tokens:
-        if not t.isdigit():
-            raise ConfigError(f"symbols must be nonnegative integers, got {t!r}", line, field)
-        out.append(int(t))
-    return tuple(out)
+    # isdecimal, not isdigit: int() rejects digits such as '\u00b2'
+    if not all(map(str.isdecimal, tokens)):
+        bad = next(t for t in tokens if not t.isdecimal())
+        raise ConfigError(f"symbols must be nonnegative integers, got {bad!r}", line, field)
+    return tuple(map(int, tokens))
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
@@ -125,10 +126,10 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     phi_entries: dict[int, dict[Word, tuple[Fraction, int]]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             if not line.endswith("]"):
                 raise ConfigError("unterminated section header", lineno)
             name = line[1:-1].strip()
@@ -141,20 +142,22 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             continue
         if section is None:
             raise ConfigError("key before any section header", lineno)
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", lineno)
-        lhs, rhs = (part.strip() for part in line.split("=", 1))
+        lhs, eq, rhs = line.partition("=")
         parts = lhs.split()
+        if not (eq and parts):
+            raise ConfigError("expected 'key = value'", lineno)
         key = parts[0]
-        if section == "system" and key == "row":
-            if len(parts) != 1:
-                raise ConfigError("row takes its entries on the right of '='", lineno, "row")
-            rows.append((_parse_symbols(rhs.split(), lineno, "row"), lineno))
-        elif section == "potential" and key == "window":
+        rhs = rhs.strip()
+        # window lines are most of a config, so they are tested first
+        if key == "window" and section == "potential":
             symbols = _parse_symbols(parts[1:], lineno, "window")
             if symbols in windows:
                 raise ConfigError(f"duplicate window {symbols}", lineno, "window")
             windows[symbols] = (_parse_rational(rhs, lineno, "window"), lineno)
+        elif key == "row" and section == "system":
+            if len(parts) != 1:
+                raise ConfigError("row takes its entries on the right of '='", lineno, "row")
+            rows.append((_parse_symbols(rhs.split(), lineno, "row"), lineno))
         elif section == "constraints" and re.fullmatch(r"phi[1-9]\d*", key):
             index = int(key[3:])
             symbols = _parse_symbols(parts[1:], lineno, key)
@@ -237,7 +240,7 @@ def _build_potential(system, scalars, windows, header_line) -> LocallyConstantPo
             raise ConfigError(
                 f"window needs {width} symbols, got {len(symbols)}", lineno, "window"
             )
-        if any(s >= system.alphabet_size for s in symbols):
+        if max(symbols) >= system.alphabet_size:
             raise ConfigError("window symbol outside the alphabet", lineno, "window")
         table[symbols] = value
     try:

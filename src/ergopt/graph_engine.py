@@ -6,10 +6,18 @@ whose key is the allowed (q+1)-word (s,) + w and whose weight is the reduced
 potential value there. All arithmetic is exact; criticality is an equality
 predicate on rationals.
 
-The dynamic programs (Karp, Bellman, the negative-cycle search and the
-all-pairs costs) run on Python ints: every edge cost is scaled by the
-common denominator of the weights and of beta, and results turn back into
-exact Fractions when they return.
+The dynamic programs (policy iteration, Bellman, the negative-cycle search
+and the all-pairs costs) run on Python ints: every edge cost is scaled by
+the common denominator of the weights and of beta, and results turn back
+into exact Fractions when they return.
+
+beta comes from exact policy iteration on the max-plus Bellman operator
+(Howard's algorithm, ``_policy_iteration``): O(n + m) per round and, on
+random full and golden-mean shifts of 128-1024 nodes, 9-23 rounds, where
+Karp's table is Theta(n * m + n^2). Bellman-Ford at beta certifies it and
+gives the potential h. Karp's algorithm is kept in the tests as a
+reference, as are Floyd-Warshall and Tarjan; the parametric route and the
+circulation LP are the other two independent routes to beta.
 
 The excursion-cost matrix lives at the graph's own beta and comes from
 Johnson's method: the Bellman potential that ``max_mean_cycle`` kept
@@ -28,7 +36,8 @@ one graph:
 
 - its arcs as ints over a common denominator, once per shift
   (``_scaled_costs``);
-- its ``BetaResult``, so Karp, Bellman and the witness search run once
+- its ``BetaResult``, so policy iteration and Bellman run once, and the
+  canonical witness cycle is searched once and only when read
   (``max_mean_cycle``);
 - its excursion-cost matrix at beta, built from the kept Bellman potential
   with no Bellman run of its own, and each row of it once read
@@ -47,15 +56,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NegativeCycle
 from .potential_model import LocallyConstantPotential, ReducedPotential, reduce_past
 from .symbolic_core import SubshiftSystem, Word, allowed_words
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     index: int
     src: int
     tgt: int
@@ -119,25 +128,20 @@ def build_prepend_graph(
     q = reduced.future_depth
     nodes = tuple(allowed_words(system, q))
     index = {w: i for i, w in enumerate(nodes)}
+    symbols = system.symbols()
+    # before[b]: the symbols that may be prepended onto a word starting with b
+    before = [[s for s in symbols if system.allows(s, b)] for b in symbols]
+    weight = reduced.edge_table
     edges = []
-    for w in nodes:
-        for s in system.symbols():
-            if not system.allows(s, w[0]):
-                continue
+    for i, w in enumerate(nodes):
+        for s in before[w[0]]:
             key = (s,) + w
-            tgt = key[:q]
-            edges.append(
-                Edge(len(edges), index[w], index[tgt], s, reduced.value(key), key)
-            )
-    graph = PrependGraph(system, q, nodes, tuple(edges), reduced, potential)
-    out_count = [0] * len(nodes)
-    in_count = [0] * len(nodes)
-    for e in edges:
-        out_count[e.src] += 1
-        in_count[e.tgt] += 1
-    if any(c == 0 for c in out_count) or any(c == 0 for c in in_count):
+            edges.append(Edge(len(edges), i, index[key[:q]], s, weight[key], key))
+    # node w has an out-arc when w[0] has a predecessor and an in-arc when
+    # w[-1] has a successor; the cycle kernels need both at every node
+    if not (all(before) and all(map(any, system.transition))):
         raise AssertionError("prepend graph must have no sources or sinks")
-    return graph
+    return PrependGraph(system, q, nodes, tuple(edges), reduced, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +155,25 @@ def _scaled_costs(
 
     D is the lcm of the weight denominators and of shift's denominator, so
     (src, tgt, D * (shift - weight)) is exact for every edge, in edge order.
-    The graph keeps the result per shift, so each is scaled once per graph.
+    The weights are scaled once, at shift 0 over W; any other shift reads
+    them, since W divides D. The graph keeps the result per shift, so each
+    is scaled once per graph.
     """
     memo = graph._scaled
     found = memo.get(shift)
     if found is None:
-        D = math.lcm(shift.denominator, *(e.weight.denominator for e in graph.edges))
-        base = shift.numerator * (D // shift.denominator)
-        found = memo[shift] = D, tuple(
-            (e.src, e.tgt, base - e.weight.numerator * (D // e.weight.denominator))
-            for e in graph.edges
-        )
+        if shift:
+            W, weights = _scaled_costs(graph, Fraction(0))
+            D = math.lcm(W, shift.denominator)
+            base, k = shift.numerator * (D // shift.denominator), D // W
+            found = D, tuple((a, b, base + k * c) for a, b, c in weights)
+        else:
+            W = math.lcm(*(e.weight.denominator for e in graph.edges))
+            found = W, tuple(
+                (e.src, e.tgt, -e.weight.numerator * (W // e.weight.denominator))
+                for e in graph.edges
+            )
+        memo[shift] = found
     return found
 
 
@@ -191,57 +203,154 @@ def _bellman_ford(
 
 
 # ---------------------------------------------------------------------------
-# max mean cycle (Karp)
+# max mean cycle (policy iteration)
 
 
-@dataclass(frozen=True)
 class BetaResult:
-    """beta, its canonical witness cycle and the Bellman potential h at beta."""
+    """beta, its canonical witness cycle and the Bellman potential h at beta.
 
-    beta: Fraction
-    witness_cycle: tuple[Edge, ...]
-    potential: tuple[Fraction, ...]
+    beta and h, as ints over D, are computed with the result; the witness
+    cycle and h as Fractions are built when first read. The result holds the
+    graph's edges and scaled arcs, never the graph itself, so a graph that
+    keeps its result forms no reference cycle.
+    """
+
+    def __init__(
+        self,
+        beta: Fraction,
+        D: int,
+        h: Sequence[int],
+        edges: Sequence[Edge],
+        arcs: Sequence[tuple[int, int, int]],
+    ) -> None:
+        self.beta = beta
+        self.D = D
+        self.h = h
+        self._edges = edges
+        self._arcs = arcs
+
+    @cached_property
+    def witness_cycle(self) -> tuple[Edge, ...]:
+        """The least cycle of tight arcs (``_minimal_cycle``); its mean is beta."""
+        h = self.h
+        tight = [e for e, (a, b, c) in zip(self._edges, self._arcs) if c + h[a] == h[b]]
+        witness = _minimal_cycle(len(h), tight)
+        if sum((e.weight for e in witness), Fraction(0)) / len(witness) != self.beta:
+            raise AssertionError("witness cycle mean differs from beta")
+        return witness
+
+    @cached_property
+    def potential(self) -> tuple[Fraction, ...]:
+        """h as exact Fractions."""
+        return tuple(Fraction(x, self.D) for x in self.h)
 
 
-def _karp_value(graph: PrependGraph) -> Fraction:
-    """Maximum cycle mean of the graph's weights, by Karp's dynamic program."""
-    W, arcs = _scaled_costs(graph, Fraction(0))
-    num, den = _karp(len(graph.nodes), arcs)
-    return Fraction(-num, den * W)
-
-
-def _karp(n: int, arcs: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
+def _policy_iteration(n: int, arcs: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
     """Least cycle mean over the int arcs (a, b, c), as (num, den) with den > 0.
 
-    d[k][v] is the least cost of a k-edge walk ending at v, starting anywhere
-    (the usual super-source with zero-cost entry edges). Every node needs an
-    in-arc and n >= 1. The mean num / den is not reduced to lowest terms.
+    Exact multichain policy iteration on the min-plus Bellman operator
+    (Howard's algorithm; Cochet-Terrasson, Cohen, Gaubert, McGettrick and
+    Quadrat 1998). A policy picks one out-arc per node, starting from the
+    cheapest. ``_policy_values`` gives each node the mean of the policy
+    cycle it reaches and a bias, both ints over the lcm of the cycle
+    lengths. Every node then takes the out-arc (t, c) with the least pair
+    (eta[t], c * L + x[t]), mean first, and switches only on a strict gain.
+    A new policy cycle can only use arcs of equal old mean, and one through
+    a switched arc has a smaller mean, so each round lowers the
+    (mean, bias) pair of every switched node and raises none, and no
+    policy repeats. When no node gains, every cycle of the graph has mean
+    at least that of some policy cycle. Every node needs an out-arc.
+    num / den is the total cost and the length of the least-mean policy
+    cycle, not reduced to lowest terms.
     """
-    d = [[0] * n]
-    for _ in range(n):
-        prev = d[-1]
-        row: list[int | None] = [None] * n
-        for src, tgt, c in arcs:
-            cand = prev[src] + c
-            cur = row[tgt]
-            if cur is None or cand < cur:
-                row[tgt] = cand
-        d.append(row)  # type: ignore[arg-type]
-    # min over v of max over k of (d[n][v] - d[k][v]) / (n - k), compared as
-    # integer cross products; every node has an in-arc, so no entry is None
-    last = d[n]
-    best: tuple[int, int] | None = None
-    for v in range(n):
-        num, den = last[v], n  # k = 0, where d[0][v] = 0
-        for k in range(1, n):
-            a, p = last[v] - d[k][v], n - k
-            if a * den > num * p:
-                num, den = a, p
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den)
-    if best is None:
-        raise AssertionError("Karp needs at least one node")
-    return best
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, c in arcs:
+        out[a].append((b, c))
+    succ = [0] * n
+    cost = [0] * n
+    for v, choices in enumerate(out):
+        succ[v], cost[v] = min(choices, key=itemgetter(1))
+    while True:
+        L, eta, x, cycles = _policy_values(succ, cost)
+        switched = False
+        for v, choices in enumerate(out):
+            # the current arc scores (eta[v], x[v] + eta[v]); switch on a
+            # strictly smaller pair, mean first
+            best, bias = eta[v], x[v] + eta[v]
+            pick = None
+            for t, c in choices:
+                e = eta[t]
+                if e <= best:
+                    b = c * L + x[t]
+                    if e < best or b < bias:
+                        best, bias, pick = e, b, (t, c)
+            if pick is not None:
+                succ[v], cost[v] = pick
+                switched = True
+        if not switched:
+            break
+    best_num, best_den = cycles[0]
+    for num, den in cycles[1:]:
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
+
+
+def _policy_values(
+    succ: Sequence[int], cost: Sequence[int]
+) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
+    """L, the mean and the bias of every node over L, and each policy cycle.
+
+    The policy sends v along one arc to succ[v] at cost[v]. Each node
+    reaches exactly one cycle of the policy; eta[v] is that cycle's mean
+    and x[v] the cost over L of the path to the cycle's least node, less
+    eta[v] per arc, so x[v] = cost[v] * L - eta[v] + x[succ[v]] everywhere
+    and x is 0 at the least node of each cycle. L is the lcm of the cycle
+    lengths, so both are ints. The cycles come as (total cost, length).
+    """
+    n = len(succ)
+    walk = [-1] * n  # the walk that first reached each node
+    loops: list[list[int]] = []
+    paths: list[list[int]] = []
+    for start in range(n):
+        if walk[start] >= 0:
+            continue
+        path = []
+        v = start
+        while walk[v] < 0:
+            walk[v] = start
+            path.append(v)
+            v = succ[v]
+        if walk[v] == start:
+            at = path.index(v)
+            loops.append(path[at:])
+            del path[at:]
+        paths.append(path)
+    L = math.lcm(*map(len, loops))
+    eta = [0] * n
+    x = [0] * n
+    cycles = []
+    for loop in loops:
+        total = sum(cost[v] for v in loop)
+        mean = total * (L // len(loop))
+        cycles.append((total, len(loop)))
+        at = loop.index(min(loop))
+        acc = 0
+        # back round the cycle from its least node: loop[at - 1], loop[at - 2], ...
+        for k in range(len(loop) - 1, 0, -1):
+            v = loop[(at + k) % len(loop)]
+            acc += cost[v] * L - mean
+            eta[v] = mean
+            x[v] = acc
+        eta[loop[at]] = mean
+    # each path ends at a node already valued, so value it back to front
+    for path in paths:
+        for v in reversed(path):
+            t = succ[v]
+            e = eta[t]
+            eta[v] = e
+            x[v] = cost[v] * L - e + x[t]
+    return L, eta, x, cycles
 
 
 def _bellman_ints(
@@ -270,14 +379,13 @@ def bellman_potentials(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
     return [Fraction(x, D) for x in h]
 
 
-def _minimal_cycle(graph: PrependGraph, edge_pool: list[Edge]) -> tuple[Edge, ...]:
-    """Shortest cycle in the pool; ties broken by smallest node sequence.
+def _minimal_cycle(n: int, edge_pool: list[Edge]) -> tuple[Edge, ...]:
+    """Shortest cycle in the pool on nodes 0 .. n-1; ties by smallest node sequence.
 
     Searches lengths 1, 2, ... and start nodes in ascending order, extending
     paths only through nodes larger than the start with edges in ascending
     target order, so the first hit is the canonical representative.
     """
-    n = len(graph.nodes)
     out: dict[int, list[Edge]] = {}
     for e in sorted(edge_pool, key=lambda e: (e.tgt, e.symbol)):
         out.setdefault(e.src, []).append(e)
@@ -311,27 +419,35 @@ def _cycle_dfs(
 
 
 def max_mean_cycle(graph: PrependGraph) -> BetaResult:
-    """Karp's algorithm with a canonical witness cycle of mean exactly beta.
+    """beta by policy iteration, certified, with its Bellman potential.
 
     The result is kept on the graph, so a repeated call returns the same
-    object and Karp, Bellman and the witness search run once per graph.
+    object and policy iteration and Bellman run once per graph; the witness
+    cycle is searched only when read.
     """
     return graph._beta_result
 
 
 def _solve_max_mean_cycle(graph: PrependGraph) -> BetaResult:
-    beta = _karp_value(graph)
+    """beta from ``_policy_iteration``, certified by both of its bounds.
+
+    beta is the mean of a policy cycle, so no more than the maximum; the
+    check is that beta - weight admits no negative cycle (``_bellman_ints``
+    raises otherwise), so no cycle has a larger mean, and that some cycle
+    of tight arcs (a nonempty tight core) attains beta.
+    """
+    n = len(graph.nodes)
+    W, weights = _scaled_costs(graph, Fraction(0))
+    num, den = _policy_iteration(n, weights)
+    beta = Fraction(-num, den * W)
     D, arcs, h = _bellman_ints(graph, beta)
-    tight = [e for e, (a, b, c) in zip(graph.edges, arcs) if c + h[a] == h[b]]
-    witness = _minimal_cycle(graph, tight)
-    total = sum((e.weight for e in witness), Fraction(0))
-    if total / len(witness) != beta:
-        raise AssertionError("witness cycle mean differs from beta")
-    return BetaResult(beta, witness, tuple(Fraction(x, D) for x in h))
+    if not _tight_core_arcs(n, arcs, h):
+        raise AssertionError("no cycle attains beta")
+    return BetaResult(beta, D, tuple(h), graph.edges, arcs)
 
 
 # ---------------------------------------------------------------------------
-# parametric route (independent of Karp)
+# parametric route (independent of policy iteration)
 
 
 def _negative_cycle(graph: PrependGraph, b: Fraction) -> tuple[Edge, ...] | None:
@@ -523,9 +639,8 @@ def _solve_min_cost_all_pairs(graph: PrependGraph) -> ManeMatrix:
     2-2.5 times.
     """
     result = graph._beta_result
-    D, arcs = _scaled_costs(graph, result.beta)
-    # every denominator of the potential divides D
-    h = tuple(x.numerator * (D // x.denominator) for x in result.potential)
+    D, h = result.D, result.h
+    _, arcs = _scaled_costs(graph, result.beta)
     out: list[list[tuple[int, int]]] = [[] for _ in h]
     for a, b, c in arcs:
         out[a].append((b, c + h[a] - h[b]))

@@ -63,9 +63,12 @@ def allowed_words(system: SubshiftSystem, length: int) -> list[Word]:
     """All allowed words of the given length, in lexicographic order."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    words: list[Word] = [(s,) for s in system.symbols()]
+    symbols = system.symbols()
+    # after[a]: the symbols that may follow a, as 1-tuples
+    after = [[(b,) for b in symbols if system.allows(a, b)] for a in symbols]
+    words: list[Word] = [(s,) for s in symbols]
     for _ in range(length - 1):
-        words = [w + (s,) for w in words for s in system.symbols() if system.allows(w[-1], s)]
+        words = [w + s for w in words for s in after[w[-1]]]
     return words
 
 

@@ -103,6 +103,8 @@ def test_schedule_override():
         ("[solver]\nschedule_k_max = 0", "in [1, 64]"),
         ("[solver]\nschedule_k_max = x", "expected an integer"),
         ("[solver]\nseed = 0", "unknown key 'seed'"),
+        ("window 0 \u00b2 = 1", "symbols must be nonnegative integers"),
+        ("= 3", "expected 'key = value'"),
     ],
 )
 def test_parse_rejects(mutation, fragment):
@@ -697,19 +699,46 @@ def test_excursion_rows_built_per_command(tmp_path, monkeypatch, command, text, 
     ],
     ids=lambda c: c[-1] if isinstance(c, list) else str(c),
 )
-def test_one_karp_run_per_graph(tmp_path, monkeypatch, command, graphs):
+def test_one_beta_solve_per_graph(tmp_path, monkeypatch, command, graphs):
     path = write_fixture(tmp_path, "f5")
     solved = []
-    karp = graph_engine._karp_value
+    solve = graph_engine._solve_max_mean_cycle
 
-    def counting_karp(graph):
+    def counting_solve(graph):
         solved.append(graph)  # kept alive, so no id is reused
-        return karp(graph)
+        return solve(graph)
 
-    monkeypatch.setattr(graph_engine, "_karp_value", counting_karp)
+    monkeypatch.setattr(graph_engine, "_solve_max_mean_cycle", counting_solve)
     assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
     assert len(solved) == graphs
     assert len({id(g) for g in solved}) == graphs
+
+
+@pytest.mark.parametrize(
+    "command, searches",
+    [
+        (["beta"], 1),
+        (["mane"], 0),
+        (["classify", "--boundary", "0,0"], 0),
+        (["subaction", "--kind", "u0"], 0),
+        (["subaction", "--kind", "calibrated"], 0),
+    ],
+    ids=lambda c: c[-1] if isinstance(c, list) else str(c),
+)
+def test_witness_search_only_where_reported(tmp_path, monkeypatch, command, searches):
+    # the canonical witness cycle is searched only by the commands that
+    # report it; the others read beta and the Bellman potential alone
+    path = write_fixture(tmp_path, "f5")
+    calls = []
+    search = graph_engine._minimal_cycle
+
+    def counting_search(n, pool):
+        calls.append(n)
+        return search(n, pool)
+
+    monkeypatch.setattr(graph_engine, "_minimal_cycle", counting_search)
+    assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == searches
 
 
 # A 3-symbol system with p = 2, q = 1 and a component on 3-words: the

@@ -164,7 +164,7 @@ def ref_int_floyd_warshall(graph, beta):
 def ref_witness(graph, beta):
     h = bellman_potentials(graph, beta)
     tight = [e for e in graph.edges if (beta - e.weight) + h[e.src] - h[e.tgt] == 0]
-    return _minimal_cycle(graph, tight), tuple(h)
+    return _minimal_cycle(len(graph.nodes), tight), tuple(h)
 
 
 def ref_subaction_residual(u, graph, beta):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from ergopt.graph_engine import (
     min_cost_all_pairs,
     parametric_beta,
 )
+from ergopt.mane_aubry import omega_set
 from ergopt.potential_model import LocallyConstantPotential, constant_potential
 from ergopt.symbolic_core import allowed_words
 
@@ -189,7 +192,7 @@ class TestManeMemo:
 
 
 class TestBetaMemo:
-    """One Karp, Bellman and witness search per graph, kept on the graph itself."""
+    """One policy iteration and Bellman run per graph, kept on the graph itself."""
 
     def test_a_repeat_call_returns_the_same_result(self):
         g = f5_graph()
@@ -197,22 +200,78 @@ class TestBetaMemo:
 
     def test_a_rebuilt_graph_computes_again(self, monkeypatch):
         solved = []
-        karp = graph_engine._karp_value
+        solve = graph_engine._solve_max_mean_cycle
 
-        def counting_karp(graph):
+        def counting_solve(graph):
             solved.append(graph)
-            return karp(graph)
+            return solve(graph)
 
-        monkeypatch.setattr(graph_engine, "_karp_value", counting_karp)
+        monkeypatch.setattr(graph_engine, "_solve_max_mean_cycle", counting_solve)
         g5 = f5_graph()
         first = max_mean_cycle(g5)
         assert max_mean_cycle(g5) is first
         rebuilt = build_prepend_graph(g5.system, g5.potential)
         again = max_mean_cycle(rebuilt)
         assert again is not first
-        assert again == first
+        assert (again.beta, again.D, again.h) == (first.beta, first.D, first.h)
+        assert again.witness_cycle == first.witness_cycle
+        assert again.potential == first.potential
         # the graphs compare equal by value, so count them by identity
         assert [id(g) for g in solved] == [id(g5), id(rebuilt)]
+
+    def test_the_witness_is_searched_once_when_first_read(self, monkeypatch):
+        calls = []
+        search = graph_engine._minimal_cycle
+
+        def counting_search(n, pool):
+            calls.append(n)
+            return search(n, pool)
+
+        monkeypatch.setattr(graph_engine, "_minimal_cycle", counting_search)
+        result = max_mean_cycle(f6_graph())
+        assert calls == []
+        assert result.witness_cycle is result.witness_cycle
+        assert calls == [2]
+
+    def test_a_solved_graph_needs_no_cycle_collector(self):
+        # the kept results hold no reference back to the graph, so dropping
+        # the last reference frees it at once
+        g = two_class_graph()
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            max_mean_cycle(g).witness_cycle
+            omega_set(g)
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("q, rounds, beta", [(7, 9, Fraction(10697, 2268)), (10, 23, Fraction(18863, 3780))])
+def test_policy_round_count(monkeypatch, q, rounds, beta):
+    # Full 2-shift at future depth q (128 and 1024 nodes), weights
+    # randint(-20, 20)/randint(1, 10) from Random(5) in word order. The
+    # count pins the switching rules: a change to them moves it. Karp's
+    # table at 1024 nodes is about 2 * 10^6 relaxations; these rounds cost
+    # O(n + m) each.
+    rng = random.Random(5)
+    system = full_shift()
+    table = {
+        word: Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+        for word in itertools.product(range(2), repeat=q + 1)
+    }
+    graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
+    valued = []
+    policy_values = graph_engine._policy_values
+
+    def counting(succ, cost):
+        valued.append(len(succ))
+        return policy_values(succ, cost)
+
+    monkeypatch.setattr(graph_engine, "_policy_values", counting)
+    assert max_mean_cycle(graph).beta == beta
+    assert valued == [2**q] * rounds
 
 
 class TestCriticalStructure:

@@ -1,9 +1,11 @@
 """The integer dynamic programs against the rational formulas they replace.
 
 Each reference below is the plain Fraction loop that the integer kernel
-replaced. The kernel must reproduce it exactly, value for value, on full
-shifts, golden-mean shifts and a reducible system (whose matrix has
-unreachable pairs), at weight denominators up to 10 and up to 1000.
+replaced; ``ref_karp`` is Karp's algorithm, which ``max_mean_cycle`` ran
+before exact policy iteration took its place. The kernel must reproduce it
+exactly, value for value, on full shifts, golden-mean shifts and a
+reducible system (whose matrix has unreachable pairs), at weight
+denominators up to 10 and up to 1000.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from fractions import Fraction
 
 import pytest
 
+import ergopt.graph_engine as graph_engine
 from ergopt.errors import NegativeCycle
 from ergopt.graph_engine import (
-    _karp,
     _negative_cycle,
+    _policy_iteration,
     _scaled_costs,
     bellman_potentials,
     build_prepend_graph,
@@ -32,9 +35,9 @@ from ergopt.subaction_lab import (
     _exact_discounted,
     maximal_subaction,
 )
-from ergopt.symbolic_core import allowed_words
+from ergopt.symbolic_core import allowed_words, classify_transitivity
 
-from conftest import full_shift, golden_mean, random_fraction, reducible_system
+from conftest import full_shift, golden_mean, random_fraction, random_system, reducible_system
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +45,7 @@ from conftest import full_shift, golden_mean, random_fraction, reducible_system
 
 
 def ref_karp(graph) -> Fraction:
+    # Karp's dynamic program, the reference for the policy-iteration kernel
     n = len(graph.nodes)
     d = [[Fraction(0)] * n]
     for k in range(1, n + 1):
@@ -201,13 +205,68 @@ def test_scaled_costs_match_the_direct_formula(graph):
 
 @pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
 def test_karp_kernel_on_shifted_arcs(graph):
-    # the least mean of the arcs of shift - weight is shift - beta
+    # the least mean of the arcs of shift - weight is shift - beta, with
+    # beta from the Karp reference; policy iteration must return it
     beta = ref_karp(graph)
     for shift in (Fraction(0), beta, beta + Fraction(1, 7), Fraction(-3, 11)):
         D, arcs = _scaled_costs(graph, shift)
-        num, den = _karp(len(graph.nodes), arcs)
+        num, den = _policy_iteration(len(graph.nodes), arcs)
         assert den > 0
         assert Fraction(num, den * D) == shift - beta
+
+
+def _random_instances(max_den: int):
+    # random transition matrices from the shared helper, transitive and
+    # reducible, at future depths 1 and 2
+    rng = random.Random(2000 + max_den)
+    out = []
+    for kind in ("transitive", "reducible"):
+        found = 0
+        while found < 4:
+            system = random_system(rng, rng.randint(2, 4), require_transitive=kind == "transitive")
+            if (classify_transitivity(system).kind == "reducible") != (kind == "reducible"):
+                continue
+            q = 1 + found % 2
+            table = {k: random_fraction(rng, max_den=max_den) for k in allowed_words(system, 1 + q)}
+            A = LocallyConstantPotential(system, 1, q, table)
+            out.append(pytest.param(build_prepend_graph(system, A), id=f"{kind}{found}-q{q}-d{max_den}"))
+            found += 1
+    return out
+
+
+@pytest.mark.parametrize("graph", _random_instances(10) + _random_instances(1000))
+def test_policy_iteration_matches_karp_on_random_systems(graph):
+    beta = ref_karp(graph)
+    W, arcs = _scaled_costs(graph, Fraction(0))
+    num, den = _policy_iteration(len(graph.nodes), arcs)
+    assert Fraction(-num, den * W) == beta
+    assert max_mean_cycle(graph).beta == beta
+
+
+@pytest.mark.parametrize("system", [full_shift(2), full_shift(3), golden_mean(), reducible_system()])
+def test_policy_iteration_with_all_weights_equal(monkeypatch, system):
+    # every cycle has mean 7/3, so every policy is optimal and none switches:
+    # the first policy is valued once and kept
+    rounds = []
+    policy_values = graph_engine._policy_values
+
+    def counting(succ, cost):
+        rounds.append(len(succ))
+        return policy_values(succ, cost)
+
+    monkeypatch.setattr(graph_engine, "_policy_values", counting)
+    for q in (1, 2, 3):
+        table = {k: Fraction(7, 3) for k in allowed_words(system, 1 + q)}
+        graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
+        assert ref_karp(graph) == Fraction(7, 3)
+        W, arcs = _scaled_costs(graph, Fraction(0))
+        rounds.clear()
+        num, den = _policy_iteration(len(graph.nodes), arcs)
+        assert rounds == [len(graph.nodes)]
+        assert Fraction(-num, den * W) == Fraction(7, 3)
+        result = max_mean_cycle(graph)
+        assert result.beta == Fraction(7, 3)
+        assert len(result.witness_cycle) == 1
 
 
 @pytest.mark.parametrize("graph", INSTANCES)
