@@ -10,6 +10,12 @@ emitted as "n/d" strings and floats appear only inside discount traces.
 Exit codes: 0 ok, 1 check-suite failure, 2 config error (also an
 unwritable --out path), 3 hypothesis not met (reducible system, class
 count mismatch, infeasible target, ...), 4 non-convergence.
+
+The command line is read from one table of commands and options
+(``_COMMON`` and ``_COMMANDS``). A plain ``COMMAND --OPTION VALUE ...``
+argument list is read straight from it; argparse parsers are built from
+it only for help, usage errors and other forms, so their output is
+argparse's own.
 """
 
 from __future__ import annotations
@@ -205,6 +211,9 @@ def _build_system(scalars, rows, header_line) -> SubshiftSystem:
         raise ConfigError("missing alphabet_size", header_line, "alphabet_size")
     size_text, size_line = scalars[("system", "alphabet_size")]
     size = _parse_int(size_text, size_line, "alphabet_size")
+    if size > 10:
+        # report keys write each symbol as one decimal digit
+        raise ConfigError("alphabet_size must be at most 10", size_line, "alphabet_size")
     if len(rows) != size:
         raise ConfigError(
             f"expected {size} row lines, found {len(rows)}", header_line, "row"
@@ -797,10 +806,41 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace of a plain ``COMMAND (--OPTION VALUE)*`` argv, or None.
+
+    Plain means a known command, then each of its options by full name, at
+    most once, with a value that does not start with '-', is among the
+    option's choices and, for an int option, is ASCII digits; every required
+    option is given. Such an argv parses the same with argparse, so it is
+    read straight from the option table; any other argv returns None.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) + 1 != len(argv):  # a repeated option or a missing value
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, kwargs in _COMMON + _COMMANDS[argv[0]][1]:
+        value = given.pop(flag, None)
+        if value is None:
+            if kwargs.get("required"):
+                return None
+            value = kwargs.get("default")
+        elif value.startswith("-") or value not in kwargs.get("choices", (value,)):
+            return None
+        elif kwargs.get("type") is int:
+            if not (value.isascii() and value.isdecimal()):
+                return None
+            value = int(value)
+        setattr(args, flag[2:], value)
+    return None if given else args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _build_parser(argv).parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "beta":

@@ -43,11 +43,13 @@ one graph:
   with no Bellman run of its own, and each row of it once read
   (``min_cost_all_pairs``).
 
-One Bellman-Ford kernel, ``_bellman_ford``, solves every least-cost problem
-from a super-source: the Bellman potentials (``bellman_potentials``), the
-improving cycle of the parametric route (``_negative_cycle``) and, in
-``subaction_lab``, the maximal sub-action (on reversed arcs) and the Livsic
-transfer (read off the Bellman potentials).
+One Bellman-Ford round, ``_relax``, serves every least-cost problem from a
+super-source. ``_bellman_ford`` repeats it until nothing changes, for the
+Bellman potentials (``bellman_potentials``) and, in ``subaction_lab``, the
+maximal sub-action (on reversed arcs) and the Livsic transfer (read off the
+Bellman potentials). The parametric route's improving cycle
+(``_negative_cycle``) walks the predecessor arcs after each round, in O(n),
+and stops at the first cycle they close.
 """
 
 from __future__ import annotations
@@ -177,29 +179,40 @@ def _scaled_costs(
     return found
 
 
+def _relax(
+    arcs: Sequence[tuple[int, int, int]], dist: list[int], pred: list[int | None]
+) -> int | None:
+    """One Bellman-Ford round: relax the int arcs (a, b, c) in order.
+
+    Records in pred the index of the arc that lowers each node and returns
+    the last node lowered, or None when the round changes nothing.
+    """
+    lowered = None
+    for i, (a, b, c) in enumerate(arcs):
+        cand = dist[a] + c
+        if cand < dist[b]:
+            dist[b] = cand
+            pred[b] = i
+            lowered = b
+    return lowered
+
+
 def _bellman_ford(
     n: int, arcs: Sequence[tuple[int, int, int]]
-) -> tuple[list[int], list[int | None], int | None]:
+) -> tuple[list[int], int | None]:
     """Least costs over the int arcs (a, b, c) from a zero-cost super-source.
 
-    Relaxes the arcs in order for at most n + 1 rounds. Returns the costs,
-    the index of the arc that last lowered each node (None for nodes never
-    lowered) and the last node lowered in round n + 1, which only a negative
-    cycle can reach; that node is None when some round changes nothing.
+    Runs at most n + 1 rounds. Returns the costs and the last node lowered in
+    round n + 1, which only a negative cycle can reach; that node is None
+    when some round changes nothing.
     """
     dist = [0] * n
     pred: list[int | None] = [None] * n
     for _ in range(n + 1):
-        lowered = None
-        for i, (a, b, c) in enumerate(arcs):
-            cand = dist[a] + c
-            if cand < dist[b]:
-                dist[b] = cand
-                pred[b] = i
-                lowered = b
+        lowered = _relax(arcs, dist, pred)
         if lowered is None:
             break
-    return dist, pred, lowered
+    return dist, lowered
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +374,7 @@ def _bellman_ints(
     Raises NegativeCycle if beta is below the true maximum mean.
     """
     D, arcs = _scaled_costs(graph, beta)
-    h, _, looped = _bellman_ford(len(graph.nodes), arcs)
+    h, looped = _bellman_ford(len(graph.nodes), arcs)
     if looped is not None:
         raise NegativeCycle("costs beta - weight admit a negative cycle")
     return D, arcs, h
@@ -451,29 +464,54 @@ def _solve_max_mean_cycle(graph: PrependGraph) -> BetaResult:
 
 
 def _negative_cycle(graph: PrependGraph, b: Fraction) -> tuple[Edge, ...] | None:
-    """A cycle with mean above b, found by Bellman-Ford predecessor walking."""
+    """A cycle with mean above b, or None when no cycle has one.
+
+    Bellman-Ford on the costs b - weight, stopped at the first round after
+    which the predecessor arcs close a cycle: every such cycle costs less
+    than 0, and when some cycle does, one closes within n + 1 rounds. A
+    round that changes nothing proves there is none.
+    """
     n = len(graph.nodes)
     _, arcs = _scaled_costs(graph, b)
-    _, pred_arc, marked = _bellman_ford(n, arcs)
-    if marked is None:
-        return None
-    pred = [None if i is None else graph.edges[i] for i in pred_arc]
-    # walk predecessors n times to land inside the cycle, then collect it
-    v = marked
-    for _ in range(n):
-        v = pred[v].src  # type: ignore[union-attr]
-    cycle = []
-    u = v
-    while True:
-        e = pred[u]
-        if e is None:
-            raise AssertionError("the predecessor walk left the cycle")
-        cycle.append(e)
-        u = e.src
-        if u == v:
-            break
-    cycle.reverse()
-    return tuple(cycle)
+    dist = [0] * n
+    pred: list[int | None] = [None] * n
+    for _ in range(n + 1):
+        if _relax(arcs, dist, pred) is None:
+            return None
+        cycle = _predecessor_cycle(arcs, pred)
+        if cycle is not None:
+            return tuple(graph.edges[i] for i in cycle)
+    raise AssertionError("a node lowered in round n + 1 closes no predecessor cycle")
+
+
+def _predecessor_cycle(
+    arcs: Sequence[tuple[int, int, int]], pred: list[int | None]
+) -> list[int] | None:
+    """The arc indices, in path order, of the first cycle of predecessor arcs.
+
+    Walks back from each node in turn, in O(n) over all walks: a node is
+    unvisited, on the current walk (stamped with its start) or done; a walk
+    that meets its own stamp has closed a cycle.
+    """
+    stamp = [0] * len(pred)
+    for start in range(1, len(pred) + 1):
+        v: int | None = start - 1
+        while v is not None and not stamp[v]:
+            stamp[v] = start
+            i = pred[v]
+            v = None if i is None else arcs[i][0]
+        if v is not None and stamp[v] == start:
+            cycle = []
+            u = v
+            while True:
+                i = pred[u]
+                cycle.append(i)
+                u = arcs[i][0]
+                if u == v:
+                    break
+            cycle.reverse()
+            return cycle
+    return None
 
 
 def parametric_beta(graph: PrependGraph) -> Fraction:

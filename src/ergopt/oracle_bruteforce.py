@@ -73,16 +73,20 @@ def oracle_beta(system: SubshiftSystem, A: LocallyConstantPotential, max_cycle_l
     per-step past tail (the per-step best is read off the raw table). The
     length bound must cover a maximal simple cycle of the window graph.
     Raises OracleBudgetExceeded, before enumerating any word, when there are
-    more than BETA_WORD_BUDGET allowed words up to that length.
+    more than BETA_WORD_BUDGET allowed words up to that length; the count
+    stops once it passes the budget.
     """
     q = A.future_depth
     node_count = len(allowed_words(system, q))
     if max_cycle_len < node_count:
         raise ValueError("max_cycle_len must reach the window-graph node count")
-    # allowed words of each length, counted by their last symbol
+    # allowed words of each length, counted by their last symbol, until
+    # the running total passes the budget
     ending = [1] * system.alphabet_size
     total = sum(ending)
     for _ in range(1, max_cycle_len):
+        if total > BETA_WORD_BUDGET:
+            break
         ending = [
             sum(c for a, c in enumerate(ending) if system.allows(a, s))
             for s in system.symbols()
@@ -90,8 +94,8 @@ def oracle_beta(system: SubshiftSystem, A: LocallyConstantPotential, max_cycle_l
         total += sum(ending)
     if total > BETA_WORD_BUDGET:
         raise OracleBudgetExceeded(
-            f"beta oracle budget of {BETA_WORD_BUDGET} words reached: "
-            f"{total} allowed words up to length {max_cycle_len}"
+            f"beta oracle budget reached: more than {BETA_WORD_BUDGET} "
+            f"allowed words up to length {max_cycle_len}"
         )
     maxes = _step_max_table(system, A)
     best: Fraction | None = None

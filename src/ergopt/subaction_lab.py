@@ -161,7 +161,7 @@ def maximal_subaction(graph: PrependGraph, beta: Fraction) -> NodeFunction:
     Raises NegativeCycle if beta is below the true maximum mean.
     """
     D, costs = _scaled_costs(graph, beta)
-    u, _, looped = _bellman_ford(len(graph.nodes), [(t, s, c) for s, t, c in costs])
+    u, looped = _bellman_ford(len(graph.nodes), [(t, s, c) for s, t, c in costs])
     if looped is not None:
         raise NegativeCycle("costs beta - weight admit a negative cycle")
     return NodeFunction(graph, tuple(Fraction(x, D) for x in u))

@@ -132,6 +132,35 @@ def test_row_count_mismatch():
     assert "row lines" in str(err.value)
 
 
+def cycle_config(r: int, extra: tuple[tuple[int, int], ...] = ()) -> str:
+    """r symbols, arcs i -> i + 1 mod r and extra, past depth 1, future depth 3."""
+    arcs = {(i, (i + 1) % r) for i in range(r)} | set(extra)
+    rows = [" ".join("1" if (a, b) in arcs else "0" for b in range(r)) for a in range(r)]
+    return "\n".join(
+        ["[system]", f"alphabet_size = {r}", *(f"row = {row}" for row in rows),
+         "[potential]", "past_depth = 1", "future_depth = 3", ""]
+    )
+
+
+@pytest.mark.parametrize("command", ["subaction", "mane"])
+def test_an_alphabet_past_ten_symbols_is_a_config_error(tmp_path, capsys, command):
+    # report keys write a symbol as one digit: on these 20 nodes the windows
+    # (10, 1, 0) and (1, 0, 10) would both print as "1010"
+    path = tmp_path / "eleven.cfg"
+    path.write_text(cycle_config(11, ((0, 10), (10, 1), (1, 0))))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: alphabet_size must be at most 10 [line 2, field 'alphabet_size']\n"
+    )
+    path.write_text(cycle_config(10, ((0, 9), (9, 1), (1, 0))))
+    assert main([command, "--config", str(path)]) == 0
+    config = load_config(path)
+    keys = json.loads(capsys.readouterr().out)["values" if command == "subaction" else "phi"]
+    assert len(keys) == len(build_prepend_graph(config.system, config.potential).nodes)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
@@ -318,8 +347,8 @@ def test_check_skips_the_beta_oracle_on_sixteen_nodes(tmp_path, capsys):
     assert len(items) == 12
     assert items["beta_oracle"]["status"] == "skip"
     assert items["beta_oracle"]["note"] == (
-        f"beta oracle budget of {BETA_WORD_BUDGET} words reached: "
-        "262142 allowed words up to length 17"
+        f"beta oracle budget reached: more than {BETA_WORD_BUDGET} "
+        "allowed words up to length 17"
     )
     assert elapsed < RANDOM_CHECK_SECONDS
 
@@ -569,6 +598,8 @@ def test_help_lists_only_options_that_change_behaviour(command, capsys):
 
 
 def test_a_named_command_builds_only_its_parser_on_every_call(tmp_path, monkeypatch, capsys):
+    # a plain argv is read from the option table and builds no parser at all;
+    # an abbreviated option goes to argparse, which builds beta's alone
     path = write_fixture(tmp_path, "f1")
     added, parsers = [], []
     add_parser = argparse._SubParsersAction.add_parser
@@ -584,9 +615,11 @@ def test_a_named_command_builds_only_its_parser_on_every_call(tmp_path, monkeypa
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    assert main(["beta", "--config", path]) == 0
+    assert added == parsers == []
     # a second call builds its own parser again: nothing is kept across calls
     for run in (1, 2):
-        assert main(["beta", "--config", path]) == 0
+        assert main(["beta", "--conf", path]) == 0
         assert added == ["beta"] * run
         assert len(parsers) == run
     assert parsers[0] is not parsers[1]

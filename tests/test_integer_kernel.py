@@ -37,7 +37,14 @@ from ergopt.subaction_lab import (
 )
 from ergopt.symbolic_core import allowed_words, classify_transitivity
 
-from conftest import full_shift, golden_mean, random_fraction, random_system, reducible_system
+from conftest import (
+    full_shift,
+    golden_mean,
+    random_fraction,
+    random_graph,
+    random_system,
+    reducible_system,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +280,62 @@ def test_policy_iteration_with_all_weights_equal(monkeypatch, system):
 def test_negative_cycle_below_the_optimum(graph):
     beta = ref_karp(graph)
     below = beta - Fraction(1, 997)
-    assert _negative_cycle(graph, below) == ref_negative_cycle(graph, below)
+    # the same cycle, though it may start at another node: the kernel stops
+    # in the round the cycle closes, the reference walks n arcs back from a
+    # node lowered in round n + 1
+    cycle = ref_negative_cycle(graph, below)
+    rotations = {cycle[k:] + cycle[:k] for k in range(len(cycle))}
+    assert _negative_cycle(graph, below) in rotations
     assert _negative_cycle(graph, beta) is None
     with pytest.raises(NegativeCycle):
         bellman_potentials(graph, below)
     with pytest.raises(NegativeCycle):
         maximal_subaction(graph, below)
+
+
+def full_shift_scale_graph(q: int):
+    """The scale table's full 2-shift: p = 1, weights from random.Random(5) in word order."""
+    rng = random.Random(5)
+    system = full_shift()
+    table = {
+        k: Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+        for k in allowed_words(system, 1 + q)
+    }
+    return build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
+
+
+@pytest.mark.parametrize(
+    "make_graph, beta, rounds",
+    [
+        (lambda: random_graph(random.Random(21), 2, 5), Fraction(139, 40), [1, 2, 7]),
+        (lambda: full_shift_scale_graph(10), Fraction(18863, 3780), [4, 12]),
+    ],
+    ids=["seeded-32", "full2-1024"],
+)
+def test_the_parametric_route_stops_at_the_first_predecessor_cycle(
+    monkeypatch, make_graph, beta, rounds
+):
+    # Bellman-Ford rounds in each step of parametric_beta: an improving step
+    # ends in the round its cycle closes (it ran all n + 1 rounds before),
+    # the last step when a round changes nothing
+    graph = make_graph()
+    counted: list[int] = []
+    relax, negative_cycle = graph_engine._relax, graph_engine._negative_cycle
+
+    def counting_negative_cycle(graph, b):
+        counted.append(0)
+        return negative_cycle(graph, b)
+
+    def counting_relax(arcs, dist, pred):
+        counted[-1] += 1
+        return relax(arcs, dist, pred)
+
+    monkeypatch.setattr(graph_engine, "_negative_cycle", counting_negative_cycle)
+    monkeypatch.setattr(graph_engine, "_relax", counting_relax)
+    assert parametric_beta(graph) == beta
+    assert counted == rounds
+    monkeypatch.undo()
+    assert max_mean_cycle(graph).beta == beta
 
 
 def test_reducible_matrix_has_unreachable_pairs():

@@ -57,7 +57,8 @@ class TestOracleBeta:
         assert oracle_beta(full_shift(), f6_potential(), 3) == 1
         monkeypatch.setattr(oracle_bruteforce, "BETA_WORD_BUDGET", 13)
         with pytest.raises(
-            OracleBudgetExceeded, match="budget of 13 words reached: 14 allowed words up to length 3"
+            OracleBudgetExceeded,
+            match="budget reached: more than 13 allowed words up to length 3",
         ):
             oracle_beta(full_shift(), f6_potential(), 3)
 
