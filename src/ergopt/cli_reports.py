@@ -94,17 +94,23 @@ class ExperimentConfig:
     schedule_k_max: int = SCHEDULE_K_MAX
 
 
+_TOO_LONG = "integer literal has too many digits"
+
+
 def _parse_rational(text: str, line: int | None, field: str) -> Fraction:
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if not (digits.isdecimal() and (den.isdecimal() or not slash)):
         raise ConfigError(f"expected a rational 'n' or 'n/d', got {text!r}", line, field)
-    if not slash:
-        return Fraction(int(num))
-    d = int(den)
+    try:
+        if not slash:
+            return Fraction(int(num))
+        n, d = int(num), int(den)
+    except ValueError:  # past the interpreter's digit limit for int()
+        raise ConfigError(_TOO_LONG, line, field) from None
     if d == 0:
         raise ConfigError("zero denominator", line, field)
-    return Fraction(int(num), d)
+    return Fraction(n, d)
 
 
 def _parse_int(text: str, line: int, field: str) -> int:
@@ -119,7 +125,10 @@ def _parse_symbols(tokens: Sequence[str], line: int, field: str) -> Word:
     if not all(map(str.isdecimal, tokens)):
         bad = next(t for t in tokens if not t.isdecimal())
         raise ConfigError(f"symbols must be nonnegative integers, got {bad!r}", line, field)
-    return tuple(map(int, tokens))
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:  # past the interpreter's digit limit for int()
+        raise ConfigError(_TOO_LONG, line, field) from None
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
@@ -322,8 +331,8 @@ def _build_constraints(system, scalars, phi_entries, header_line) -> ConstraintS
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return parse_config_text(text, source=str(path))
 
@@ -780,26 +789,14 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The ergopt parser for argv.
-
-    When argv starts with a command, only that command's subparser is built;
-    the metavar keeps the top-level usage line listing every command.
-    Otherwise (no argv, -h, a misspelt command, an option first) every
-    subparser is built, and help and usage errors read as they always have.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The ergopt parser, every command's subparser built from the table."""
     parser = argparse.ArgumentParser(
         prog="ergopt",
         description="Exact reports for optimal averages on subshifts.",
     )
-    named = bool(argv) and argv[0] in _COMMANDS
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if named else None,
-    )
-    for name in (argv[0],) if named else _COMMANDS:
-        help_text, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in _COMMON + options:
             p.add_argument(flag, **kwargs)
@@ -811,9 +808,10 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
 
     Plain means a known command, then each of its options by full name, at
     most once, with a value that does not start with '-', is among the
-    option's choices and, for an int option, is ASCII digits; every required
-    option is given. Such an argv parses the same with argparse, so it is
-    read straight from the option table; any other argv returns None.
+    option's choices and, for an int option, is ASCII digits within int()'s
+    digit limit; every required option is given. Such an argv parses the
+    same with argparse, so it is read straight from the option table; any
+    other argv returns None.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -832,7 +830,10 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
         elif kwargs.get("type") is int:
             if not (value.isascii() and value.isdecimal()):
                 return None
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # past the digit limit: argparse reports it
+                return None
         setattr(args, flag[2:], value)
     return None if given else args
 
@@ -840,7 +841,7 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or _build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "beta":

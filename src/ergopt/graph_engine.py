@@ -309,6 +309,35 @@ def _policy_iteration(n: int, arcs: Sequence[tuple[int, int, int]]) -> tuple[int
     return best_num, best_den
 
 
+def _policy_split(succ: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The cycles of the map v -> succ[v], each in map order, and its other
+    nodes, each listed after its successor.
+
+    Walks from each node in turn, stamping the nodes with the walk's start,
+    in O(n) over all walks. A walk that meets its own stamp has closed a
+    new cycle; the nodes it passed before that cycle, or before a node of
+    an earlier walk, are tree nodes.
+    """
+    walk = [-1] * len(succ)  # the walk that first reached each node
+    cycles: list[list[int]] = []
+    tree: list[int] = []
+    for start in range(len(succ)):
+        if walk[start] >= 0:
+            continue
+        path = []
+        v = start
+        while walk[v] < 0:
+            walk[v] = start
+            path.append(v)
+            v = succ[v]
+        if walk[v] == start:
+            at = path.index(v)
+            cycles.append(path[at:])
+            del path[at:]
+        tree += reversed(path)
+    return cycles, tree
+
+
 def _policy_values(
     succ: Sequence[int], cost: Sequence[int]
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
@@ -321,27 +350,10 @@ def _policy_values(
     and x is 0 at the least node of each cycle. L is the lcm of the cycle
     lengths, so both are ints. The cycles come as (total cost, length).
     """
-    n = len(succ)
-    walk = [-1] * n  # the walk that first reached each node
-    loops: list[list[int]] = []
-    paths: list[list[int]] = []
-    for start in range(n):
-        if walk[start] >= 0:
-            continue
-        path = []
-        v = start
-        while walk[v] < 0:
-            walk[v] = start
-            path.append(v)
-            v = succ[v]
-        if walk[v] == start:
-            at = path.index(v)
-            loops.append(path[at:])
-            del path[at:]
-        paths.append(path)
+    loops, tree = _policy_split(succ)
     L = math.lcm(*map(len, loops))
-    eta = [0] * n
-    x = [0] * n
+    eta = [0] * len(succ)
+    x = [0] * len(succ)
     cycles = []
     for loop in loops:
         total = sum(cost[v] for v in loop)
@@ -356,13 +368,12 @@ def _policy_values(
             eta[v] = mean
             x[v] = acc
         eta[loop[at]] = mean
-    # each path ends at a node already valued, so value it back to front
-    for path in paths:
-        for v in reversed(path):
-            t = succ[v]
-            e = eta[t]
-            eta[v] = e
-            x[v] = cost[v] * L - e + x[t]
+    # each tree node follows its successor, which is valued by then
+    for v in tree:
+        t = succ[v]
+        e = eta[t]
+        eta[v] = e
+        x[v] = cost[v] * L - e + x[t]
     return L, eta, x, cycles
 
 
@@ -523,15 +534,9 @@ def parametric_beta(graph: PrependGraph) -> Fraction:
     terminates; the final value is certified by the no-negative-cycle check
     together with the cycle that attained it.
     """
-    # find any cycle by following first out-edges
-    seen: dict[int, int] = {}
-    path = []
-    v = 0
-    while v not in seen:
-        seen[v] = len(path)
-        path.append(graph.out_edges(v)[0])
-        v = path[-1].tgt
-    cycle = path[seen[v]:]
+    # start from the cycle that first out-edges lead to from node 0
+    first = [graph.out_edges(v)[0] for v in range(len(graph.nodes))]
+    cycle = [first[v] for v in _policy_split([e.tgt for e in first])[0][0]]
     b = sum((e.weight for e in cycle), Fraction(0)) / len(cycle)
     while True:
         better = _negative_cycle(graph, b)

@@ -5,9 +5,11 @@ classifies calibrated sub-actions.
 Everything here works at window resolution over a transitive system: the
 non-wandering set is the critical subgraph, the pairwise potential is the
 all-pairs minimum path cost, and calibrated sub-actions correspond to
-per-class boundary values through reconstruct/represent. Reconstruction
-reads no row of the excursion-cost matrix: it is one search from the
-anchors along the reversed arcs (``ManeMatrix.least_into``).
+per-class boundary values through reconstruct/represent. The Mane family,
+the Mane potential and reconstruction are one min-plus expression, min over
+seed windows t of f_t + phi(V -> t); each is one search from its seeds
+along the reversed arcs (``_least_into``) and reads no row of the
+excursion-cost matrix.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterable
 
 from .errors import NotCalibrated, NotExtreme, NotInOmega, NotTransitive
 from .graph_engine import (
     CriticalStructure,
+    Edge,
     ManeMatrix,
     PrependGraph,
     critical_structure,
@@ -60,42 +65,52 @@ def _require_forward(x: EventuallyPeriodicPoint, system) -> None:
         raise ValueError("point violates the transition matrix")
 
 
-def _window_edge_indices(omega: OmegaSet, x: EventuallyPeriodicPoint) -> list[int]:
-    """Edge index at each step j over the preperiod plus one period."""
+def _window_edges(omega: OmegaSet, x: EventuallyPeriodicPoint) -> list[Edge]:
+    """The window edge at each step j over the preperiod plus one period.
+
+    The edge at step j runs from W_(j+1)(x) to W_j(x), x's length-q window
+    at j.
+    """
     q = omega.graph.q
     steps = len(x.preperiod) + len(x.period)
-    return [
-        omega.graph.edge_by_key(window(x, j, q + 1)).index for j in range(steps)
-    ]
+    return [omega.graph.edge_by_key(window(x, j, q + 1)) for j in range(steps)]
 
 
 def omega_membership(omega: OmegaSet, x: EventuallyPeriodicPoint) -> bool:
     """A point is non-wandering iff all of its window edges are critical."""
     _require_forward(x, omega.graph.system)
-    return all(i in omega.critical.critical_edges for i in _window_edge_indices(omega, x))
+    return all(e.index in omega.critical.critical_edges for e in _window_edges(omega, x))
 
 
-def _excursion_minimum(
-    omega: OmegaSet, x: EventuallyPeriodicPoint, start_node: int
-) -> Fraction:
-    """min over one period of [phi(start_node -> W_j(x)) + sum of costs before j]."""
-    graph = omega.graph
-    q = graph.q
-    J = len(x.preperiod)
-    P = len(x.period)
-    cum = Fraction(0)
-    best = None
-    for j in range(J + P):
-        if j >= J:
-            tgt = graph.node_index[window(x, j, q)]
-            cand = omega.mane.value(start_node, tgt) + cum
-            if best is None or cand < best:
-                best = cand
-        edge = graph.edge_by_key(window(x, j, q + 1))
-        cum += omega.beta - edge.weight
-    if best is None:
-        raise AssertionError("the period of x is empty")
-    return best
+def _least_into(omega: OmegaSet, seeds: Iterable[tuple[int, Fraction]]) -> tuple[Fraction, ...]:
+    """min over the seeds (t, f) of f + phi(V -> t), for every node V.
+
+    The seed values and the int excursion costs over D go on one common
+    denominator L, so one search over ints (``ManeMatrix.least_into``)
+    gives every node's minimum. The path to t may be empty, which gives f
+    at t itself; for a critical t, phi(t -> t) = 0, so the nonempty
+    minimum is the same. A node that reaches no seed raises AssertionError.
+    """
+    mane = omega.mane
+    seeds = list(seeds)
+    L = math.lcm(mane.D, *(f.denominator for _, f in seeds))
+    least = mane.least_into(
+        [(t, f.numerator * (L // f.denominator)) for t, f in seeds], L // mane.D
+    )
+    if None in least:
+        raise AssertionError("excursion costs on a transitive system are all finite")
+    return tuple(Fraction(c, L) for c in least)  # type: ignore[arg-type]
+
+
+def _period_seeds(omega: OmegaSet, x: EventuallyPeriodicPoint) -> list[tuple[int, Fraction]]:
+    """(W_j(x), the cost of x's first j steps) for each step j of x's period.
+
+    The costs are beta - weight summed over the window edges, the
+    preperiod's included.
+    """
+    edges = _window_edges(omega, x)
+    costs = accumulate((omega.beta - e.weight for e in edges), initial=Fraction(0))
+    return list(zip((e.tgt for e in edges), costs))[len(x.preperiod):]
 
 
 def mane_potential(
@@ -105,23 +120,26 @@ def mane_potential(
 
     Finite and exact for x non-wandering: the epsilon-path infimum stabilizes
     to a minimum over one period of x once paths are allowed to leave after
-    the preperiod. Raises NotInOmega otherwise.
+    the preperiod. It is the family sub-action of x at xbar's window. Raises
+    NotInOmega otherwise.
     """
     _require_forward(xbar, omega.graph.system)
     if not omega_membership(omega, x):
         raise NotInOmega("the first argument must be non-wandering")
     start = omega.graph.node_index[window(xbar, 0, omega.graph.q)]
-    return _excursion_minimum(omega, x, start)
+    return _least_into(omega, _period_seeds(omega, x))[start]
 
 
 def mane_family_subaction(omega: OmegaSet, x: EventuallyPeriodicPoint) -> NodeFunction:
-    """The calibrated sub-action V -> cheapest excursion cost from x to V."""
+    """The calibrated sub-action V -> cheapest excursion cost from x to V.
+
+    V -> min over x's period windows W_j of [phi(V -> W_j) + the cost of
+    x's first j steps], one reverse search seeded at the W_j; it reads no
+    row of the excursion-cost matrix.
+    """
     if not omega_membership(omega, x):
         raise NotInOmega("the family is defined over non-wandering base points")
-    vals = tuple(
-        _excursion_minimum(omega, x, v) for v in range(len(omega.graph.nodes))
-    )
-    return NodeFunction(omega.graph, vals)
+    return NodeFunction(omega.graph, _least_into(omega, _period_seeds(omega, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +191,7 @@ def reconstruct(data: BoundaryData) -> NodeFunction:
     a node that reaches no anchor raises AssertionError.
     """
     omega = data.omega
-    mane = omega.mane
-    # The boundary values and the int excursion costs over D go on one
-    # common denominator L, so one search over ints gives every node's
-    # minimum. Paths may be empty, which gives f(class) at its anchor: the
-    # anchors are critical, so phi(anchor -> anchor) = 0 and the nonempty
-    # minimum is the same.
-    L = math.lcm(mane.D, *(f.denominator for f in data.values))
-    seeds = [
-        (a, f.numerator * (L // f.denominator))
-        for f, a in zip(data.values, omega.critical.anchors())
-    ]
-    least = mane.least_into(seeds, L // mane.D)
-    if None in least:
-        raise AssertionError("excursion costs on a transitive system are all finite")
-    vals = tuple(Fraction(x, L) for x in least)  # type: ignore[arg-type]
+    vals = _least_into(omega, zip(omega.critical.anchors(), data.values))
     u = NodeFunction(omega.graph, vals)
     if calibration_residual(u, omega.graph, omega.beta) != 0:
         raise AssertionError("the reconstructed sub-action is not calibrated")

@@ -24,6 +24,7 @@ from .graph_engine import (
     Edge,
     PrependGraph,
     _bellman_ford,
+    _policy_split,
     _scaled_costs,
     build_prepend_graph,
     max_mean_cycle,
@@ -195,7 +196,8 @@ def _policy_values(
     exact division by b.
     """
     n = len(arcs)
-    step, cycles, tree = _policy_split(arcs, policy)
+    step = [out[i] for out, i in zip(arcs, policy)]
+    cycles, tree = _policy_split([t for t, _ in step])
     depth = [0] * n
     for node in tree:
         depth[node] = depth[step[node][0]] + 1
@@ -228,35 +230,6 @@ def _policy_values(
     return X, den
 
 
-def _policy_split(
-    arcs: list[list[tuple[int, int]]], policy: list[int]
-) -> tuple[list[tuple[int, int]], list[list[int]], list[int]]:
-    """Each node's policy arc (t, c), the policy's cycles, each in policy
-    order, and its other nodes, each listed after its successor."""
-    n = len(arcs)
-    step = [out[i] for out, i in zip(arcs, policy)]
-    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    cycles: list[list[int]] = []
-    tree: list[int] = []
-    for start in range(n):
-        if state[start]:
-            continue
-        chain = []
-        v = start
-        while not state[v]:
-            state[v] = 1
-            chain.append(v)
-            v = step[v][0]
-        # the walk closed a new cycle iff it met a node of its own chain
-        cut = chain.index(v) if state[v] == 1 else len(chain)
-        if chain[cut:]:
-            cycles.append(chain[cut:])
-        tree += reversed(chain[:cut])
-        for node in chain:
-            state[node] = 2
-    return step, cycles, tree
-
-
 def _certified_bias(
     arcs: list[list[tuple[int, int]]], policy: list[int]
 ) -> tuple[list[int], int] | None:
@@ -272,7 +245,8 @@ def _certified_bias(
     successor. A bias-optimal policy's bias is the limit of the normalized
     optimal discounted values.
     """
-    step, cycles, tree = _policy_split(arcs, policy)
+    step = [out[i] for out, i in zip(arcs, policy)]
+    cycles, tree = _policy_split([t for t, _ in step])
     M = 2 * math.lcm(*map(len, cycles))  # makes every U an int
     means = {-sum(step[v][1] for v in cycle) * (M // len(cycle)) for cycle in cycles}
     if len(means) != 1:

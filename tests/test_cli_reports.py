@@ -166,6 +166,58 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.cfg")
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith("cannot read config: 'utf-8' codec can't decode byte 0xe9")
+    assert main(["beta", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot read config: ")
+
+
+# past the interpreter's default limit of 4300 digits for int() of a string
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("window 1 1 = 1", f"window 1 1 = {LONG}", "window"),
+        ("window 1 1 = 1", f"window 1 1 = -1/{LONG}", "window"),
+        ("window 1 1 = 1", f"window 1 {LONG} = 1", "window"),
+        ("row = 1 1\nrow", f"row = 1 {LONG}\nrow", "row"),
+        ("alphabet_size = 2", f"alphabet_size = 2\nlambda = 1/{LONG}", "lambda"),
+        ("window 1 1 = 1", f"window 1 1 = 1\n[constraints]\nphi1 0 {LONG} = 1", "phi1"),
+        ("window 1 1 = 1", f"window 1 1 = 1\n[constraints]\nphi1 0 0 = 1\nc = {LONG}", "c"),
+        ("window 1 1 = 1", f"window 1 1 = 1\n[constraints]\nphi1 0 0 = 1\nh = -{LONG}", "h"),
+    ],
+    ids=["weight", "denominator", "window-symbol", "row", "lambda", "phi-symbol", "c", "h"],
+)
+def test_an_integer_past_the_digit_limit_is_a_config_error(old, new, field):
+    text = MINIMAL.replace(old, new)
+    assert text != MINIMAL
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value).startswith("integer literal has too many digits")
+    assert err.value.field == field
+    assert LONG in text.splitlines()[err.value.line - 1]
+
+
+def test_a_long_literal_exits_2_from_a_config_and_a_boundary(tmp_path, capsys):
+    path = tmp_path / "long.cfg"
+    path.write_text(MINIMAL + f"window 0 0 = {LONG}\n")
+    assert main(["beta", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: integer literal has too many digits")
+    f5 = write_fixture(tmp_path, "f5")
+    assert main(["classify", "--config", f5, "--boundary", f"0,{LONG}"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: integer literal has too many digits [field 'boundary']\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # command reports
 
@@ -597,9 +649,11 @@ def test_help_lists_only_options_that_change_behaviour(command, capsys):
 
 
 
-def test_a_named_command_builds_only_its_parser_on_every_call(tmp_path, monkeypatch, capsys):
+def test_a_plain_argv_builds_no_parser_and_any_other_builds_all_six_anew(
+    tmp_path, monkeypatch, capsys
+):
     # a plain argv is read from the option table and builds no parser at all;
-    # an abbreviated option goes to argparse, which builds beta's alone
+    # an abbreviated option goes to argparse, which builds every subparser
     path = write_fixture(tmp_path, "f1")
     added, parsers = [], []
     add_parser = argparse._SubParsersAction.add_parser
@@ -620,7 +674,7 @@ def test_a_named_command_builds_only_its_parser_on_every_call(tmp_path, monkeypa
     # a second call builds its own parser again: nothing is kept across calls
     for run in (1, 2):
         assert main(["beta", "--conf", path]) == 0
-        assert added == ["beta"] * run
+        assert added == list(SUBCOMMANDS) * run
         assert len(parsers) == run
     assert parsers[0] is not parsers[1]
     capsys.readouterr()

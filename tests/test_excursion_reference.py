@@ -23,19 +23,31 @@ must each row read on its own, in any order; below beta the reference must
 raise NegativeCycle. ``critical_structure`` reads only the rows of the
 tight core, and must still match the Tarjan reference, which reads every
 row.
+
+``ref_excursion_minimum`` is the per-node formula that
+``mane_family_subaction`` and ``mane_potential`` evaluated, one matrix row
+per node, before they ran one reverse search seeded at the base point's
+period windows. Both must match it exactly on the bundled fixtures and on
+seeded transitive instances, at every non-wandering point with a preperiod
+of at most 2 symbols and a period of at most 3, points with a preperiod and
+points whose period repeats a window among them; neither may search a row
+once ``omega_set`` is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ergopt.errors import NegativeCycle, NotSubaction
+from ergopt import fixtures
+from ergopt.errors import NegativeCycle, NotSubaction, NotTransitive
 from ergopt.graph_engine import (
     CriticalStructure,
+    ManeMatrix,
     _minimal_cycle,
     _scaled_costs,
     bellman_potentials,
@@ -44,7 +56,14 @@ from ergopt.graph_engine import (
     max_mean_cycle,
     min_cost_all_pairs,
 )
-from ergopt.mane_aubry import BoundaryData, omega_set, reconstruct
+from ergopt.mane_aubry import (
+    BoundaryData,
+    mane_family_subaction,
+    mane_potential,
+    omega_membership,
+    omega_set,
+    reconstruct,
+)
 from ergopt.potential_model import LocallyConstantPotential
 from ergopt.subaction_lab import (
     NodeFunction,
@@ -53,7 +72,7 @@ from ergopt.subaction_lab import (
     maximal_subaction,
     subaction_residual,
 )
-from ergopt.symbolic_core import allowed_words
+from ergopt.symbolic_core import allowed_words, point, window
 
 from conftest import (
     full_shift,
@@ -354,3 +373,146 @@ def test_reconstruct_matches_the_fraction_formula(graph):
             for v in range(len(graph.nodes))
         )
         assert reconstruct(BoundaryData(omega, values)).values == expected
+
+
+# ---------------------------------------------------------------------------
+# the Mane family and potential against the per-node formula
+
+
+def ref_excursion_minimum(omega, x, start_node) -> Fraction:
+    """min over one period of [phi(start_node -> W_j(x)) + sum of costs before j]."""
+    graph = omega.graph
+    q = graph.q
+    J = len(x.preperiod)
+    P = len(x.period)
+    cum = Fraction(0)
+    best = None
+    for j in range(J + P):
+        if j >= J:
+            tgt = graph.node_index[window(x, j, q)]
+            cand = omega.mane.value(start_node, tgt) + cum
+            if best is None or cand < best:
+                best = cand
+        edge = graph.edge_by_key(window(x, j, q + 1))
+        cum += omega.beta - edge.weight
+    return best
+
+
+def _valid_points(system):
+    """The valid forward points with a preperiod of <= 2 symbols and a period of <= 3."""
+    def words(lo: int, hi: int):
+        return [w for n in range(lo, hi + 1) for w in itertools.product(system.symbols(), repeat=n)]
+
+    found = {point(pre, per) for pre in words(0, 2) for per in words(1, 3)}
+    return sorted((x for x in found if x.is_valid(system)), key=lambda x: (x.preperiod, x.period))
+
+
+def _match_family_and_potential(graph) -> list:
+    """Compare both functions with the formula at every member of _valid_points
+    and at the witness cycle's point; returns the members compared."""
+    omega = omega_set(graph)
+    n, q = len(graph.nodes), graph.q
+    points = _valid_points(graph.system)
+    # xbar matters only through its first window: one valid point per window
+    starts = {}
+    for y in points:
+        starts.setdefault(graph.node_index[window(y, 0, q)], y)
+    cycle = max_mean_cycle(graph).witness_cycle
+    members = [x for x in points if omega_membership(omega, x)]
+    witness = point("", tuple(e.symbol for e in reversed(cycle)))
+    if witness not in members:
+        members.append(witness)
+    for x in members:
+        expected = tuple(ref_excursion_minimum(omega, x, v) for v in range(n))
+        assert mane_family_subaction(omega, x).values == expected
+        for v, xbar in starts.items():
+            assert mane_potential(omega, x, xbar) == expected[v]
+    return members
+
+
+def _repeats_a_window(x, q) -> bool:
+    J = len(x.preperiod)
+    windows = [window(x, j, q) for j in range(J, J + len(x.period))]
+    return len(set(windows)) < len(windows)
+
+
+@pytest.mark.parametrize("name", fixtures.available())
+def test_family_and_potential_match_the_formula_on_the_fixtures(name):
+    config = fixtures.load(name)
+    graph = build_prepend_graph(config.system, config.potential)
+    if name == "reducible":
+        with pytest.raises(NotTransitive):
+            omega_set(graph)
+        return
+    members = _match_family_and_potential(graph)
+    assert members
+
+
+def _seeded_graphs():
+    out = []
+    for kind, draw in WEIGHTS.items():
+        rng = random.Random(f"family-{kind}")
+        for i in range(6):
+            system = random_system(rng, rng.choice((2, 3)), require_transitive=True)
+            q = rng.choice((1, 2))
+            table = {k: draw(rng) for k in allowed_words(system, 1 + q)}
+            graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
+            out.append(pytest.param(graph, id=f"random{i}-q{q}-{kind}-n{len(graph.nodes)}"))
+    for name, system in (("full2", full_shift(2)), ("golden", golden_mean())):
+        for q in (1, 2):
+            table = {k: Fraction(3, 7) for k in allowed_words(system, 1 + q)}
+            graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
+            out.append(pytest.param(graph, id=f"{name}-q{q}-constant"))
+    return out
+
+
+SEEDED_GRAPHS = _seeded_graphs()
+
+
+@pytest.mark.parametrize("graph", SEEDED_GRAPHS)
+def test_family_and_potential_match_the_formula_on_seeded_instances(graph):
+    assert _match_family_and_potential(graph)
+
+
+def test_the_formula_comparison_meets_preperiods_and_repeated_windows():
+    graphs = [param.values[0] for param in SEEDED_GRAPHS]
+    for name in fixtures.available():
+        if name != "reducible":
+            config = fixtures.load(name)
+            graphs.append(build_prepend_graph(config.system, config.potential))
+    with_preperiod = repeating = 0
+    for graph in graphs:
+        omega = omega_set(graph)
+        for x in _valid_points(graph.system):
+            if omega_membership(omega, x):
+                with_preperiod += bool(x.preperiod)
+                repeating += _repeats_a_window(x, graph.q)
+    assert with_preperiod > 0 and repeating > 0
+
+
+def test_family_and_potential_search_no_row(monkeypatch):
+    # 64 nodes; omega_set reads the rows of the tight core and the critical
+    # rows, and the formula reads every other row
+    rng = random.Random("family-rows")
+    system = full_shift(2)
+    table = {k: random_fraction(rng) for k in allowed_words(system, 7)}
+    graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, 6, table))
+    omega = omega_set(graph)
+    built = []
+    build_row = ManeMatrix._build_row
+
+    def counting_build_row(self, src):
+        built.append(src)
+        return build_row(self, src)
+
+    monkeypatch.setattr(ManeMatrix, "_build_row", counting_build_row)
+    cycle = max_mean_cycle(graph).witness_cycle
+    x = point("", tuple(e.symbol for e in reversed(cycle)))
+    u = mane_family_subaction(omega, x)
+    potentials = [mane_potential(omega, x, point(w, w[-1:])) for w in graph.nodes[:8]]
+    assert built == []
+    unread = sum(row is None for row in omega.mane._rows)
+    expected = tuple(ref_excursion_minimum(omega, x, v) for v in range(len(graph.nodes)))
+    assert u.values == expected
+    assert potentials == list(expected[:8])
+    assert len(built) == unread > 0

@@ -23,7 +23,7 @@ from ergopt import cli_reports, graph_engine, holonomic_opt, mane_aubry, subacti
 
 GUARDED = {
     graph_engine: ("critical_structure", "_tight_core_arcs", "row", "least_into"),
-    mane_aubry: ("omega_set", "reconstruct", "represent"),
+    mane_aubry: ("omega_set", "_least_into", "reconstruct", "represent"),
     holonomic_opt: ("beta_lp",),
     subaction_lab: ("_policy_values", "_exact_discounted"),
 }
