@@ -48,7 +48,7 @@ from .graph_engine import (
     max_mean_cycle,
     parametric_beta,
 )
-from .holonomic_opt import alpha, beta_lp, constrained_beta, maximizing_face
+from .holonomic_opt import alpha, beta_lp, constrained_beta, face_contains, maximizing_face
 from .mane_aubry import (
     BoundaryData,
     is_compatible,
@@ -342,13 +342,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return _rat_over(x.numerator, x.denominator)
 
 
 def _rat_over(num: int, den: int) -> str:
     """_rat of num / den for a positive den, without building the Fraction."""
     g = math.gcd(num, den)
-    return f"{num // g}/{den // g}"
+    try:
+        return f"{num // g}/{den // g}"
+    except ValueError:  # past the interpreter's digit limit for str()
+        limit = sys.get_int_max_str_digits()
+        raise ConfigError(
+            f"a result has more digits than the interpreter's limit of {limit} for printing an integer"
+        ) from None
 
 
 def _word_str(word: Word) -> str:
@@ -525,13 +531,13 @@ def _check_items(
 
     def face_support() -> tuple[str, str]:
         _, measure = beta_lp(graph)
-        face = maximizing_face(graph)
-        ok = set(measure.support()) <= set(face.allowed_edges)
+        ok = face_contains(maximizing_face(graph), measure)
         return ("pass" if ok else "fail", "optimal circulation sits on critical edges")
 
     def calibrated_discount() -> tuple[str, str]:
-        u, a = calibrated_via_discount(graph, config.schedule_k_max)
-        ok = calibration_residual(u, graph, beta) == 0 and a == beta
+        # calibrated_via_discount checks the policy's gain against beta
+        u, _ = calibrated_via_discount(graph, config.schedule_k_max)
+        ok = calibration_residual(u, graph, beta) == 0
         return ("pass" if ok else "fail", "discount limit exactly calibrated")
 
     def mane_triangle() -> tuple[str, str]:
@@ -591,10 +597,8 @@ def _check_items(
         return ("pass", note)
 
     def livsic_sign() -> tuple[str, str]:
-        result = livsic_test(graph)
-        forward = beta
-        if result.cohomologous and forward != result.constant:
-            return ("fail", "coboundary constant disagrees with beta")
+        # livsic_test raises when beta(A) + beta(-A) is negative
+        livsic_test(graph)
         return ("pass", "cohomology defect is nonnegative")
 
     return [

@@ -36,11 +36,14 @@ one graph:
 
 - its arcs as ints over a common denominator, once per shift
   (``_scaled_costs``);
-- its ``BetaResult``, so policy iteration and Bellman run once, and the
-  canonical witness cycle is searched once and only when read
-  (``max_mean_cycle``);
+- each node's int out-arcs at shift 0 (``_scale_out_arcs``), the one table
+  that policy iteration and the discounted route of ``subaction_lab`` read;
+- its ``BetaResult``, so policy iteration and Bellman run once; it keeps
+  the arcs at beta and the tight core, which the critical structure reads,
+  and the canonical witness cycle is searched once, in the core, and only
+  when read (``max_mean_cycle``);
 - its excursion-cost matrix at beta, built from the kept Bellman potential
-  with no Bellman run of its own, and each row of it once read
+  and arcs with no Bellman run of its own, and each row of it once read
   (``min_cost_all_pairs``).
 
 One Bellman-Ford round, ``_relax``, serves every least-cost problem from a
@@ -62,7 +65,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NegativeCycle
-from .potential_model import LocallyConstantPotential, ReducedPotential, reduce_past
+from .potential_model import LocallyConstantPotential, reduce_past
 from .symbolic_core import SubshiftSystem, Word, allowed_words
 
 
@@ -81,7 +84,6 @@ class PrependGraph:
     q: int
     nodes: tuple[Word, ...]
     edges: tuple[Edge, ...]
-    reduced: ReducedPotential
     potential: LocallyConstantPotential
 
     @cached_property
@@ -90,10 +92,16 @@ class PrependGraph:
 
     @cached_property
     def _out(self) -> tuple[tuple[Edge, ...], ...]:
+        # the edges come by source, then symbol
         lists: list[list[Edge]] = [[] for _ in self.nodes]
         for e in self.edges:
             lists[e.src].append(e)
-        return tuple(tuple(sorted(l, key=lambda e: e.symbol)) for l in lists)
+        return tuple(map(tuple, lists))
+
+    @cached_property
+    def _out_arcs(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """The memo of ``_scale_out_arcs``: W and each node's int out-arcs."""
+        return _scale_out_arcs(self)
 
     @cached_property
     def _by_key(self) -> dict[Word, Edge]:
@@ -125,15 +133,14 @@ class PrependGraph:
 def build_prepend_graph(
     system: SubshiftSystem, potential: LocallyConstantPotential
 ) -> PrependGraph:
-    """Assemble the depth-q graph of a potential from its past reduction."""
-    reduced = reduce_past(potential)
-    q = reduced.future_depth
+    """The depth-q graph of a potential's past reduction, edges by source, then symbol."""
+    weight = reduce_past(potential)
+    q = potential.future_depth
     nodes = tuple(allowed_words(system, q))
     index = {w: i for i, w in enumerate(nodes)}
     symbols = system.symbols()
     # before[b]: the symbols that may be prepended onto a word starting with b
     before = [[s for s in symbols if system.allows(s, b)] for b in symbols]
-    weight = reduced.edge_table
     edges = []
     for i, w in enumerate(nodes):
         for s in before[w[0]]:
@@ -143,7 +150,7 @@ def build_prepend_graph(
     # w[-1] has a successor; the cycle kernels need both at every node
     if not (all(before) and all(map(any, system.transition))):
         raise AssertionError("prepend graph must have no sources or sinks")
-    return PrependGraph(system, q, nodes, tuple(edges), reduced, potential)
+    return PrependGraph(system, q, nodes, tuple(edges), potential)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,18 @@ def _scaled_costs(
             )
         memo[shift] = found
     return found
+
+
+def _scale_out_arcs(graph: PrependGraph) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """W and each node's out-arcs (tgt, c), c = -W * weight, in out_edges order:
+    the arcs of ``_scaled_costs`` at shift 0 split by source, read by policy
+    iteration and the discounted route through ``PrependGraph._out_arcs``.
+    """
+    W, weights = _scaled_costs(graph, Fraction(0))
+    out: list[list[tuple[int, int]]] = [[] for _ in graph.nodes]
+    for a, b, c in weights:
+        out[a].append((b, c))
+    return W, tuple(map(tuple, out))
 
 
 def _relax(
@@ -222,10 +241,11 @@ def _bellman_ford(
 class BetaResult:
     """beta, its canonical witness cycle and the Bellman potential h at beta.
 
-    beta and h, as ints over D, are computed with the result; the witness
-    cycle and h as Fractions are built when first read. The result holds the
-    graph's edges and scaled arcs, never the graph itself, so a graph that
-    keeps its result forms no reference cycle.
+    beta, h and the scaled arcs of beta - weight, as ints over D, come with
+    the result, which finds the indices of the tight-core arcs
+    (``_tight_core_arcs``); the witness cycle and h as Fractions are built
+    when first read. The result holds the graph's edges, never the graph
+    itself, so a graph that keeps its result forms no reference cycle.
     """
 
     def __init__(
@@ -239,15 +259,18 @@ class BetaResult:
         self.beta = beta
         self.D = D
         self.h = h
+        self.arcs = arcs
+        self.core = tuple(_tight_core_arcs(len(h), arcs, h))
         self._edges = edges
-        self._arcs = arcs
 
     @cached_property
     def witness_cycle(self) -> tuple[Edge, ...]:
-        """The least cycle of tight arcs (``_minimal_cycle``); its mean is beta."""
-        h = self.h
-        tight = [e for e, (a, b, c) in zip(self._edges, self._arcs) if c + h[a] == h[b]]
-        witness = _minimal_cycle(len(h), tight)
+        """The least cycle of tight arcs (``_minimal_cycle``); its mean is beta.
+
+        Every cycle of tight arcs lies in the tight core, so only the core's
+        arcs are searched.
+        """
+        witness = _minimal_cycle(len(self.h), [self._edges[i] for i in self.core])
         if sum((e.weight for e in witness), Fraction(0)) / len(witness) != self.beta:
             raise AssertionError("witness cycle mean differs from beta")
         return witness
@@ -258,8 +281,9 @@ class BetaResult:
         return tuple(Fraction(x, self.D) for x in self.h)
 
 
-def _policy_iteration(n: int, arcs: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
-    """Least cycle mean over the int arcs (a, b, c), as (num, den) with den > 0.
+def _policy_iteration(out: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
+    """Least cycle mean over the int arcs (t, c) leaving each node v, out[v],
+    as (num, den) with den > 0.
 
     Exact multichain policy iteration on the min-plus Bellman operator
     (Howard's algorithm; Cochet-Terrasson, Cohen, Gaubert, McGettrick and
@@ -276,11 +300,8 @@ def _policy_iteration(n: int, arcs: Sequence[tuple[int, int, int]]) -> tuple[int
     num / den is the total cost and the length of the least-mean policy
     cycle, not reduced to lowest terms.
     """
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, c in arcs:
-        out[a].append((b, c))
-    succ = [0] * n
-    cost = [0] * n
+    succ = [0] * len(out)
+    cost = [0] * len(out)
     for v, choices in enumerate(out):
         succ[v], cost[v] = min(choices, key=itemgetter(1))
     while True:
@@ -460,14 +481,14 @@ def _solve_max_mean_cycle(graph: PrependGraph) -> BetaResult:
     raises otherwise), so no cycle has a larger mean, and that some cycle
     of tight arcs (a nonempty tight core) attains beta.
     """
-    n = len(graph.nodes)
-    W, weights = _scaled_costs(graph, Fraction(0))
-    num, den = _policy_iteration(n, weights)
+    W, out = graph._out_arcs
+    num, den = _policy_iteration(out)
     beta = Fraction(-num, den * W)
     D, arcs, h = _bellman_ints(graph, beta)
-    if not _tight_core_arcs(n, arcs, h):
+    result = BetaResult(beta, D, tuple(h), graph.edges, arcs)
+    if not result.core:
         raise AssertionError("no cycle attains beta")
-    return BetaResult(beta, D, tuple(h), graph.edges, arcs)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +704,8 @@ def _solve_min_cost_all_pairs(graph: PrependGraph) -> ManeMatrix:
     """
     result = graph._beta_result
     D, h = result.D, result.h
-    _, arcs = _scaled_costs(graph, result.beta)
     out: list[list[tuple[int, int]]] = [[] for _ in h]
-    for a, b, c in arcs:
+    for a, b, c in result.arcs:
         out[a].append((b, c + h[a] - h[b]))
     return ManeMatrix(result.beta, D, h, out)
 
@@ -743,16 +763,17 @@ def critical_structure(graph: PrependGraph) -> CriticalStructure:
     An arc (src, tgt, c) is critical when c + cost[tgt][src] == 0, that is
     when it closes a zero-cost cycle. Every arc of such a cycle has
     reweighted cost 0, so it is tight under the Bellman potential and the
-    cycle lies in the tight core (``_tight_core_arcs``): the test runs on
-    the core's arcs only and reads only the core's rows of the matrix.
+    cycle lies in the tight core that ``BetaResult`` keeps: the test runs
+    on the core's arcs only and reads only the core's rows of the matrix.
     Every arc of a zero-cost cycle is critical, so the classes (two nodes
     share one exactly when their round-trip cost is 0) are the connected
     components of the critical edges, found by union-find. The round trips
     are then checked against the matrix: 0 from each anchor to every
     member of its class, > 0 between two anchors.
     """
+    result = graph._beta_result
     mane = min_cost_all_pairs(graph)
-    _, arcs = _scaled_costs(graph, mane.beta)
+    arcs = result.arcs
     n = len(graph.nodes)
     root = list(range(n))
 
@@ -763,7 +784,7 @@ def critical_structure(graph: PrependGraph) -> CriticalStructure:
         return v
 
     edge_ids = []
-    for i in _tight_core_arcs(n, arcs, mane.h):
+    for i in result.core:
         src, tgt, c = arcs[i]
         back = mane.row(tgt)[src]
         if back is not None and c + back == 0:

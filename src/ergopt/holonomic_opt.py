@@ -19,7 +19,6 @@ from .mane_aubry import maximal_calibrated
 from .potential_model import (
     ConstraintSpec,
     LocallyConstantPotential,
-    as_potential,
     combine,
     pad_potential,
 )
@@ -201,7 +200,8 @@ def decorated_in_face(graph: PrependGraph, m: DecoratedOrbitMeasure) -> bool:
     """Two-layer membership test for the maximizing face.
 
     The x-marginal must be supported on the face's edges AND every tail must
-    be one the past-reduction would have chosen; the reduced graph alone
+    attain the maximum that the past reduction took: the potential at the
+    tail's full window equals its edge's weight. The reduced graph alone
     cannot see a suboptimally decorated past.
     """
     if not is_holonomic(m):
@@ -209,14 +209,14 @@ def decorated_in_face(graph: PrependGraph, m: DecoratedOrbitMeasure) -> bool:
     face = maximizing_face(graph)
     if not face_contains(face, orbit_circulation(graph, m)):
         return False
-    reduced = graph.reduced
+    A = graph.potential
     p = len(m.tails[0])
-    if p != graph.potential.past_depth:
+    if p != A.past_depth:
         raise ValueError("tail depth does not match the graph's potential")
     M = len(m.orbit)
     for j in range(M):
         key = tuple(m.orbit[(j - 1 + i) % M] for i in range(graph.q + 1))
-        if m.tails[j][: p - 1] not in reduced.argmax_tails[key]:
+        if A.value(m.tails[j][: p - 1] + key) != graph.edge_by_key(key).weight:
             return False
     return True
 
@@ -266,7 +266,9 @@ def _tilted_graph(graph: PrependGraph, constraints: ConstraintSpec) -> PrependGr
     for phi in constraints.components:
         if phi.past_depth != 1:
             raise ValueError("constraint components must not look at past tails")
-    terms = [(Fraction(1), as_potential(graph.reduced))]
+    # the edge weights as a potential of past depth 1
+    weights = {e.key: e.weight for e in graph.edges}
+    terms = [(Fraction(1), LocallyConstantPotential(graph.system, 1, graph.q, weights))]
     terms += [
         (-c, phi) for c, phi in zip(constraints.multiplier, constraints.components)
     ]

@@ -86,50 +86,23 @@ def evaluate(A: LocallyConstantPotential, pt: PairedPoint) -> Fraction:
     return A.value(past_part + future_part)
 
 
-@dataclass(frozen=True)
-class ReducedPotential:
-    """Edge weights obtained by maximizing the potential over past tails.
+def reduce_past(A: LocallyConstantPotential) -> dict[Word, Fraction]:
+    """Edge weights: the maximum of A over past tails, per edge key.
 
-    edge_table keys are allowed (1 + future_depth)-words (y_0, x_0 .. x_{q-1});
-    argmax_tails records every tail (y_{p-1} .. y_1) attaining the maximum.
-    """
-
-    system: SubshiftSystem
-    future_depth: int
-    edge_table: Mapping[Word, Fraction]
-    argmax_tails: Mapping[Word, frozenset[Word]]
-
-    def value(self, key: Word) -> Fraction:
-        return self.edge_table[tuple(key)]
-
-
-def reduce_past(A: LocallyConstantPotential) -> ReducedPotential:
-    """Collapse past tails by per-window maximization.
-
+    Keys are the allowed (1 + future_depth)-words (y_0, x_0 .. x_{q-1}).
     Lossless for path/cycle optimization because the tail at each step of a
     prepend path is a free choice, independent of every other step.
     """
-    p, q = A.past_depth, A.future_depth
-    edge_table: dict[Word, Fraction] = {}
-    arg: dict[Word, list[Word]] = {}
+    p = A.past_depth
+    weights: dict[Word, Fraction] = {}
     for full, v in A.table.items():
-        key, tail = full[p - 1:], full[: p - 1]
-        if key not in edge_table or v > edge_table[key]:
-            edge_table[key] = v
-            arg[key] = [tail]
-        elif v == edge_table[key]:
-            arg[key].append(tail)
+        key = full[p - 1:]
+        w = weights.get(key)
+        if w is None or v > w:
+            weights[key] = v
     # every symbol has an allowed predecessor, so every allowed (1+q)-word
     # extends to a full window and is present
-    tails = {k: frozenset(ts) for k, ts in arg.items()}
-    return ReducedPotential(A.system, q, edge_table, tails)
-
-
-def as_potential(reduced: ReducedPotential) -> LocallyConstantPotential:
-    """View a reduced table as a potential with past depth 1 (exact for p = 1)."""
-    return LocallyConstantPotential(
-        reduced.system, 1, reduced.future_depth, dict(reduced.edge_table)
-    )
+    return weights
 
 
 def _as_word_table(f, q_hint: int | None = None) -> tuple[dict[Word, Fraction], int]:
@@ -171,7 +144,7 @@ def coboundary_modify(A: LocallyConstantPotential, f, const) -> LocallyConstantP
     return LocallyConstantPotential(A.system, p, q, table)
 
 
-def holder_bound(A: LocallyConstantPotential, theta, system: SubshiftSystem | None = None) -> Fraction:
+def holder_bound(A: LocallyConstantPotential, theta) -> Fraction:
     """A constant C with |A(u) - A(v)| <= C * d(u, v)**theta for all point pairs.
 
     Two paired points whose windows differ are at distance at least
@@ -182,12 +155,11 @@ def holder_bound(A: LocallyConstantPotential, theta, system: SubshiftSystem | No
     theta = Fraction(theta)
     if not (0 < theta <= 1):
         raise ValueError("theta must lie in (0, 1]")
-    system = system or A.system
     osc = A.oscillation()
     if osc == 0:
         return Fraction(0)
     exponent = theta * (2 * (A.past_depth - 1) + (A.future_depth - 1))
-    return osc / system.metric_lambda ** math.ceil(exponent)
+    return osc / A.system.metric_lambda ** math.ceil(exponent)
 
 
 def birkhoff_sum(f, x: EventuallyPeriodicPoint, k: int) -> Fraction:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import HypothesisFails, NegativeCycle, NonConvergence, NotSubaction, NotTransitive
 from .graph_engine import (
@@ -172,19 +173,8 @@ def maximal_subaction(graph: PrependGraph, beta: Fraction) -> NodeFunction:
 # discounted construction
 
 
-def _discount_arcs(graph: PrependGraph) -> tuple[int, list[list[tuple[int, int]]]]:
-    """W and each node's out-arcs (tgt, c), in out_edges order, c = -W * weight.
-
-    W is the common denominator of the weights, so every c is an int.
-    """
-    W, costs = _scaled_costs(graph, Fraction(0))
-    return W, [
-        [costs[e.index][1:] for e in graph.out_edges(v)] for v in range(len(graph.nodes))
-    ]
-
-
 def _policy_values(
-    arcs: list[list[tuple[int, int]]], policy: list[int], a: int, b: int
+    arcs: Sequence[Sequence[tuple[int, int]]], policy: list[int], a: int, b: int
 ) -> tuple[list[int], int]:
     """Exact values of a stationary policy at rho = a/b, over one denominator.
 
@@ -231,10 +221,11 @@ def _policy_values(
 
 
 def _certified_bias(
-    arcs: list[list[tuple[int, int]]], policy: list[int]
-) -> tuple[list[int], int] | None:
-    """The policy's bias u as (U, M), u = U / (W M), if Veinott's test shows
-    the policy bias-optimal (Puterman, MDPs, ch. 10); None otherwise.
+    arcs: Sequence[Sequence[tuple[int, int]]], policy: list[int]
+) -> tuple[list[int], int, int] | None:
+    """The policy's bias u and gain g as (U, M, G), u = U / (W M) and
+    g = G / (W M), if Veinott's test shows the policy bias-optimal
+    (Puterman, MDPs, ch. 10); None otherwise.
 
     The bias, the constant term of the policy's discounted values as rho -> 1
     (Blackwell 1962), has u(v) = u(t) - w + g on each policy arc (v, t) of
@@ -273,11 +264,11 @@ def _certified_bias(
             slack = U[v] - U[t] - c * M - G  # (w + u(v) - u(t) - g) * W * M
             if slack > 0 or (slack == 0 and Y[t] > Y[step[v][0]]):
                 return None
-    return U, M
+    return U, M, G
 
 
 def _exact_discounted(
-    arcs: list[list[tuple[int, int]]], a: int, b: int, policy: list[int]
+    arcs: Sequence[Sequence[tuple[int, int]]], a: int, b: int, policy: list[int]
 ) -> tuple[list[int], int]:
     """Fixed point of x(V) = rho * min over out-arcs (x(t) + c), rho = a/b.
 
@@ -311,7 +302,7 @@ def discounted_fixed_point(graph: PrependGraph, rho) -> NodeFunction:
     rho = Fraction(rho)
     if not (0 < rho < 1):
         raise ValueError("rho must lie strictly inside (0, 1)")
-    W, arcs = _discount_arcs(graph)
+    W, arcs = graph._out_arcs
     X, den = _exact_discounted(arcs, rho.numerator, rho.denominator, [0] * len(arcs))
     return NodeFunction(graph, tuple(Fraction(x, W * den) for x in X))
 
@@ -325,13 +316,13 @@ def calibrated_via_discount(
 
     Walks rho_k = 1 - 2^-k for k = 1..k_max. At the first rho whose optimal
     policy is shown bias-optimal, that policy's bias, normalized by the
-    maximum, is returned with a = beta. Raises NonConvergence when k_max runs
-    out first.
+    maximum, is returned with a = beta, once the policy's gain is checked to
+    equal beta. Raises NonConvergence when k_max runs out first.
 
     If ``steps`` is given, each solved rho appends (rho, (1 - rho) * -max x)
     for its discounted values x; the last entry is the rho of acceptance.
     """
-    W, arcs = _discount_arcs(graph)
+    W, arcs = graph._out_arcs
     beta = max_mean_cycle(graph).beta
     # warm start: each rho's optimal policy seeds policy iteration at the next
     policy = [0] * len(arcs)
@@ -341,7 +332,9 @@ def calibrated_via_discount(
         if steps is not None:
             steps.append((Fraction(b - 1, b), Fraction(-max(X), b * W * den)))
         if bias := _certified_bias(arcs, policy):
-            U, M = bias
+            U, M, G = bias
+            if Fraction(G, W * M) != beta:
+                raise AssertionError("the bias-optimal policy's gain differs from beta")
             return NodeFunction(graph, tuple(Fraction(x, W * M) for x in U)).normalized(), beta
     raise NonConvergence("discount schedule exhausted before a policy was shown bias-optimal")
 
@@ -362,7 +355,8 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
 
     Exact criterion: the best and worst cycle means coincide, i.e.
     beta(A) + beta(-A) == 0, with beta(-A) computed from the re-reduced
-    negated source potential. When they do, every cycle has mean beta, so
+    negated source potential; a sum below 0, a best mean below the worst,
+    raises AssertionError. When they coincide, every cycle has mean beta, so
     every edge is tight under the Bellman potential h that max_mean_cycle
     returns with beta, and u = h(0) - h is the transfer function vanishing
     at node 0.
@@ -373,6 +367,8 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
     beta_plus = plus.beta
     negated = build_prepend_graph(graph.system, graph.potential.scale(-1))
     beta_minus = max_mean_cycle(negated).beta
+    if beta_plus + beta_minus < 0:
+        raise AssertionError("beta(A) + beta(-A) is negative")
     if beta_plus + beta_minus != 0:
         return LivsicResult(False, beta_plus, None)
     h = plus.potential
@@ -410,11 +406,10 @@ def refine_subaction_Uk(u: NodeFunction, graph: PrependGraph, k: int) -> NodeFun
     q = graph.q
     refined_potential = pad_potential(graph.potential, graph.potential.past_depth, q + k - 1)
     refined = build_prepend_graph(graph.system, refined_potential)
-    reduced = graph.reduced
     vals = []
     for v in refined.nodes:
         head = sum(
-            ((k - i) * reduced.value(v[i - 1: i + q]) for i in range(1, k)),
+            ((k - i) * graph.edge_by_key(v[i - 1: i + q]).weight for i in range(1, k)),
             Fraction(0),
         )
         tail = sum((u.by_word(v[j: j + q]) for j in range(k)), Fraction(0))

@@ -7,7 +7,9 @@ import dataclasses
 import itertools
 import json
 import random
+import sys
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -216,6 +218,33 @@ def test_a_long_literal_exits_2_from_a_config_and_a_boundary(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: integer literal has too many digits [field 'boundary']\n"
     )
+
+
+# two weights of 2201 digits each, whose sums and products pass the limit
+HUGE_RESULTS = MINIMAL.replace(
+    "window 1 1 = 1",
+    f"window 0 0 = 1/{10**2200 + 1}\nwindow 0 1 = 1/{10**2200 + 3}",
+)
+
+
+@pytest.mark.parametrize(
+    "command, rc",
+    [(["beta"], 0), (["check"], 0), (["mane"], 2), (["subaction", "--kind", "u0"], 2)],
+    ids=lambda c: c[-1] if isinstance(c, list) else str(c),
+)
+def test_a_result_past_the_digit_limit_is_a_config_error(tmp_path, capsys, command, rc):
+    path = tmp_path / "huge.cfg"
+    path.write_text(HUGE_RESULTS)
+    assert main(command + ["--config", str(path)]) == rc
+    out, err = capsys.readouterr()
+    if rc == 2:
+        assert out == ""
+        assert err == (
+            "config error: a result has more digits than the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} for printing an integer\n"
+        )
+    else:
+        assert err == "" and json.loads(out)
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +828,95 @@ def test_one_beta_solve_per_graph(tmp_path, monkeypatch, command, graphs):
     assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
     assert len(solved) == graphs
     assert len({id(g) for g in solved}) == graphs
+
+
+@pytest.mark.parametrize(
+    "command, graphs",
+    [(["mane"], 1), (["subaction", "--kind", "u0"], 1), (["check"], 3)],
+    ids=lambda c: c[-1] if isinstance(c, list) else str(c),
+)
+def test_one_tight_core_per_graph(tmp_path, monkeypatch, command, graphs):
+    # the tight core is found with beta and kept on its result, which the
+    # critical structure and the witness search read; check builds the
+    # base, negated and refined graphs
+    path = write_fixture(tmp_path, "f5")
+    runs = []
+    core = graph_engine._tight_core_arcs
+
+    def counting_core(n, arcs, h):
+        runs.append(n)
+        return core(n, arcs, h)
+
+    monkeypatch.setattr(graph_engine, "_tight_core_arcs", counting_core)
+    assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(runs) == graphs
+
+
+@pytest.mark.parametrize(
+    "command, graphs",
+    [(["beta"], 1), (["subaction", "--kind", "calibrated"], 1), (["check"], 3)],
+    ids=lambda c: c[-1] if isinstance(c, list) else str(c),
+)
+def test_one_int_out_arc_table_per_graph(tmp_path, monkeypatch, command, graphs):
+    # policy iteration for beta and the discounted route read one table
+    path = write_fixture(tmp_path, "f5")
+    built = []
+    scale = graph_engine._scale_out_arcs
+
+    def counting_scale(graph):
+        built.append(graph)  # kept alive, so no id is reused
+        return scale(graph)
+
+    monkeypatch.setattr(graph_engine, "_scale_out_arcs", counting_scale)
+    assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len({id(g) for g in built}) == len(built) == graphs
+
+
+def _check_statuses(tmp_path, capsys) -> tuple[int, dict]:
+    path = write_fixture(tmp_path, "f5")
+    capsys.readouterr()
+    rc = main(["check", "--config", path])
+    report = json.loads(capsys.readouterr().out)
+    return rc, {c["name"]: (c["status"], c["note"]) for c in report["checks"]}
+
+
+def test_check_fails_a_discount_gain_off_beta(tmp_path, capsys, monkeypatch):
+    import ergopt.subaction_lab as lab
+
+    certify = lab._certified_bias
+
+    def gain_off_by_one(arcs, policy):
+        bias = certify(arcs, policy)
+        return None if bias is None else (bias[0], bias[1], bias[2] + 1)
+
+    monkeypatch.setattr(lab, "_certified_bias", gain_off_by_one)
+    rc, statuses = _check_statuses(tmp_path, capsys)
+    assert rc == 1
+    assert statuses.pop("calibrated_discount") == (
+        "error", "the bias-optimal policy's gain differs from beta"
+    )
+    assert {status for status, _ in statuses.values()} == {"pass"}
+
+
+def test_check_fails_a_negative_cohomology_defect(tmp_path, capsys, monkeypatch):
+    import ergopt.subaction_lab as lab
+
+    A = parse_config_text(fixtures.fixture_text("f5")).potential
+    negated = {k: -v for k, v in A.table.items()}
+    solve = lab.max_mean_cycle
+
+    def below(graph):
+        # beta(-A) one below -beta(A)
+        if graph.potential.table == negated:
+            beta = solve(build_prepend_graph(A.system, A)).beta
+            return types.SimpleNamespace(beta=-beta - 1)
+        return solve(graph)
+
+    monkeypatch.setattr(lab, "max_mean_cycle", below)
+    rc, statuses = _check_statuses(tmp_path, capsys)
+    assert rc == 1
+    assert statuses.pop("livsic_sign") == ("error", "beta(A) + beta(-A) is negative")
+    assert {status for status, _ in statuses.values()} == {"pass"}
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from ergopt.potential_model import LocallyConstantPotential
 from ergopt.subaction_lab import (
     SCHEDULE_K_MAX,
     NodeFunction,
-    _discount_arcs,
     _exact_discounted,
     calibrated_via_discount,
     calibration_residual,
@@ -154,7 +153,7 @@ INSTANCES = _random_instances() + FIXTURES
 
 
 def _values(graph, a: int, b: int, policy: list[int]) -> list[Fraction]:
-    W, arcs = _discount_arcs(graph)
+    W, arcs = graph._out_arcs
     X, den = _exact_discounted(arcs, a, b, policy)
     return [Fraction(x, W * den) for x in X]
 

@@ -9,12 +9,19 @@ of the same code. The calibrated digests were re-recorded when the discount
 route began to accept the exact bias of the first optimal policy shown
 bias-optimal: only their ``discount_trace`` changed, which now ends at k = 1
 with no ``delta_float``.
+
+The last test runs the same corpus under python3.10, python3.12 and
+python3.13 (``requires-python = ">=3.10"``), skipping each one that is not
+on the path or does not start.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +119,48 @@ def test_report_bytes_match_the_recorded_digest(tmp_path, capsys, fixture, label
 
 def test_every_digest_is_used():
     assert set(GOLDEN) == {f"{f}/{c}" for f in fixtures.available() for c in COMMANDS}
+
+
+# the corpus above, standard library only, for an interpreter without pytest:
+# argv is the source directory, COMMANDS and BOUNDARY as JSON; prints the
+# digests as JSON
+CORPUS = """
+import contextlib, hashlib, io, json, sys, tempfile
+from pathlib import Path
+
+src, commands, boundary = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+sys.path.insert(0, src)
+from ergopt import fixtures
+from ergopt.cli_reports import main
+
+digests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for fixture in fixtures.available():
+        path = Path(tmp) / f"{fixture}.cfg"
+        path.write_text(fixtures.fixture_text(fixture))
+        for label, argv in commands.items():
+            argv = argv + ["--config", str(path)]
+            if label == "classify":
+                argv.append(f"--boundary={boundary.get(fixture, '-3/2')}")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            blob = json.dumps([rc, out.getvalue(), err.getvalue()]).encode()
+            digests[f"{fixture}/{label}"] = hashlib.sha256(blob).hexdigest()
+print(json.dumps(digests))
+"""
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_other_interpreters_reproduce_every_digest(python):
+    exe = shutil.which(python)
+    if exe is None:
+        pytest.skip(f"{python} is not on the path")
+    if subprocess.run([exe, "-I", "-c", "pass"], capture_output=True, timeout=60).returncode:
+        pytest.skip(f"{python} does not start")
+    argv = [exe, "-I", "-c", CORPUS, str(SRC), json.dumps(COMMANDS), json.dumps(BOUNDARY)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == GOLDEN

@@ -31,7 +31,6 @@ from ergopt.graph_engine import (
 from ergopt.potential_model import LocallyConstantPotential
 from ergopt.subaction_lab import (
     SCHEDULE_K_MAX,
-    _discount_arcs,
     _exact_discounted,
     maximal_subaction,
 )
@@ -217,7 +216,10 @@ def test_karp_kernel_on_shifted_arcs(graph):
     beta = ref_karp(graph)
     for shift in (Fraction(0), beta, beta + Fraction(1, 7), Fraction(-3, 11)):
         D, arcs = _scaled_costs(graph, shift)
-        num, den = _policy_iteration(len(graph.nodes), arcs)
+        out = [[] for _ in graph.nodes]
+        for a, b, c in arcs:
+            out[a].append((b, c))
+        num, den = _policy_iteration(out)
         assert den > 0
         assert Fraction(num, den * D) == shift - beta
 
@@ -244,8 +246,8 @@ def _random_instances(max_den: int):
 @pytest.mark.parametrize("graph", _random_instances(10) + _random_instances(1000))
 def test_policy_iteration_matches_karp_on_random_systems(graph):
     beta = ref_karp(graph)
-    W, arcs = _scaled_costs(graph, Fraction(0))
-    num, den = _policy_iteration(len(graph.nodes), arcs)
+    W, out = graph._out_arcs
+    num, den = _policy_iteration(out)
     assert Fraction(-num, den * W) == beta
     assert max_mean_cycle(graph).beta == beta
 
@@ -266,9 +268,9 @@ def test_policy_iteration_with_all_weights_equal(monkeypatch, system):
         table = {k: Fraction(7, 3) for k in allowed_words(system, 1 + q)}
         graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
         assert ref_karp(graph) == Fraction(7, 3)
-        W, arcs = _scaled_costs(graph, Fraction(0))
+        W, out = graph._out_arcs
         rounds.clear()
-        num, den = _policy_iteration(len(graph.nodes), arcs)
+        num, den = _policy_iteration(out)
         assert rounds == [len(graph.nodes)]
         assert Fraction(-num, den * W) == Fraction(7, 3)
         result = max_mean_cycle(graph)
@@ -351,7 +353,7 @@ def test_reducible_matrix_has_unreachable_pairs():
 
 @pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
 def test_warm_start_keeps_every_discounted_value(graph):
-    W, arcs = _discount_arcs(graph)
+    W, arcs = graph._out_arcs
 
     def solve(rho, policy=None):
         if policy is None:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from ergopt.graph_engine import build_prepend_graph, max_mean_cycle
+from ergopt.holonomic_opt import DecoratedOrbitMeasure, decorated_in_face, integral
 from ergopt.potential_model import (
     LocallyConstantPotential,
     birkhoff_sum,
@@ -62,21 +65,17 @@ class TestEvaluate:
 
 class TestReducePast:
     def test_tail_anchored(self):
-        red = reduce_past(tail_anchored_potential())
-        assert red.value((1, 1)) == 1
-        assert red.value((0, 0)) == 0
-        assert red.argmax_tails[(1, 1)] == {(1,)}
-        assert red.argmax_tails[(0, 0)] == {(0,), (1,)}
+        weights = reduce_past(tail_anchored_potential())
+        assert weights == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
 
     def test_depth_one_identity(self):
         A = LocallyConstantPotential(full_shift(), 1, 1, {(1, 1): Fraction(1)})
-        red = reduce_past(A)
-        assert dict(red.edge_table) == dict(A.table)
-        assert all(ts == {()} for ts in red.argmax_tails.values())
+        assert reduce_past(A) == dict(A.table)
 
     def test_constant_any_depth(self):
-        red = reduce_past(constant_potential(full_shift(), 5, past_depth=3, future_depth=1))
-        assert set(red.edge_table.values()) == {Fraction(5)}
+        weights = reduce_past(constant_potential(full_shift(), 5, past_depth=3, future_depth=1))
+        assert set(weights) == set(allowed_words(full_shift(), 2))
+        assert set(weights.values()) == {Fraction(5)}
 
     def test_dominates_pointwise(self, rng: random.Random):
         for _ in range(20):
@@ -84,13 +83,59 @@ class TestReducePast:
             p, q = rng.randint(1, 3), rng.randint(1, 2)
             table = {k: random_fraction(rng, max_den=6) for k in allowed_words(system, p + q)}
             A = LocallyConstantPotential(system, p, q, table)
-            red = reduce_past(A)
+            weights = reduce_past(A)
+            assert set(weights) == set(allowed_words(system, 1 + q))
+            attained = set()
             for full, v in A.table.items():
                 key = full[p - 1:]
-                assert red.value(key) >= v
-                tail = full[: p - 1]
-                if tail in red.argmax_tails[key]:
-                    assert v == red.value(key)
+                assert weights[key] >= v
+                if v == weights[key]:
+                    attained.add(key)
+            assert attained == set(weights)
+
+    def test_decorated_face_accepts_exactly_the_tails_at_the_maximum(self, rng: random.Random):
+        # brute force over A.table: a decorated orbit is in the face exactly
+        # when its key means reach beta and every tail's window attains the
+        # maximum over all windows of its key; integer weights in [-2, 2]
+        # make ties among the tails common
+        potentials = [tail_anchored_potential()]
+        while len(potentials) < 12:
+            system = random_system(rng, rng.randint(2, 3), require_transitive=True)
+            p = rng.randint(2, 3 if system.alphabet_size == 2 else 2)
+            q = rng.randint(1, 2)
+            table = {k: Fraction(rng.randint(-2, 2)) for k in allowed_words(system, p + q)}
+            potentials.append(LocallyConstantPotential(system, p, q, table))
+        checked = in_face = 0
+        for A in potentials:
+            system, p, q = A.system, A.past_depth, A.future_depth
+            best: dict = {}
+            for full, v in A.table.items():
+                key = full[p - 1:]
+                best[key] = max(best.get(key, v), v)
+            graph = build_prepend_graph(system, A)
+            result = max_mean_cycle(graph)
+            orbits = [tuple(e.symbol for e in reversed(result.witness_cycle))]
+            orbits += [
+                w for M in (1, 2, 3) for w in itertools.product(system.symbols(), repeat=M)
+                if all(system.allows(w[j], w[(j + 1) % M]) for j in range(M))
+            ]
+            for orbit in orbits:
+                M = len(orbit)
+                choices = [
+                    [t for t in allowed_words(system, p) if t[-1] == orbit[j - 1]]
+                    for j in range(M)
+                ]
+                for tails in itertools.islice(itertools.product(*choices), 64):
+                    m = DecoratedOrbitMeasure(system, orbit, tails)
+                    keys = [m.step_key(j, q)[p - 1:] for j in range(M)]
+                    at_max = all(A.value(m.step_key(j, q)) == best[k] for j, k in enumerate(keys))
+                    on_face = sum(best[k] for k in keys) == result.beta * M
+                    expected = on_face and at_max
+                    assert decorated_in_face(graph, m) == expected
+                    assert expected == (integral(A, m) == result.beta)
+                    checked += 1
+                    in_face += expected
+        assert checked > 1000 and in_face > 50
 
 
 class TestCoboundary:

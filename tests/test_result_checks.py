@@ -25,7 +25,7 @@ GUARDED = {
     graph_engine: ("critical_structure", "_tight_core_arcs", "row", "least_into"),
     mane_aubry: ("omega_set", "_least_into", "reconstruct", "represent"),
     holonomic_opt: ("beta_lp",),
-    subaction_lab: ("_policy_values", "_exact_discounted"),
+    subaction_lab: ("_policy_values", "_exact_discounted", "calibrated_via_discount", "livsic_test"),
 }
 
 # the one function allowed floats: it formats the discount trace

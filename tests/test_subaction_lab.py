@@ -13,7 +13,6 @@ from ergopt.potential_model import LocallyConstantPotential, coboundary_modify
 from ergopt.subaction_lab import (
     NodeFunction,
     _certified_bias,
-    _discount_arcs,
     _exact_discounted,
     calibrated_via_discount,
     calibration_residual,
@@ -55,7 +54,7 @@ def nf(graph, *values):
 
 def solve_discounted(graph, rho: Fraction, solve=_exact_discounted) -> list[Fraction]:
     """Cold-started values of the integer kernel at rho, as Fractions."""
-    W, arcs = _discount_arcs(graph)
+    W, arcs = graph._out_arcs
     X, den = solve(arcs, rho.numerator, rho.denominator, [0] * len(arcs))
     return [Fraction(x, W * den) for x in X]
 
@@ -326,7 +325,7 @@ def test_discount_steps_record_each_solve_of_the_route(rng, monkeypatch):
             assert a_est == (1 - rho) * -max(solve_discounted(g, rho, solve))
         # accepted at the first policy shown bias-optimal, with an exactly
         # calibrated limit of the normalized discounted solutions
-        W, arcs = _discount_arcs(g)
+        W, arcs = g._out_arcs
         shown = [_certified_bias(arcs, p) is not None for p in policies]
         assert shown == [False] * (len(steps) - 1) + [True]
         beta = max_mean_cycle(g).beta
