@@ -357,6 +357,14 @@ def _rat_over(num: int, den: int) -> str:
         ) from None
 
 
+def _rat_note(x: Fraction) -> str:
+    """_rat of x for a check note, or words in its place past the digit limit."""
+    try:
+        return _rat(x)
+    except ConfigError:
+        return "(too long to print)"
+
+
 def _word_str(word: Word) -> str:
     return "".join(str(s) for s in word)
 
@@ -500,14 +508,14 @@ def _check_items(
         parametric = parametric_beta(graph)
         lp_value, _ = beta_lp(graph)
         ok = beta == parametric == lp_value
-        return ("pass" if ok else "fail", f"beta {_rat(beta)} by three methods")
+        return ("pass" if ok else "fail", f"beta {_rat_note(beta)} by three methods")
 
     def beta_oracle() -> tuple[str, str]:
         try:
             value = oracle_beta(config.system, config.potential, len(graph.nodes) + 1)
         except OracleBudgetExceeded as exc:
             return ("skip", str(exc))
-        return ("pass" if value == beta else "fail", f"oracle beta {_rat(value)}")
+        return ("pass" if value == beta else "fail", f"oracle beta {_rat_note(value)}")
 
     def maximal_valid() -> tuple[str, str]:
         u = maximal_subaction(graph, beta)

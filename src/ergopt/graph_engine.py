@@ -14,10 +14,10 @@ into exact Fractions when they return.
 beta comes from exact policy iteration on the max-plus Bellman operator
 (Howard's algorithm, ``_policy_iteration``): O(n + m) per round and, on
 random full and golden-mean shifts of 128-1024 nodes, 9-23 rounds, where
-Karp's table is Theta(n * m + n^2). Bellman-Ford at beta certifies it and
-gives the potential h. Karp's algorithm is kept in the tests as a
-reference, as are Floyd-Warshall and Tarjan; the parametric route and the
-circulation LP are the other two independent routes to beta.
+Karp's table is Theta(n * m + n^2). One least-cost search at beta
+certifies it and gives the potential h. Karp's algorithm is kept in the
+tests as a reference, as are Floyd-Warshall and Tarjan; the parametric
+route and the circulation LP are the other two independent routes to beta.
 
 The excursion-cost matrix lives at the graph's own beta and comes from
 Johnson's method: the Bellman potential that ``max_mean_cycle`` kept
@@ -34,25 +34,28 @@ are the connected components of the critical edges.
 Each graph keeps what it has computed, so nothing is computed twice for
 one graph:
 
-- its arcs as ints over a common denominator, once per shift
-  (``_scaled_costs``);
-- each node's int out-arcs at shift 0 (``_scale_out_arcs``), the one table
-  that policy iteration and the discounted route of ``subaction_lab`` read;
-- its ``BetaResult``, so policy iteration and Bellman run once; it keeps
-  the arcs at beta and the tight core, which the critical structure reads,
-  and the canonical witness cycle is searched once, in the core, and only
-  when read (``max_mean_cycle``);
+- each node's int out-arcs over the common denominator W of its weights
+  (``_scale_out_arcs``), the one int arc table it keeps: policy iteration,
+  the discounted route and the edge slacks of ``subaction_lab`` read it,
+  and ``_scaled_costs`` shifts it to the costs b - weight for any b;
+- its ``BetaResult``, so policy iteration and the search for h run once;
+  it keeps the arcs at beta and the tight core, which the critical
+  structure reads, and the canonical witness cycle is searched once, in
+  the core, and only when read (``max_mean_cycle``);
 - its excursion-cost matrix at beta, built from the kept Bellman potential
-  and arcs with no Bellman run of its own, and each row of it once read
+  and arcs with no search for h of its own, and each row of it once read
   (``min_cost_all_pairs``).
 
-One Bellman-Ford round, ``_relax``, serves every least-cost problem from a
-super-source. ``_bellman_ford`` repeats it until nothing changes, for the
-Bellman potentials (``bellman_potentials``) and, in ``subaction_lab``, the
-maximal sub-action (on reversed arcs) and the Livsic transfer (read off the
-Bellman potentials). The parametric route's improving cycle
-(``_negative_cycle``) walks the predecessor arcs after each round, in O(n),
-and stops at the first cycle they close.
+One least-cost search, ``_label_correcting``, serves every least-cost
+problem but the parametric route: the Bellman potential at beta and, in
+``subaction_lab``, the maximal sub-action on reversed arcs (both
+``_bellman_ints``, every node seeded at 0), each excursion row and
+``ManeMatrix.least_into``. It scans in FIFO passes and gives up when a
+pass n + 1 would start, which only a negative cycle reaches. The parametric
+route keeps its own Bellman-Ford rounds (``_relax``), so it shares no loop
+with the certificate of policy iteration's beta: its improving cycle
+(``_negative_cycle``) walks the predecessor arcs after each round, in
+O(n), and stops at the first cycle they close.
 """
 
 from __future__ import annotations
@@ -115,11 +118,6 @@ class PrependGraph:
     def _mane(self) -> ManeMatrix:
         return _solve_min_cost_all_pairs(self)
 
-    @cached_property
-    def _scaled(self) -> dict[Fraction, tuple[int, tuple[tuple[int, int, int], ...]]]:
-        """The memo of ``_scaled_costs``: shift -> (D, arcs)."""
-        return {}
-
     def out_edges(self, src: int) -> tuple[Edge, ...]:
         return self._out[src]
 
@@ -163,39 +161,29 @@ def _scaled_costs(
     """Edge costs shift - weight as ints scaled by a common denominator D.
 
     D is the lcm of the weight denominators and of shift's denominator, so
-    (src, tgt, D * (shift - weight)) is exact for every edge, in edge order.
-    The weights are scaled once, at shift 0 over W; any other shift reads
-    them, since W divides D. The graph keeps the result per shift, so each
-    is scaled once per graph.
+    (src, tgt, D * (shift - weight)) is exact for every edge. The arcs are
+    read off ``PrependGraph._out_arcs``, whose weights W divides D; its
+    edges come by source, then symbol, so the arcs come in edge order.
     """
-    memo = graph._scaled
-    found = memo.get(shift)
-    if found is None:
-        if shift:
-            W, weights = _scaled_costs(graph, Fraction(0))
-            D = math.lcm(W, shift.denominator)
-            base, k = shift.numerator * (D // shift.denominator), D // W
-            found = D, tuple((a, b, base + k * c) for a, b, c in weights)
-        else:
-            W = math.lcm(*(e.weight.denominator for e in graph.edges))
-            found = W, tuple(
-                (e.src, e.tgt, -e.weight.numerator * (W // e.weight.denominator))
-                for e in graph.edges
-            )
-        memo[shift] = found
-    return found
+    W, out = graph._out_arcs
+    D = math.lcm(W, shift.denominator)
+    base, k = shift.numerator * (D // shift.denominator), D // W
+    return D, tuple((a, b, base + k * c) for a, arcs in enumerate(out) for b, c in arcs)
 
 
 def _scale_out_arcs(graph: PrependGraph) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """W and each node's out-arcs (tgt, c), c = -W * weight, in out_edges order:
-    the arcs of ``_scaled_costs`` at shift 0 split by source, read by policy
-    iteration and the discounted route through ``PrependGraph._out_arcs``.
+    """W and each node's out-arcs (tgt, c), c = -W * weight, in out_edges order.
+
+    W is the lcm of the weight denominators. This is the one int table a
+    graph keeps (``PrependGraph._out_arcs``): policy iteration, the
+    discounted route and the edge slacks of ``subaction_lab`` read it, and
+    ``_scaled_costs`` shifts it.
     """
-    W, weights = _scaled_costs(graph, Fraction(0))
-    out: list[list[tuple[int, int]]] = [[] for _ in graph.nodes]
-    for a, b, c in weights:
-        out[a].append((b, c))
-    return W, tuple(map(tuple, out))
+    W = math.lcm(*(e.weight.denominator for e in graph.edges))
+    return W, tuple(
+        tuple((e.tgt, -e.weight.numerator * (W // e.weight.denominator)) for e in edges)
+        for edges in graph._out
+    )
 
 
 def _relax(
@@ -214,24 +202,6 @@ def _relax(
             pred[b] = i
             lowered = b
     return lowered
-
-
-def _bellman_ford(
-    n: int, arcs: Sequence[tuple[int, int, int]]
-) -> tuple[list[int], int | None]:
-    """Least costs over the int arcs (a, b, c) from a zero-cost super-source.
-
-    Runs at most n + 1 rounds. Returns the costs and the last node lowered in
-    round n + 1, which only a negative cycle can reach; that node is None
-    when some round changes nothing.
-    """
-    dist = [0] * n
-    pred: list[int | None] = [None] * n
-    for _ in range(n + 1):
-        lowered = _relax(arcs, dist, pred)
-        if lowered is None:
-            break
-    return dist, lowered
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +369,25 @@ def _policy_values(
 
 
 def _bellman_ints(
-    graph: PrependGraph, beta: Fraction
-) -> tuple[int, Sequence[tuple[int, int, int]], list[int]]:
+    graph: PrependGraph, beta: Fraction, reverse: bool = False
+) -> tuple[int, tuple[tuple[int, int, int], ...], list[int]]:
     """D, the scaled arcs of beta - weight and the least costs h over D.
 
-    Raises NegativeCycle if beta is below the true maximum mean.
+    h[v] is the least cost of a path into v, or out of v when reverse is
+    set, capped at 0: one ``_label_correcting`` search with every node
+    seeded at 0. Raises NegativeCycle if beta is below the true maximum
+    mean.
     """
     D, arcs = _scaled_costs(graph, beta)
-    h, looped = _bellman_ford(len(graph.nodes), arcs)
-    if looped is not None:
+    adj: list[list[tuple[int, int]]] = [[] for _ in graph.nodes]
+    for a, b, c in arcs:
+        if reverse:
+            a, b = b, a
+        adj[a].append((b, c))
+    h = _label_correcting(adj, [(v, 0) for v in range(len(adj))])
+    if h is None:
         raise NegativeCycle("costs beta - weight admit a negative cycle")
-    return D, arcs, h
+    return D, arcs, h  # type: ignore[return-value]
 
 
 def bellman_potentials(graph: PrependGraph, beta: Fraction) -> list[Fraction]:
@@ -467,8 +445,8 @@ def max_mean_cycle(graph: PrependGraph) -> BetaResult:
     """beta by policy iteration, certified, with its Bellman potential.
 
     The result is kept on the graph, so a repeated call returns the same
-    object and policy iteration and Bellman run once per graph; the witness
-    cycle is searched only when read.
+    object and policy iteration and the search for h run once per graph;
+    the witness cycle is searched only when read.
     """
     return graph._beta_result
 
@@ -575,13 +553,17 @@ def parametric_beta(graph: PrependGraph) -> Fraction:
 
 def _label_correcting(
     adj: Sequence[Sequence[tuple[int, int]]], seeds: Iterable[tuple[int, int]]
-) -> list[int | float]:
+) -> list[int | float] | None:
     """Least seed label plus path cost to every node; inf where none reaches.
 
-    adj[v] lists the arcs (t, c), c >= 0, leaving v, and each seed (t, f)
-    labels node t with f. A FIFO label-correcting search (a
-    Bellman-Ford-Moore queue): O(n * m) in the worst case, as any
-    Bellman-Ford is.
+    adj[v] lists the int arcs (t, c) leaving v, and each seed (t, f) labels
+    node t with f. A FIFO label-correcting search (Bellman-Ford-Moore) in
+    passes: pass 1 scans the seeded nodes, and pass k + 1, first in first
+    out, the nodes that pass k lowered. After pass k every label is at most
+    the least cost over paths of k arcs from a seed, so when no cycle costs
+    less than 0, least paths have at most n - 1 arcs and pass n lowers
+    nothing. Returns None when a pass n + 1 would start, which only a
+    negative cycle reaches. O(n * m) in the worst case.
     """
     dist: list[int | float] = [math.inf] * len(adj)
     queued = [False] * len(adj)
@@ -592,18 +574,22 @@ def _label_correcting(
             if not queued[t]:
                 queued[t] = True
                 queue.append(t)
-    # iterating a list while appending to it visits it first in, first out
-    for v in queue:
-        queued[v] = False
-        dv = dist[v]
-        for t, c in adj[v]:
-            cand = dv + c
-            if cand < dist[t]:
-                dist[t] = cand
-                if not queued[t]:
-                    queued[t] = True
-                    queue.append(t)
-    return dist
+    for _ in range(len(adj)):  # passes 1 .. n
+        if not queue:
+            return dist
+        lowered = []
+        for v in queue:
+            queued[v] = False
+            dv = dist[v]
+            for t, c in adj[v]:
+                cand = dv + c
+                if cand < dist[t]:
+                    dist[t] = cand
+                    if not queued[t]:
+                        queued[t] = True
+                        lowered.append(t)
+        queue = lowered
+    return None if queue else dist
 
 
 class ManeMatrix:

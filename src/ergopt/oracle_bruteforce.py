@@ -38,7 +38,7 @@ OMEGA_STATE_BUDGET = 50_000
 BETA_WORD_BUDGET = 100_000
 
 
-def _step_max_table(system: SubshiftSystem, A: LocallyConstantPotential) -> dict:
+def _step_max_table(A: LocallyConstantPotential) -> dict:
     """Best table value per (anchor, future window), scanning the raw table."""
     p = A.past_depth
     best: dict[tuple[int, ...], Fraction] = {}
@@ -97,7 +97,7 @@ def oracle_beta(system: SubshiftSystem, A: LocallyConstantPotential, max_cycle_l
             f"beta oracle budget reached: more than {BETA_WORD_BUDGET} "
             f"allowed words up to length {max_cycle_len}"
         )
-    maxes = _step_max_table(system, A)
+    maxes = _step_max_table(A)
     best: Fraction | None = None
     words: list[tuple[int, ...]] = [(s,) for s in system.symbols()]
     for length in range(1, max_cycle_len + 1):
@@ -176,7 +176,7 @@ def oracle_mane(
     q = A.future_depth
     if max_path_len is None:
         max_path_len = 3 * len(allowed_words(system, q)) + N
-    maxes = _step_max_table(system, A)
+    maxes = _step_max_table(A)
     preds = _predecessors(system)
     target = window(x, 0, N)
     m = max(N, q)
@@ -240,7 +240,7 @@ def oracle_omega(
     if eps <= 0:
         return False  # no finite agreement depth puts a point within eps of x
     # gains scaled by one common denominator, so sums stay exact ints
-    gains = {key: v - beta for key, v in _step_max_table(system, A).items()}
+    gains = {key: v - beta for key, v in _step_max_table(A).items()}
     scale = math.lcm(*(g.denominator for g in gains.values()))
     gains = {key: int(g * scale) for key, g in gains.items()}
     preds = _predecessors(system)

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import HypothesisFails, NegativeCycle, NonConvergence, NotSubaction, NotTransitive
+from .errors import HypothesisFails, NonConvergence, NotSubaction, NotTransitive
 from .graph_engine import (
     Edge,
     PrependGraph,
-    _bellman_ford,
+    _bellman_ints,
     _policy_split,
-    _scaled_costs,
     build_prepend_graph,
     max_mean_cycle,
 )
@@ -91,11 +90,13 @@ def _scaled_slacks(u: NodeFunction, graph: PrependGraph, beta) -> tuple[int, lis
     L is the lcm of the denominators of beta, of the weights and of u, so
     every scaled slack is an int.
     """
-    D, costs = _scaled_costs(graph, Fraction(beta))
-    L = math.lcm(D, *(x.denominator for x in u.values))
+    beta = Fraction(beta)
+    W, out = graph._out_arcs
+    L = math.lcm(W, beta.denominator, *(x.denominator for x in u.values))
     U = [x.numerator * (L // x.denominator) for x in u.values]
-    m = L // D
-    return L, [U[a] - U[b] - c * m for a, b, c in costs]
+    m, b = L // W, beta.numerator * (L // beta.denominator)
+    # c = -W * weight on each out-arc, so L * weight = -c * m
+    return L, [U[a] - U[t] - c * m - b for a, arcs in enumerate(out) for t, c in arcs]
 
 
 def subaction_residual(
@@ -158,14 +159,12 @@ def dual_value(u: NodeFunction, graph: PrependGraph) -> Fraction:
 def maximal_subaction(graph: PrependGraph, beta: Fraction) -> NodeFunction:
     """Largest nonpositive sub-action, u(V) = min(0, cheapest path cost from V).
 
-    Costs are beta minus weight. The graph engine's Bellman-Ford kernel runs
-    on the reversed arcs, so its zero-cost super-source supplies the cap at 0.
-    Raises NegativeCycle if beta is below the true maximum mean.
+    Costs are beta minus weight. The graph engine's least-cost search runs
+    on the reversed arcs with every node seeded at 0, which supplies the
+    cap (``_bellman_ints``). Raises NegativeCycle if beta is below the true
+    maximum mean.
     """
-    D, costs = _scaled_costs(graph, beta)
-    u, looped = _bellman_ford(len(graph.nodes), [(t, s, c) for s, t, c in costs])
-    if looped is not None:
-        raise NegativeCycle("costs beta - weight admit a negative cycle")
+    D, _, u = _bellman_ints(graph, beta, reverse=True)
     return NodeFunction(graph, tuple(Fraction(x, D) for x in u))
 
 

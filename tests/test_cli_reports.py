@@ -247,6 +247,25 @@ def test_a_result_past_the_digit_limit_is_a_config_error(tmp_path, capsys, comma
         assert err == "" and json.loads(out)
 
 
+# the 2-cycle 0 1 0 attains beta, whose denominator passes the digit limit
+HUGE_BETA = MINIMAL.replace(
+    "window 1 1 = 1",
+    f"window 0 1 = 1/{10**2200 + 1}\nwindow 1 0 = 1/{10**2200 + 3}",
+)
+
+
+def test_check_passes_on_a_beta_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge.cfg"
+    path.write_text(HUGE_BETA)
+    assert main(["check", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    checks = {c["name"]: (c["status"], c["note"]) for c in json.loads(out)["checks"]}
+    assert checks["beta_methods_agree"] == ("pass", "beta (too long to print) by three methods")
+    assert checks["beta_oracle"] == ("pass", "oracle beta (too long to print)")
+    assert {status for status, _ in checks.values()} == {"pass"}
+
+
 # ---------------------------------------------------------------------------
 # command reports
 

@@ -176,19 +176,21 @@ class TestManeMemo:
 
     def test_reads_the_kept_bellman_potential(self, monkeypatch):
         runs = []
-        bellman_ford = graph_engine._bellman_ford
+        bellman_ints = graph_engine._bellman_ints
 
-        def counting_bellman_ford(n, arcs):
-            runs.append(n)
-            return bellman_ford(n, arcs)
+        def counting_bellman_ints(graph, beta, reverse=False):
+            runs.append(beta)
+            return bellman_ints(graph, beta, reverse)
 
+        monkeypatch.setattr(graph_engine, "_bellman_ints", counting_bellman_ints)
         g = two_class_graph()
-        max_mean_cycle(g)
-        monkeypatch.setattr(graph_engine, "_bellman_ford", counting_bellman_ford)
+        beta = max_mean_cycle(g).beta
+        assert runs == [beta]
         mane = min_cost_all_pairs(g)
-        assert runs == []
         # every node lies on a zero-cost cycle: the loops at 0 and 3, the 3-cycle
         assert [mane.value(v, v) for v in range(4)] == [0, 0, 0, 0]
+        # building the matrix and reading its every row ran no search for h
+        assert runs == [beta]
 
 
 class TestBetaMemo:

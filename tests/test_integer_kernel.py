@@ -19,6 +19,7 @@ import pytest
 import ergopt.graph_engine as graph_engine
 from ergopt.errors import NegativeCycle
 from ergopt.graph_engine import (
+    _label_correcting,
     _negative_cycle,
     _policy_iteration,
     _scaled_costs,
@@ -190,14 +191,13 @@ def test_kernel_matches_fraction_reference(graph):
 
 @pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))
 def test_scaled_costs_match_the_direct_formula(graph):
-    # shifts whose denominators are new to the weights, each asked twice:
-    # the second call returns the kept tuple
+    # shifts whose denominators are new to the weights
     rng = random.Random(len(graph.edges))
     shifts = [Fraction(0)] + [
         Fraction(rng.randint(-50, 50), rng.choice((1, 3, 7, 997, 1000, 2**20)))
         for _ in range(6)
     ]
-    for shift in shifts + shifts[::-1]:
+    for shift in shifts:
         D = math.lcm(shift.denominator, *(e.weight.denominator for e in graph.edges))
         direct = [(e.src, e.tgt, D * (shift - e.weight)) for e in graph.edges]
         got_D, arcs = _scaled_costs(graph, shift)
@@ -205,8 +205,32 @@ def test_scaled_costs_match_the_direct_formula(graph):
         assert list(arcs) == direct
         assert all(type(c) is int for _, _, c in arcs)
         assert type(arcs) is tuple
-        assert _scaled_costs(graph, shift)[1] is arcs
-    assert len(graph._scaled) == len(set(shifts))
+
+
+def _backward_chain(n: int) -> list[list[tuple[int, int]]]:
+    # arcs v -> v - 1 of cost -1: the least path into node 0 takes n - 1
+    # arcs, and scanning the seeds in node order finds one arc of it a pass
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        adj[v].append((v - 1, -1))
+    return adj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
+def test_label_correcting_needs_no_pass_past_n(n):
+    seeds = [(v, 0) for v in range(n)]
+    assert _label_correcting(_backward_chain(n), seeds) == [v - (n - 1) for v in range(n)]
+    # from the last node alone, pass k lowers node n - 1 - k
+    assert _label_correcting(_backward_chain(n), [(n - 1, 0)]) == [v - (n - 1) for v in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
+def test_label_correcting_gives_up_on_a_negative_cycle(n):
+    # the arc 0 -> n - 1 of cost n - 2 closes the chain into a cycle of cost -1
+    adj = _backward_chain(n)
+    adj[0].append((n - 1, n - 2))
+    assert _label_correcting(adj, [(v, 0) for v in range(n)]) is None
+    assert _label_correcting(adj, [(n - 1, 0)]) is None
 
 
 @pytest.mark.parametrize("graph", _instances(10, count=1) + _instances(1000, count=1))

@@ -48,7 +48,7 @@ def ref_oracle_mane(system, A, beta, x, xbar, N, max_path_len=None):
     q = A.future_depth
     if max_path_len is None:
         max_path_len = 3 * len(allowed_words(system, q)) + N
-    maxes = _step_max_table(system, A)
+    maxes = _step_max_table(A)
     best = None
     target = window(x, 0, N)
 
@@ -78,7 +78,7 @@ def ref_oracle_omega(system, A, beta, x, eps, max_path_len=None):
     eps = Fraction(eps)
     if eps <= 0:
         return False  # as the oracle: no finite agreement depth reaches eps
-    maxes = _step_max_table(system, A)
+    maxes = _step_max_table(A)
     bound = min(eps, system.metric_lambda ** q)  # as the oracle's depth max(N, q)
 
     def explore(pt, acc, steps):
