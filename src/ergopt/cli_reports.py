@@ -3,9 +3,15 @@
 Config files are flat sectioned text: ``[system]``, ``[potential]``, optional
 ``[constraints]`` and ``[solver]`` blocks of ``key = value`` lines. Every
 weight is an exact rational string ("3", "-1/2"); floating literals are
-rejected at parse time so exactness survives the boundary. Reports are
-JSON (default) or CSV, byte-stable for a fixed config: rationals are
-emitted as "n/d" strings and floats appear only inside discount traces.
+rejected at parse time so exactness survives the boundary; each distinct
+weight text is parsed once per config, and a leading UTF-8 byte-order mark
+is dropped. Reports are JSON (default) or CSV, byte-stable for a fixed
+config: rationals are emitted as "n/d" strings and floats appear only
+inside discount traces. The excursion matrix is turned into text one int
+row over D at a time, and its CSV lines are its fields joined by commas:
+every field is digits, '-' or '/', which csv.writer never quotes. The
+flattened key/value CSV of the other reports, whose notes can hold
+commas, goes through csv.writer.
 
 Exit codes: 0 ok, 1 check-suite failure, 2 config error (also an
 unwritable --out path), 3 hypothesis not met (reducible system, class
@@ -139,6 +145,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     rows: list[tuple[Word, int]] = []
     windows: dict[Word, tuple[Fraction, int]] = {}
     phi_entries: dict[int, dict[Word, tuple[Fraction, int]]] = {}
+    # each distinct weight text is parsed once; a bad one raises at its first line
+    rationals: dict[str, Fraction] = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.partition("#")[0].strip()
@@ -168,7 +176,10 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             symbols = _parse_symbols(parts[1:], lineno, "window")
             if symbols in windows:
                 raise ConfigError(f"duplicate window {symbols}", lineno, "window")
-            windows[symbols] = (_parse_rational(rhs, lineno, "window"), lineno)
+            value = rationals.get(rhs)
+            if value is None:
+                value = rationals[rhs] = _parse_rational(rhs, lineno, "window")
+            windows[symbols] = (value, lineno)
         elif key == "row" and section == "system":
             if len(parts) != 1:
                 raise ConfigError("row takes its entries on the right of '='", lineno, "row")
@@ -179,7 +190,10 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             table = phi_entries.setdefault(index, {})
             if symbols in table:
                 raise ConfigError(f"duplicate window {symbols}", lineno, key)
-            table[symbols] = (_parse_rational(rhs, lineno, key), lineno)
+            value = rationals.get(rhs)
+            if value is None:
+                value = rationals[rhs] = _parse_rational(rhs, lineno, key)
+            table[symbols] = (value, lineno)
         else:
             if len(parts) != 1:
                 raise ConfigError(f"unexpected tokens after key {key!r}", lineno, key)
@@ -331,7 +345,8 @@ def _build_constraints(system, scalars, phi_entries, header_line) -> ConstraintS
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return parse_config_text(text, source=str(path))
@@ -341,20 +356,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # report helpers
 
 
+def _too_many_digits() -> ConfigError:
+    """The error for a result that str() refuses past the interpreter's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return ConfigError(
+        f"a result has more digits than the interpreter's limit of {limit} for printing an integer"
+    )
+
+
 def _rat(x: Fraction) -> str:
-    return _rat_over(x.numerator, x.denominator)
-
-
-def _rat_over(num: int, den: int) -> str:
-    """_rat of num / den for a positive den, without building the Fraction."""
-    g = math.gcd(num, den)
+    """x as "n/d"; a Fraction is already in lowest terms."""
     try:
-        return f"{num // g}/{den // g}"
+        return f"{x.numerator}/{x.denominator}"
     except ValueError:  # past the interpreter's digit limit for str()
-        limit = sys.get_int_max_str_digits()
-        raise ConfigError(
-            f"a result has more digits than the interpreter's limit of {limit} for printing an integer"
-        ) from None
+        raise _too_many_digits() from None
 
 
 def _rat_note(x: Fraction) -> str:
@@ -366,7 +381,7 @@ def _rat_note(x: Fraction) -> str:
 
 
 def _word_str(word: Word) -> str:
-    return "".join(str(s) for s in word)
+    return "".join(map(str, word))
 
 
 def _node_values(u, graph: PrependGraph) -> dict[str, str]:
@@ -446,10 +461,14 @@ def cmd_mane(config: ExperimentConfig) -> dict:
     omega = omega_set(graph)
     words = [_word_str(w) for w in graph.nodes]
     D = omega.mane.D
-    matrix = {
-        words[i]: {words[j]: _rat_over(c, D) for j, c in enumerate(row)}
-        for i, row in enumerate(omega.mane.cost)
-    }
+    try:
+        # each entry c / D in lowest terms, one row of strings at a time
+        matrix = {
+            src: dict(zip(words, [f"{c // (g := math.gcd(c, D))}/{D // g}" for c in row]))
+            for src, row in zip(words, omega.mane.cost)
+        }
+    except ValueError:  # past the interpreter's digit limit for str()
+        raise _too_many_digits() from None
     return {
         "beta": _rat(omega.beta),
         "phi": matrix,
@@ -733,18 +752,20 @@ def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
 def render_report(report: dict, fmt: str, command: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if command == "mane":
+        # every field is digits, '-' or '/', which csv.writer never quotes,
+        # so each line is its fields joined by commas
+        phi = report["phi"]
+        words = sorted(phi)
+        lines = [",".join(["src", *words])]
+        lines += [",".join([src, *map(phi[src].__getitem__, words)]) for src in words]
+        return "\n".join(lines) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if command == "mane":
-        words = sorted(report["phi"])
-        writer.writerow(["src"] + words)
-        for src in words:
-            writer.writerow([src] + [report["phi"][src][tgt] for tgt in words])
-    else:
-        writer.writerow(["key", "value"])
-        rows: list[tuple[str, str]] = []
-        _flatten("", report, rows)
-        writer.writerows(rows)
+    writer.writerow(["key", "value"])
+    rows: list[tuple[str, str]] = []
+    _flatten("", report, rows)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -630,10 +630,10 @@ class ManeMatrix:
         # the diagonal entry is the least cost of a nonempty cycle
         INF, hs = math.inf, self.h[src]
         dist = _label_correcting(self.out, self.out[src])
-        return tuple(
+        return tuple([
             None if d == INF else d - hs + hv  # type: ignore[misc]
             for d, hv in zip(dist, self.h)
-        )
+        ])
 
     @property
     def cost(self) -> tuple[tuple[int | None, ...], ...]:

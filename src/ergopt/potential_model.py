@@ -45,12 +45,12 @@ class LocallyConstantPotential:
         if self.past_depth < 1 or self.future_depth < 1:
             raise ValueError("depths must be >= 1")
         keys = allowed_words(self.system, self.past_depth + self.future_depth)
-        given = {tuple(k): _as_fraction(v) for k, v in self.table.items()}
-        extra = set(given) - set(keys)
-        if extra:
+        full = dict.fromkeys(keys, Fraction(0))
+        for k, v in self.table.items():
+            full[tuple(k)] = _as_fraction(v)
+        if len(full) != len(keys):  # a given window is not an allowed word
+            extra = set(full) - set(keys)
             raise ValueError(f"windows not allowed by the transition matrix: {sorted(extra)[:3]}")
-        zero = Fraction(0)
-        full = {k: given.get(k, zero) for k in keys}
         object.__setattr__(self, "table", full)
 
     def value(self, key: Word) -> Fraction:

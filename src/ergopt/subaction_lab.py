@@ -10,13 +10,15 @@ held over one common denominator, W * lcm over policy cycles of
 (b^L - a^L) * b^d at rho = a/b, and its limit is the bias of the first
 optimal policy shown bias-optimal. The residuals and the contact locus
 compare edge slacks as ints over the common denominator of beta, the
-weights and u.
+weights and u; the slack table is built once per sub-action and beta and
+shared by ``subaction_residual``, ``calibration_residual``,
+``contact_locus`` and ``is_subaction``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,10 +41,18 @@ SCHEDULE_K_MAX = 30
 
 @dataclass(frozen=True)
 class NodeFunction:
-    """Exact Fraction values indexed like graph.nodes."""
+    """Exact Fraction values indexed like graph.nodes.
+
+    The private field _slacks keeps the function's scaled edge slacks on
+    its own graph, beta -> (L, slacks), for the residuals and the contact
+    locus to share.
+    """
 
     graph: PrependGraph
     values: tuple[Fraction, ...]
+    _slacks: dict[Fraction, tuple[int, list[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.graph.nodes):
@@ -99,11 +109,25 @@ def _scaled_slacks(u: NodeFunction, graph: PrependGraph, beta) -> tuple[int, lis
     return L, [U[a] - U[t] - c * m - b for a, arcs in enumerate(out) for t, c in arcs]
 
 
+def _slack_table(u: NodeFunction, graph: PrependGraph, beta) -> tuple[int, list[int]]:
+    """``_scaled_slacks``, built once per u and beta on u's own graph and shared.
+
+    The list is the kept table itself; callers only read it.
+    """
+    if graph is not u.graph:
+        return _scaled_slacks(u, graph, beta)
+    beta = Fraction(beta)
+    table = u._slacks.get(beta)
+    if table is None:
+        table = u._slacks[beta] = _scaled_slacks(u, graph, beta)
+    return table
+
+
 def subaction_residual(
     u: NodeFunction, graph: PrependGraph, beta: Fraction
 ) -> tuple[Fraction, tuple[Edge, ...]]:
     """Worst edge slack and the edges violating the defining inequality."""
-    L, slacks = _scaled_slacks(u, graph, beta)
+    L, slacks = _slack_table(u, graph, beta)
     violations = tuple(e for e, s in zip(graph.edges, slacks) if s > 0)
     return Fraction(max(slacks), L), violations
 
@@ -119,11 +143,12 @@ def calibration_residual(u: NodeFunction, graph: PrependGraph, beta) -> Fraction
     """
     if not graph.nodes:
         raise AssertionError("graph has no nodes")
-    L, slacks = _scaled_slacks(u, graph, beta)
-    worst = max(
-        abs(max(slacks[e.index] for e in graph.out_edges(v)))
-        for v in range(len(graph.nodes))
-    )
+    L, slacks = _slack_table(u, graph, beta)
+    # the slacks come by source, so node v's out-edges are one slice
+    worst, end = 0, 0
+    for arcs in graph._out_arcs[1]:
+        start, end = end, end + len(arcs)
+        worst = max(worst, abs(max(slacks[start:end])))
     return Fraction(worst, L)
 
 
@@ -135,7 +160,7 @@ class ContactLocus:
 
 
 def contact_locus(u: NodeFunction, graph: PrependGraph, beta: Fraction) -> ContactLocus:
-    L, slacks = _scaled_slacks(u, graph, beta)
+    L, slacks = _slack_table(u, graph, beta)
     worst = max(slacks)
     if worst > 0:
         raise NotSubaction(f"edge slack {Fraction(worst, L)} is positive")

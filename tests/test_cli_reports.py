@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import random
@@ -16,6 +18,7 @@ import pytest
 
 import ergopt.cli_reports as cli_reports
 import ergopt.graph_engine as graph_engine
+import ergopt.subaction_lab as subaction_lab
 from ergopt import fixtures
 from ergopt.cli_reports import (
     ExperimentConfig,
@@ -37,7 +40,7 @@ from ergopt.mane_aubry import omega_set
 from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
 from ergopt.subaction_lab import SCHEDULE_K_MAX
 
-from conftest import two_class_config_text, with_rows
+from conftest import random_fraction, two_class_config_text, with_rows
 
 MINIMAL = """
 [system]
@@ -123,6 +126,35 @@ def test_error_carries_line_number():
     assert err.value.field == "window"
 
 
+def test_each_distinct_weight_text_is_parsed_once(monkeypatch):
+    parsed = []
+    parse = cli_reports._parse_rational
+
+    def counting_parse(text, line, field):
+        parsed.append(text)
+        return parse(text, line, field)
+
+    monkeypatch.setattr(cli_reports, "_parse_rational", counting_parse)
+    text = MINIMAL.replace("window 1 1 = 1", "window 0 0 = 1/2\nwindow 0 1 = 1/2\nwindow 1 1 = 1")
+    text += "\n[constraints]\nphi1 0 0 = 1/2\nphi1 1 1 = 3\nc = 1/2\n"
+    config = parse_config_text(text)
+    assert config.potential.value((0, 0)) == config.potential.value((0, 1)) == Fraction(1, 2)
+    assert config.constraints.components[0].value((0, 0)) == Fraction(1, 2)
+    # the c vector is not a weight table and is read on its own
+    assert sorted(parsed) == ["1", "1/2", "1/2", "3"]
+
+
+@pytest.mark.parametrize("field", ["window", "phi1"])
+def test_a_repeated_bad_weight_text_fails_at_its_first_line(field):
+    prefix = MINIMAL if field == "window" else MINIMAL + "\n[constraints]\n"
+    bad = prefix + f"\n{field} 0 0 = 1/0\n{field} 1 0 = 1/0\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(bad)
+    assert err.value.line == len(bad.splitlines()) - 1
+    assert err.value.field == field
+    assert "zero denominator" in str(err.value)
+
+
 def test_key_before_section():
     with pytest.raises(ConfigError):
         parse_config_text("alphabet_size = 2\n")
@@ -180,6 +212,21 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert captured.err.startswith("config error: cannot read config: ")
 
 
+@pytest.mark.parametrize("name", fixtures.available())
+def test_a_config_with_a_byte_order_mark_reads_as_without(tmp_path, name):
+    text = fixtures.fixture_text(name)
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    reports = []
+    for path in (plain, marked):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["beta", "--config", str(path), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 # past the interpreter's default limit of 4300 digits for int() of a string
 LONG = "1" * 5000
 
@@ -229,7 +276,16 @@ HUGE_RESULTS = MINIMAL.replace(
 
 @pytest.mark.parametrize(
     "command, rc",
-    [(["beta"], 0), (["check"], 0), (["mane"], 2), (["subaction", "--kind", "u0"], 2)],
+    [
+        (["beta"], 0),
+        (["check"], 0),
+        (["mane"], 2),
+        (["mane", "--format", "csv"], 2),
+        (["classify", "--boundary", "0"], 2),
+        (["subaction", "--kind", "u0"], 2),
+        (["subaction", "--kind", "calibrated"], 2),
+        (["subaction", "--kind", "maximal"], 2),
+    ],
     ids=lambda c: c[-1] if isinstance(c, list) else str(c),
 )
 def test_a_result_past_the_digit_limit_is_a_config_error(tmp_path, capsys, command, rc):
@@ -889,6 +945,94 @@ def test_one_int_out_arc_table_per_graph(tmp_path, monkeypatch, command, graphs)
     monkeypatch.setattr(graph_engine, "_scale_out_arcs", counting_scale)
     assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
     assert len({id(g) for g in built}) == len(built) == graphs
+
+
+@pytest.mark.parametrize(
+    "command, tables",
+    [
+        (["subaction", "--kind", "u0"], 1),
+        (["subaction", "--kind", "calibrated"], 1),
+        (["subaction", "--kind", "maximal"], 1),
+        (["classify", "--boundary", "1/2,-2"], 2),
+    ],
+    ids=lambda c: c[-1] if isinstance(c, list) else str(c),
+)
+def test_one_slack_table_per_subaction(tmp_path, monkeypatch, command, tables):
+    # the residuals and the contact locus of one sub-action at one beta read
+    # one table; classify checks u and the reconstruction of its boundary data
+    path = write_fixture(tmp_path, "f5")
+    built = []
+    scaled = subaction_lab._scaled_slacks
+
+    def counting_slacks(u, graph, beta):
+        built.append(u)
+        return scaled(u, graph, beta)
+
+    monkeypatch.setattr(subaction_lab, "_scaled_slacks", counting_slacks)
+    assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == tables
+    assert len({id(u) for u in built}) == tables
+
+
+def _config_text(rng: random.Random, rows, q: int, den: int) -> str:
+    """Past depth 1, future depth q, a random weight n/d (d <= den) per window."""
+    lines = ["[system]", f"alphabet_size = {len(rows)}"]
+    lines += ["row = " + " ".join(map(str, row)) for row in rows]
+    lines += ["", "[potential]", "past_depth = 1", f"future_depth = {q}"]
+    for w in itertools.product(range(len(rows)), repeat=q + 1):
+        if all(rows[a][b] for a, b in zip(w, w[1:])):
+            x = random_fraction(rng, max_den=den)
+            lines.append(f"window {' '.join(map(str, w))} = {x.numerator}/{x.denominator}")
+    return "\n".join(lines) + "\n"
+
+
+def _csv_writer_mane(report: dict) -> str:
+    """The mane CSV as csv.writer writes it, the reference for render_report."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    words = sorted(report["phi"])
+    writer.writerow(["src"] + words)
+    for src in words:
+        writer.writerow([src] + [report["phi"][src][tgt] for tgt in words])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", [n for n in fixtures.available() if n != "reducible"])
+def test_mane_csv_matches_csv_writer_on_fixtures(name):
+    report = cmd_mane(fixtures.load(name))
+    assert render_report(report, "csv", "mane") == _csv_writer_mane(report)
+
+
+@pytest.mark.parametrize("den", [10, 1000])
+@pytest.mark.parametrize("rows", [((1, 1), (1, 1)), ((1, 1), (1, 0))], ids=["full", "golden"])
+def test_mane_csv_matches_csv_writer_on_random_configs(rows, den):
+    negative = 0
+    for seed in (1, 2, 3):
+        report = cmd_mane(parse_config_text(_config_text(random.Random(seed), rows, 3, den)))
+        assert render_report(report, "csv", "mane") == _csv_writer_mane(report)
+        negative += sum(v.startswith("-") for row in report["phi"].values() for v in row.values())
+    assert negative > 0
+
+
+def test_mane_formats_its_matrix_without_a_call_per_entry(tmp_path):
+    # the 64 x 64 matrix is turned into text one row at a time: the Python
+    # calls into this module grow with the nodes, not with the 4096 entries
+    config = parse_config_text(_config_text(random.Random(5), ((1, 1), (1, 1)), 6, 10))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == cli_reports.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        report = cmd_mane(config)
+    finally:
+        sys.setprofile(None)
+    assert len(report["phi"]) == 64
+    assert {len(row) for row in report["phi"].values()} == {64}
+    assert len(calls) < 8 * 64
+    assert calls.count("_rat") == 1  # beta
 
 
 def _check_statuses(tmp_path, capsys) -> tuple[int, dict]:

@@ -58,6 +58,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             LocallyConstantPotential(golden_mean(), 1, 1, {(1, 1): Fraction(1)})
 
+    def test_disallowed_windows_named_first_three_in_order(self):
+        table = {(1, 1, 1, 1): 1, (0, 0, 0, 0): 2, (0, 1, 1, 0): 3, (1, 1, 0, 0): 4, (0, 0, 1, 1): 5}
+        with pytest.raises(ValueError) as err:
+            LocallyConstantPotential(golden_mean(), 1, 3, table)
+        assert str(err.value) == (
+            "windows not allowed by the transition matrix: "
+            "[(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 0)]"
+        )
+
+    def test_full_table_in_word_order_with_exact_zeros(self):
+        A = LocallyConstantPotential(golden_mean(), 1, 2, {(1, 0, 1): 3, (0, 0, 0): "1/2"})
+        assert list(A.table) == allowed_words(golden_mean(), 3)
+        assert A.table == {
+            (0, 0, 0): Fraction(1, 2), (0, 0, 1): 0, (0, 1, 0): 0, (1, 0, 0): 0, (1, 0, 1): 3,
+        }
+        assert {type(v) for v in A.table.values()} == {Fraction}
+
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             LocallyConstantPotential(full_shift(), 1, 1, {(0, 0): 0.5})

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import ergopt.subaction_lab as subaction_lab
 from ergopt.errors import HypothesisFails, NonConvergence, NotSubaction, NotTransitive
 from ergopt.graph_engine import build_prepend_graph, critical_structure, max_mean_cycle
 from ergopt.potential_model import LocallyConstantPotential, coboundary_modify
@@ -112,6 +113,34 @@ def test_calibration_residual_pinned():
     assert calibration_residual(nf(g, 1, 0), g, ONE) == 0
     assert calibration_residual(nf(g, 0, 0), g, ONE) == 1
     assert calibration_residual(nf(f3_graph(), 0, 0), f3_graph(), Fraction(5)) == 0
+
+
+def test_one_slack_table_per_function_and_beta(monkeypatch):
+    g = f6_graph()
+    built = []
+    scaled = subaction_lab._scaled_slacks
+
+    def counting_slacks(u, graph, beta):
+        built.append((u, graph, beta))
+        return scaled(u, graph, beta)
+
+    monkeypatch.setattr(subaction_lab, "_scaled_slacks", counting_slacks)
+    u = nf(g, -1, 0)
+    for beta in (ONE, 1, Fraction(2)):  # 1 and ONE are one key
+        residuals = (subaction_residual(u, g, beta)[0], calibration_residual(u, g, beta))
+        assert residuals == ((0, 0) if beta == 1 else (-1, 1))
+        assert is_subaction(u, g, beta)
+    assert {g.edges[i].key for i in contact_locus(u, g, ONE).edges} == {(1, 0), (1, 1), (0, 1)}
+    assert len(built) == 2
+    # an equal function holds its own table
+    assert calibration_residual(nf(g, -1, 0), g, ONE) == 0
+    assert len(built) == 3
+    # slacks on a graph other than u's own are built on every call, not kept
+    other = f6_graph()
+    for _ in range(2):
+        assert calibration_residual(u, other, ONE) == 0
+    assert len(built) == 5
+    assert u == nf(g, -1, 0) and "_slacks" not in repr(u)
 
 
 def test_calibrated_has_tight_edge_everywhere():
