@@ -102,6 +102,12 @@ class ExperimentConfig:
 
 _TOO_LONG = "integer literal has too many digits"
 
+# The longest window p + q, and the most allowed words of one window length:
+# every command was measured at 2048 graph nodes, which a full 2-shift
+# reaches at 4096 windows. A window past either bound is a config error.
+MAX_WINDOW_LENGTH = 64
+MAX_WINDOW_WORDS = 2 ** 12
+
 
 def _parse_rational(text: str, line: int | None, field: str) -> Fraction:
     num, slash, den = text.partition("/")
@@ -217,7 +223,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
 
     system = _build_system(scalars, rows, section_lines["system"])
     potential = _build_potential(system, scalars, windows, section_lines["potential"])
-    constraints = _build_constraints(system, scalars, phi_entries, section_lines.get("constraints"))
+    constraints = _build_constraints(
+        system, potential.past_depth, scalars, phi_entries, section_lines.get("constraints")
+    )
 
     k_max = SCHEDULE_K_MAX
     if ("solver", "schedule_k_max") in scalars:
@@ -256,6 +264,30 @@ def _build_system(scalars, rows, header_line) -> SubshiftSystem:
         raise ConfigError(str(exc), header_line) from None
 
 
+def _check_window_size(system: SubshiftSystem, length: int, line: int | None, field: str | None) -> None:
+    """Raise ConfigError when the allowed words of this length are too long or too many.
+
+    The count is 1^T A^(length-1) 1 for the transition matrix A. Every
+    symbol has a successor, so the count never falls as the length grows,
+    and the product stops as soon as it passes the bound.
+    """
+    if length > MAX_WINDOW_LENGTH:
+        raise ConfigError(
+            f"window length {length} is above the bound {MAX_WINDOW_LENGTH}", line, field
+        )
+    rows = system.transition
+    symbols = range(system.alphabet_size)
+    counts = [1] * system.alphabet_size  # allowed words of each length ending in each symbol
+    for _ in range(length - 1):
+        counts = [sum(counts[a] for a in symbols if rows[a][b]) for b in symbols]
+        if sum(counts) > MAX_WINDOW_WORDS:
+            raise ConfigError(
+                f"window length {length} allows more than {MAX_WINDOW_WORDS} words",
+                line,
+                field,
+            )
+
+
 def _build_potential(system, scalars, windows, header_line) -> LocallyConstantPotential:
     depths = {}
     for field in ("past_depth", "future_depth"):
@@ -266,6 +298,7 @@ def _build_potential(system, scalars, windows, header_line) -> LocallyConstantPo
         if depths[field] < 1:
             raise ConfigError(f"{field} must be >= 1", lineno, field)
     width = depths["past_depth"] + depths["future_depth"]
+    _check_window_size(system, width, header_line, None)
     table = {}
     for symbols, (value, lineno) in windows.items():
         if len(symbols) != width:
@@ -283,7 +316,7 @@ def _build_potential(system, scalars, windows, header_line) -> LocallyConstantPo
         raise ConfigError(str(exc), header_line) from None
 
 
-def _build_constraints(system, scalars, phi_entries, header_line) -> ConstraintSpec | None:
+def _build_constraints(system, past_depth, scalars, phi_entries, header_line) -> ConstraintSpec | None:
     has_vector = ("constraints", "c") in scalars or ("constraints", "h") in scalars
     if header_line is None or (not phi_entries and not has_vector):
         return None
@@ -298,16 +331,17 @@ def _build_constraints(system, scalars, phi_entries, header_line) -> ConstraintS
     for index in range(1, count + 1):
         table = phi_entries[index]
         widths = {len(symbols) for symbols in table}
+        lineno = min(line for _, line in table.values())
         if len(widths) != 1:
-            lineno = min(line for _, line in table.values())
             raise ConfigError(f"phi{index} windows differ in length", lineno, f"phi{index}")
         width = widths.pop()
         if width < 2:
-            lineno = min(line for _, line in table.values())
             raise ConfigError(f"phi{index} windows need >= 2 symbols", lineno, f"phi{index}")
-        for symbols, (_, lineno) in table.items():
+        # constrained_beta pads the potential's windows to this future depth
+        _check_window_size(system, past_depth + width - 1, lineno, f"phi{index}")
+        for symbols, (_, line) in table.items():
             if any(s >= system.alphabet_size for s in symbols):
-                raise ConfigError("window symbol outside the alphabet", lineno, f"phi{index}")
+                raise ConfigError("window symbol outside the alphabet", line, f"phi{index}")
         try:
             components.append(
                 LocallyConstantPotential(
@@ -315,7 +349,6 @@ def _build_constraints(system, scalars, phi_entries, header_line) -> ConstraintS
                 )
             )
         except ValueError as exc:
-            lineno = min(line for _, line in table.values())
             raise ConfigError(str(exc), lineno, f"phi{index}") from None
 
     if ("constraints", "c") in scalars and ("constraints", "h") in scalars:

@@ -35,10 +35,6 @@ class NotHolonomic(ErgoptError):
     """Measure fails the conservation or anchoring requirements."""
 
 
-class NotExtreme(ErgoptError):
-    """Measure is not a uniform cycle measure (not a polytope vertex)."""
-
-
 class InfeasibleTarget(ErgoptError):
     """Constraint target lies outside the admissible moment set."""
 

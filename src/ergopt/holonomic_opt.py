@@ -5,7 +5,7 @@ optima, the concave multiplier function, and optimal-trajectory averages.
 A circulation assigns nonnegative mass to prepend-graph edges with inflow
 equal to outflow at every node and total mass one. Decorated orbit measures
 add an explicit past window per step, which is exactly the information the
-reduced graph forgets; membership in the maximizing face checks both layers.
+reduced graph forgets.
 """
 
 from __future__ import annotations
@@ -194,31 +194,6 @@ def orbit_circulation(graph: PrependGraph, m: DecoratedOrbitMeasure) -> Circulat
         key = tuple(m.orbit[(j - 1 + i) % M] for i in range(q + 1))
         masses[graph.edge_by_key(key).index] += Fraction(1, M)
     return CirculationMeasure(graph, tuple(masses))
-
-
-def decorated_in_face(graph: PrependGraph, m: DecoratedOrbitMeasure) -> bool:
-    """Two-layer membership test for the maximizing face.
-
-    The x-marginal must be supported on the face's edges AND every tail must
-    attain the maximum that the past reduction took: the potential at the
-    tail's full window equals its edge's weight. The reduced graph alone
-    cannot see a suboptimally decorated past.
-    """
-    if not is_holonomic(m):
-        raise NotHolonomic("decorated orbit fails the anchor or adjacency checks")
-    face = maximizing_face(graph)
-    if not face_contains(face, orbit_circulation(graph, m)):
-        return False
-    A = graph.potential
-    p = len(m.tails[0])
-    if p != A.past_depth:
-        raise ValueError("tail depth does not match the graph's potential")
-    M = len(m.orbit)
-    for j in range(M):
-        key = tuple(m.orbit[(j - 1 + i) % M] for i in range(graph.q + 1))
-        if A.value(m.tails[j][: p - 1] + key) != graph.edge_by_key(key).weight:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

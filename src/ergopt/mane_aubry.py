@@ -5,11 +5,10 @@ classifies calibrated sub-actions.
 Everything here works at window resolution over a transitive system: the
 non-wandering set is the critical subgraph, the pairwise potential is the
 all-pairs minimum path cost, and calibrated sub-actions correspond to
-per-class boundary values through reconstruct/represent. The Mane family,
-the Mane potential and reconstruction are one min-plus expression, min over
-seed windows t of f_t + phi(V -> t); each is one search from its seeds
-along the reversed arcs (``_least_into``) and reads no row of the
-excursion-cost matrix.
+per-class boundary values through reconstruct/represent. The Mane family
+and reconstruction are one min-plus expression, min over seed windows t of
+f_t + phi(V -> t); each is one search from its seeds along the reversed
+arcs (``_least_into``) and reads no row of the excursion-cost matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
-from .errors import NotCalibrated, NotExtreme, NotInOmega, NotTransitive
+from .errors import NotCalibrated, NotInOmega, NotTransitive
 from .graph_engine import (
     CriticalStructure,
     Edge,
@@ -113,23 +112,6 @@ def _period_seeds(omega: OmegaSet, x: EventuallyPeriodicPoint) -> list[tuple[int
     return list(zip((e.tgt for e in edges), costs))[len(x.preperiod):]
 
 
-def mane_potential(
-    omega: OmegaSet, x: EventuallyPeriodicPoint, xbar: EventuallyPeriodicPoint
-) -> Fraction:
-    """Cheapest asymptotic excursion cost from x to xbar.
-
-    Finite and exact for x non-wandering: the epsilon-path infimum stabilizes
-    to a minimum over one period of x once paths are allowed to leave after
-    the preperiod. It is the family sub-action of x at xbar's window. Raises
-    NotInOmega otherwise.
-    """
-    _require_forward(xbar, omega.graph.system)
-    if not omega_membership(omega, x):
-        raise NotInOmega("the first argument must be non-wandering")
-    start = omega.graph.node_index[window(xbar, 0, omega.graph.q)]
-    return _least_into(omega, _period_seeds(omega, x))[start]
-
-
 def mane_family_subaction(omega: OmegaSet, x: EventuallyPeriodicPoint) -> NodeFunction:
     """The calibrated sub-action V -> cheapest excursion cost from x to V.
 
@@ -203,39 +185,3 @@ def maximal_calibrated(graph: PrependGraph, omega: OmegaSet | None = None) -> No
     omega = omega or omega_set(graph)
     zero = BoundaryData(omega, tuple(Fraction(0) for _ in omega.critical.classes))
     return reconstruct(zero)
-
-
-# ---------------------------------------------------------------------------
-# support location of extreme maximizing measures
-
-
-def support_in_omega_check(m, omega: OmegaSet) -> bool:
-    """For a uniform single-cycle measure: is its support critical?
-
-    Accepts any object carrying .graph and .edge_masses aligned with the
-    graph's edge indices. Raises NotExtreme unless the support is one cycle
-    with equal masses, the ergodic-projection case the statement covers.
-    """
-    graph = m.graph
-    support = [e for e in graph.edges if m.edge_masses[e.index] > 0]
-    masses = {m.edge_masses[e.index] for e in support}
-    srcs = [e.src for e in support]
-    tgts = [e.tgt for e in support]
-    is_cycle = (
-        len(masses) == 1
-        and len(set(srcs)) == len(support)
-        and len(set(tgts)) == len(support)
-        and set(srcs) == set(tgts)
-    )
-    if is_cycle and support:
-        # one cycle, not several disjoint ones: walk it
-        nxt = {e.src: e.tgt for e in support}
-        seen = 1
-        v = support[0].src
-        while nxt[v] != support[0].src:
-            v = nxt[v]
-            seen += 1
-        is_cycle = seen == len(support)
-    if not support or not is_cycle:
-        raise NotExtreme("support must be a single uniformly weighted cycle")
-    return all(e.index in omega.critical.critical_edges for e in support)

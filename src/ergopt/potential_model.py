@@ -1,4 +1,4 @@
-"""Locally constant potentials, past-tail reduction, coboundaries, and sums.
+"""Locally constant potentials, past-tail reduction, and coboundaries.
 
 A potential value depends on finitely many past coordinates (y_{p-1} .. y_0)
 and future coordinates (x_0 .. x_{q-1}). Window keys are single tuples
@@ -9,19 +9,11 @@ pair must be an allowed two-letter word, so keys are exactly the allowed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .symbolic_core import (
-    EventuallyPeriodicPoint,
-    PairedPoint,
-    SubshiftSystem,
-    Word,
-    allowed_words,
-    window,
-)
+from .symbolic_core import SubshiftSystem, Word, allowed_words
 
 
 def _as_fraction(v) -> Fraction:
@@ -63,28 +55,6 @@ class LocallyConstantPotential:
             {k: f * v for k, v in self.table.items()},
         )
 
-    def oscillation(self) -> Fraction:
-        vals = list(self.table.values())
-        return max(vals) - min(vals) if vals else Fraction(0)
-
-
-def constant_potential(system: SubshiftSystem, value, past_depth: int = 1, future_depth: int = 1) -> LocallyConstantPotential:
-    v = _as_fraction(value)
-    keys = allowed_words(system, past_depth + future_depth)
-    return LocallyConstantPotential(system, past_depth, future_depth, {k: v for k in keys})
-
-
-def evaluate(A: LocallyConstantPotential, pt: PairedPoint) -> Fraction:
-    """Table value at the point's window.
-
-    The past contributes its first past_depth symbols in reversed order
-    (deepest first), the future its first future_depth symbols.
-    """
-    p, q = A.past_depth, A.future_depth
-    past_part = tuple(pt.past.symbol(j) for j in range(p - 1, -1, -1))
-    future_part = pt.future.symbols(q)
-    return A.value(past_part + future_part)
-
 
 def reduce_past(A: LocallyConstantPotential) -> dict[Word, Fraction]:
     """Edge weights: the maximum of A over past tails, per edge key.
@@ -105,7 +75,7 @@ def reduce_past(A: LocallyConstantPotential) -> dict[Word, Fraction]:
     return weights
 
 
-def _as_word_table(f, q_hint: int | None = None) -> tuple[dict[Word, Fraction], int]:
+def _as_word_table(f) -> tuple[dict[Word, Fraction], int]:
     """Accept either a mapping word -> value or a graph-aligned node function."""
     graph = getattr(f, "graph", None)
     if graph is not None:
@@ -117,10 +87,7 @@ def _as_word_table(f, q_hint: int | None = None) -> tuple[dict[Word, Fraction], 
     qs = {len(k) for k in table}
     if len(qs) != 1:
         raise ValueError("word table keys must share one length")
-    q = qs.pop()
-    if q_hint is not None and q != q_hint:
-        raise ValueError(f"expected words of length {q_hint}, got {q}")
-    return table, q
+    return table, qs.pop()
 
 
 def coboundary_modify(A: LocallyConstantPotential, f, const) -> LocallyConstantPotential:
@@ -131,7 +98,7 @@ def coboundary_modify(A: LocallyConstantPotential, f, const) -> LocallyConstantP
     where the prepended window starts with the past's first symbol.
     """
     q = A.future_depth
-    ftable, fq = _as_word_table(f, q)
+    ftable, fq = _as_word_table(f)
     if fq != q:
         raise ValueError("word function depth must equal the potential future depth")
     a = _as_fraction(const)
@@ -142,35 +109,6 @@ def coboundary_modify(A: LocallyConstantPotential, f, const) -> LocallyConstantP
         shifted = (key[p - 1],) + future[: q - 1]
         table[key] = v + ftable[future] - ftable[shifted] + a
     return LocallyConstantPotential(A.system, p, q, table)
-
-
-def holder_bound(A: LocallyConstantPotential, theta) -> Fraction:
-    """A constant C with |A(u) - A(v)| <= C * d(u, v)**theta for all point pairs.
-
-    Two paired points whose windows differ are at distance at least
-    lambda**(max(p, q) - 1) in the max(past, future) metric, and
-    2(p-1) + (q-1) dominates that exponent, so dividing the table oscillation
-    by lambda**(2(p-1)+(q-1)) (rounded up when theta is fractional) is sound.
-    """
-    theta = Fraction(theta)
-    if not (0 < theta <= 1):
-        raise ValueError("theta must lie in (0, 1]")
-    osc = A.oscillation()
-    if osc == 0:
-        return Fraction(0)
-    exponent = theta * (2 * (A.past_depth - 1) + (A.future_depth - 1))
-    return osc / A.system.metric_lambda ** math.ceil(exponent)
-
-
-def birkhoff_sum(f, x: EventuallyPeriodicPoint, k: int) -> Fraction:
-    """Sum of f over the first k forward windows of x; k = 0 gives 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    table, q = _as_word_table(f)
-    total = Fraction(0)
-    for j in range(k):
-        total += table[window(x, j, q)]
-    return total
 
 
 def pad_potential(A: LocallyConstantPotential, past_depth: int, future_depth: int) -> LocallyConstantPotential:

@@ -404,13 +404,7 @@ def livsic_test(graph: PrependGraph) -> LivsicResult:
 
 
 # ---------------------------------------------------------------------------
-# rigidity and refinement
-
-
-def rigidity_check(u: NodeFunction, uprime: NodeFunction, support_nodes) -> bool:
-    """True when u - u' is constant across the given nodes."""
-    diffs = {u[v] - uprime[v] for v in support_nodes}
-    return len(diffs) <= 1
+# refinement
 
 
 def refine_subaction_Uk(u: NodeFunction, graph: PrependGraph, k: int) -> NodeFunction:

@@ -1,4 +1,4 @@
-"""Subshifts of finite type, their dual/extended spaces, and exact point arithmetic.
+"""Subshifts of finite type, their dual space, and exact point arithmetic.
 
 Points of the one-sided shift space and of its dual (backward) space are kept
 in canonical eventually periodic form, so equality is structural and the
@@ -8,9 +8,9 @@ word metric is exactly computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ForbiddenTransition
 
@@ -117,13 +117,6 @@ class EventuallyPeriodicPoint:
     def symbols(self, count: int) -> Word:
         return tuple(self.symbol(j) for j in range(count))
 
-    def shift(self) -> "EventuallyPeriodicPoint":
-        """Drop the first coordinate."""
-        if self.preperiod:
-            return EventuallyPeriodicPoint(self.preperiod[1:], self.period, self.orientation)
-        per = self.period
-        return EventuallyPeriodicPoint((), per[1:] + per[:1], self.orientation)
-
     def is_valid(self, system: SubshiftSystem) -> bool:
         """Check every consecutive transition against the system."""
         w = self.preperiod + self.period + self.period[:1]
@@ -142,31 +135,6 @@ def point(symbol_string: Iterable[int] | str, period: Iterable[int] | str, orien
         return tuple(int(s) for s in w)
 
     return EventuallyPeriodicPoint(conv(symbol_string), conv(period), orientation)
-
-
-@dataclass(frozen=True)
-class PairedPoint:
-    """Point of the extended space: a backward past paired with a forward future.
-
-    The junction pair (past first symbol, future first symbol) must be allowed.
-    """
-
-    past: EventuallyPeriodicPoint
-    future: EventuallyPeriodicPoint
-    system: SubshiftSystem | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.past.orientation != BACKWARD:
-            raise ValueError("past must have backward orientation")
-        if self.future.orientation != FORWARD:
-            raise ValueError("future must have forward orientation")
-        if self.system is not None:
-            if not self.past.is_valid(self.system):
-                raise ValueError("past violates the transition matrix")
-            if not self.future.is_valid(self.system):
-                raise ValueError("future violates the transition matrix")
-            if not self.system.allows(self.past.symbol(0), self.future.symbol(0)):
-                raise ValueError("junction pair is not allowed")
 
 
 @dataclass(frozen=True)
@@ -225,12 +193,6 @@ def prepend(system: SubshiftSystem, x: EventuallyPeriodicPoint, s: int) -> Event
     return EventuallyPeriodicPoint((s,) + x.preperiod, x.period, FORWARD)
 
 
-def natural_extension_inverse(system: SubshiftSystem, p: PairedPoint) -> PairedPoint:
-    """One inverse step of the extended shift: consume the past's first symbol."""
-    s = p.past.symbol(0)
-    return PairedPoint(p.past.shift(), prepend(system, p.future, s), system)
-
-
 def distance(system: SubshiftSystem, x: EventuallyPeriodicPoint, y: EventuallyPeriodicPoint) -> Fraction:
     """Word metric lambda**k, k the first coordinate where the points disagree."""
     if x.orientation != y.orientation:
@@ -248,12 +210,6 @@ def distance(system: SubshiftSystem, x: EventuallyPeriodicPoint, y: EventuallyPe
     return Fraction(0)
 
 
-def compatible_pasts(system: SubshiftSystem, x: EventuallyPeriodicPoint) -> set[int]:
-    """Symbols that may be prepended onto x."""
-    first = x.symbol(0)
-    return {s for s in system.symbols() if system.allows(s, first)}
-
-
 def window(pt: EventuallyPeriodicPoint, start: int, length: int) -> Word:
     """Symbols at coordinates start .. start+length-1."""
     if length < 1:
@@ -261,26 +217,3 @@ def window(pt: EventuallyPeriodicPoint, start: int, length: int) -> Word:
     if start < 0:
         raise ValueError("start must be >= 0")
     return tuple(pt.symbol(j) for j in range(start, start + length))
-
-
-def forward_points(system: SubshiftSystem, max_preperiod: int, max_period: int) -> Iterator[EventuallyPeriodicPoint]:
-    """Enumerate valid forward points with bounded preperiod/period lengths.
-
-    Canonicalization may merge representations; duplicates are filtered so the
-    stream yields each point once.
-    """
-    seen: set[EventuallyPeriodicPoint] = set()
-    for plen in range(1, max_period + 1):
-        for per in allowed_words(system, plen):
-            if not system.allows(per[-1], per[0]):
-                continue
-            for klen in range(0, max_preperiod + 1):
-                if klen == 0:
-                    pres: list[Word] = [()]
-                else:
-                    pres = [w for w in allowed_words(system, klen) if system.allows(w[-1], per[0])]
-                for pre in pres:
-                    pt = EventuallyPeriodicPoint(pre, per, FORWARD)
-                    if pt not in seen and pt.is_valid(system):
-                        seen.add(pt)
-                        yield pt

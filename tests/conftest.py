@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from ergopt.symbolic_core import SubshiftSystem
+from ergopt.potential_model import LocallyConstantPotential
+from ergopt.symbolic_core import SubshiftSystem, allowed_words
 
 
 def full_shift(r: int = 2) -> SubshiftSystem:
@@ -47,6 +48,12 @@ def random_system(rng: random.Random, r: int, require_transitive: bool = False) 
         return system
 
 
+def constant_potential(system: SubshiftSystem, value, past_depth: int = 1, future_depth: int = 1) -> LocallyConstantPotential:
+    """The same value on every allowed window."""
+    keys = allowed_words(system, past_depth + future_depth)
+    return LocallyConstantPotential(system, past_depth, future_depth, dict.fromkeys(keys, Fraction(value)))
+
+
 def random_fraction(rng: random.Random, lo: int = -20, hi: int = 20, max_den: int = 10) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
@@ -61,7 +68,6 @@ def rng() -> random.Random:
 
 def _pattern(table: dict[tuple[int, ...], int | Fraction]):
     from ergopt.graph_engine import build_prepend_graph
-    from ergopt.potential_model import LocallyConstantPotential
 
     system = full_shift()
     A = LocallyConstantPotential(system, 1, 1, {k: Fraction(v) for k, v in table.items()})

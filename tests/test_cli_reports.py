@@ -195,6 +195,66 @@ def test_an_alphabet_past_ten_symbols_is_a_config_error(tmp_path, capsys, comman
     assert len(keys) == len(build_prepend_graph(config.system, config.potential).nodes)
 
 
+def shift_config(rows: list[str], future_depth: int, windows: tuple[str, ...] = ()) -> str:
+    """Rows of a 0/1 matrix, past depth 1, the given future depth and window lines."""
+    return "\n".join(
+        ["[system]", f"alphabet_size = {len(rows)}", *(f"row = {row}" for row in rows),
+         "[potential]", "past_depth = 1", f"future_depth = {future_depth}", *windows, ""]
+    )
+
+
+SIX_COMMANDS = (
+    ["beta"], ["subaction", "--kind", "u0"], ["mane"], ["classify", "--boundary=0"], ["alpha"], ["check"],
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (shift_config(["1 1", "1 1"], 40), "window length 41 allows more than 4096 words"),
+        (
+            shift_config(["1 " * 9 + "1"] * 10, 4, ("window 0 0 0 0 0 = 1",)),
+            "window length 5 allows more than 4096 words",
+        ),
+        (shift_config(["0 1", "1 0"], 10**9), "window length 1000000001 is above the bound 64"),
+        # 1 + 2**12 words of length 12: one past the word bound
+        (shift_config(["1 0 0", "0 1 1", "0 1 1"], 11), "window length 12 allows more than 4096 words"),
+        (
+            MINIMAL + "[constraints]\nphi1 " + " ".join(["0"] * 13) + " = 1\n",
+            "window length 13 allows more than 4096 words",
+        ),
+    ],
+    ids=["full2-q40", "full10-q4", "periodic-q1e9", "one-word-past", "phi-width-13"],
+)
+def test_a_window_past_the_size_bounds_is_a_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "big.cfg"
+    path.write_text(text)
+    for command in SIX_COMMANDS:
+        start = time.perf_counter()
+        assert main(command + ["--config", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {message} [line ")
+        assert "Traceback" not in captured.err
+
+
+def test_a_window_at_the_size_bounds_runs(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "edge.cfg"
+    # two words of every length: 1 + 63 is the longest window allowed
+    path.write_text(shift_config(["0 1", "1 0"], 63))
+    assert main(["beta", "--config", str(path)]) == 0
+    # eight words of length 3
+    path.write_text(shift_config(["1 1", "1 1"], 2))
+    monkeypatch.setattr(cli_reports, "MAX_WINDOW_WORDS", 8)
+    assert main(["beta", "--config", str(path)]) == 0
+    monkeypatch.setattr(cli_reports, "MAX_WINDOW_WORDS", 7)
+    assert main(["beta", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "config error: window length 3 allows more than 7 words [line 5]\n"
+    )
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")

@@ -11,8 +11,10 @@ bias-optimal: only their ``discount_trace`` changed, which now ends at k = 1
 with no ``delta_float``.
 
 The last test runs the same corpus under python3.10, python3.12 and
-python3.13 (``requires-python = ">=3.10"``), skipping each one that is not
-on the path or does not start.
+python3.13 (``requires-python = ">=3.10"``). It takes the interpreter on the
+path or, when that one does not start (a pyenv shim exits 127 unless
+``PYENV_VERSION`` names its version), one that pyenv installs, and skips a
+version only when none of them starts.
 """
 
 from __future__ import annotations
@@ -153,13 +155,27 @@ print(json.dumps(digests))
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _interpreters(python: str) -> list[str]:
+    """The named interpreter on the path, then each one pyenv installs for its version."""
+    found = [shutil.which(python)]
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True, timeout=60).stdout.strip()
+        if root:
+            version = python.removeprefix("python")
+            found += sorted(Path(root).glob(f"versions/{version}.*/bin/{python}"))
+    return [str(exe) for exe in found if exe]
+
+
+def _starts(exe: str) -> bool:
+    return subprocess.run([exe, "-I", "-c", "pass"], capture_output=True, timeout=60).returncode == 0
+
+
 @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
 def test_other_interpreters_reproduce_every_digest(python):
-    exe = shutil.which(python)
+    exe = next(filter(_starts, _interpreters(python)), None)
     if exe is None:
-        pytest.skip(f"{python} is not on the path")
-    if subprocess.run([exe, "-I", "-c", "pass"], capture_output=True, timeout=60).returncode:
-        pytest.skip(f"{python} does not start")
+        pytest.skip(f"no {python} starts")
     argv = [exe, "-I", "-c", CORPUS, str(SRC), json.dumps(COMMANDS), json.dumps(BOUNDARY)]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -19,10 +19,11 @@ from ergopt.graph_engine import (
     parametric_beta,
 )
 from ergopt.mane_aubry import omega_set
-from ergopt.potential_model import LocallyConstantPotential, constant_potential
+from ergopt.potential_model import LocallyConstantPotential
 from ergopt.symbolic_core import allowed_words
 
 from conftest import (
+    constant_potential,
     f1_graph,
     f3_graph,
     f5_graph,

@@ -15,7 +15,6 @@ from ergopt.holonomic_opt import (
     alpha,
     beta_lp,
     constrained_beta,
-    decorated_in_face,
     face_contains,
     integral,
     is_holonomic,
@@ -204,24 +203,6 @@ def test_constant_potential_everything_maximizes():
     g = f3_graph()
     m = DecoratedOrbitMeasure(g.system, (0, 1), ((1,), (0,)))
     assert is_maximizing(m, g.potential, 5)
-
-
-def test_face_criterion_matches_integral():
-    A = counterexample_potential()
-    system = A.system
-    g = build_prepend_graph(system, A)
-    beta = max_mean_cycle(g).beta
-    candidates = [
-        DecoratedOrbitMeasure(system, orbit, tails)
-        for orbit, tails_options in [
-            ((1,), [((1, 1),), ((0, 1),)]),
-            ((0,), [((0, 0),), ((1, 0),)]),
-            ((0, 1), [((0, 1), (1, 0)), ((1, 1), (0, 0))]),
-        ]
-        for tails in tails_options
-    ]
-    for m in candidates:
-        assert decorated_in_face(g, m) == (integral(A, m) == beta)
 
 
 # ---------------------------------------------------------------------------

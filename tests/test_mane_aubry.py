@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from ergopt.errors import NotCalibrated, NotExtreme, NotInOmega, NotTransitive
+from ergopt.errors import NotCalibrated, NotInOmega, NotTransitive
 from ergopt.graph_engine import (
-    PrependGraph,
     build_prepend_graph,
     critical_structure,
     max_mean_cycle,
@@ -20,13 +18,11 @@ from ergopt.mane_aubry import (
     OmegaSet,
     is_compatible,
     mane_family_subaction,
-    mane_potential,
     maximal_calibrated,
     omega_membership,
     omega_set,
     reconstruct,
     represent,
-    support_in_omega_check,
 )
 from ergopt.oracle_bruteforce import oracle_mane, oracle_omega
 from ergopt.potential_model import LocallyConstantPotential
@@ -50,19 +46,9 @@ from conftest import (
 )
 
 
-@dataclass(frozen=True)
-class CycleMeasureStub:
-    """Minimal stand-in for a circulation: graph plus per-edge masses."""
-
-    graph: PrependGraph
-    edge_masses: tuple[Fraction, ...]
-
-
-def masses_by_key(graph, assignment: dict[tuple[int, ...], Fraction]):
-    vals = [Fraction(0)] * len(graph.edges)
-    for key, mass in assignment.items():
-        vals[graph.edge_by_key(key).index] = Fraction(mass)
-    return tuple(vals)
+def mane_at(omega: OmegaSet, x, xbar) -> Fraction:
+    """The cheapest excursion cost from x to xbar: x's family sub-action at xbar's window."""
+    return mane_family_subaction(omega, x)[omega.graph.node_index[xbar.symbols(omega.graph.q)]]
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +127,16 @@ def test_reconstruct_rejects_a_node_that_reaches_no_anchor():
 
 def test_potential_pinned_values():
     omega = omega_set(f1_graph())
-    assert mane_potential(omega, point("", "1"), point("0", "1")) == 1
-    assert mane_potential(omega, point("", "1"), point("", "1")) == 0
+    assert mane_at(omega, point("", "1"), point("0", "1")) == 1
+    assert mane_at(omega, point("", "1"), point("", "1")) == 0
 
     omega3 = omega_set(f3_graph())
     for x in (point("", "0"), point("", "01")):
         for xbar in (point("", "1"), point("10", "01")):
-            assert mane_potential(omega3, x, xbar) == 0
+            assert mane_at(omega3, x, xbar) == 0
 
     omega5 = omega_set(f5_graph())
-    assert mane_potential(omega5, point("", "0"), point("", "1")) == 1
+    assert mane_at(omega5, point("", "0"), point("", "1")) == 1
 
 
 def test_potential_vanishes_on_self():
@@ -158,13 +144,13 @@ def test_potential_vanishes_on_self():
         omega = omega_set(make())
         for x in (point("", "0"), point("", "1"), point("", "01")):
             if omega_membership(omega, x):
-                assert mane_potential(omega, x, x) == 0
+                assert mane_at(omega, x, x) == 0
 
 
 def test_potential_rejects_wandering_base():
     omega = omega_set(f1_graph())
     with pytest.raises(NotInOmega):
-        mane_potential(omega, point("", "0"), point("", "1"))
+        mane_at(omega, point("", "0"), point("", "1"))
 
 
 def test_potential_matches_oracle():
@@ -177,7 +163,7 @@ def test_potential_matches_oracle():
     for graph, x, xbar in pairs:
         omega = omega_set(graph)
         expected = oracle_mane(graph.system, graph.potential, omega.beta, x, xbar, N=3)
-        assert mane_potential(omega, x, xbar) == expected
+        assert mane_at(omega, x, xbar) == expected
 
 
 def test_potential_dominates_subaction_increments():
@@ -193,7 +179,7 @@ def test_potential_dominates_subaction_increments():
         others = [point("", "0"), point("", "1"), point("0", "1"), point("1", "0")]
         for x in members:
             for xbar in others:
-                s = mane_potential(omega, x, xbar)
+                s = mane_at(omega, x, xbar)
                 vx = u[graph.node_index[x.symbols(graph.q)]]
                 vbar = u[graph.node_index[xbar.symbols(graph.q)]]
                 assert s >= vbar - vx
@@ -322,42 +308,3 @@ def test_maximal_calibrated_dominates_nonpositive_on_omega(rng):
         assert all(a <= b for a, b in zip(u.values, top.values))
         shifted = reconstruct(represent(top, omega))
         assert shifted.values == top.values
-
-
-# ---------------------------------------------------------------------------
-# support location
-
-
-def test_support_check_heavy_loop():
-    graph = f1_graph()
-    omega = omega_set(graph)
-    m = CycleMeasureStub(graph, masses_by_key(graph, {(1, 1): Fraction(1)}))
-    assert support_in_omega_check(m, omega)
-
-
-def test_support_check_two_cycle():
-    graph = f6_graph()
-    omega = omega_set(graph)
-    m = CycleMeasureStub(
-        graph,
-        masses_by_key(graph, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}),
-    )
-    assert support_in_omega_check(m, omega)
-
-
-def test_support_check_rejects_mixture():
-    graph = f5_graph()
-    omega = omega_set(graph)
-    m = CycleMeasureStub(
-        graph,
-        masses_by_key(graph, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}),
-    )
-    with pytest.raises(NotExtreme):
-        support_in_omega_check(m, omega)
-
-
-def test_support_check_detects_noncritical_cycle():
-    graph = f1_graph()
-    omega = omega_set(graph)
-    m = CycleMeasureStub(graph, masses_by_key(graph, {(0, 0): Fraction(1)}))
-    assert not support_in_omega_check(m, omega)

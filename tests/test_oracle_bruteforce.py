@@ -11,10 +11,10 @@ import ergopt.oracle_bruteforce as oracle_bruteforce
 from ergopt.errors import HorizonTooSmall, OracleBudgetExceeded
 from ergopt.graph_engine import build_prepend_graph, max_mean_cycle
 from ergopt.oracle_bruteforce import oracle_beta, oracle_mane, oracle_omega
-from ergopt.potential_model import LocallyConstantPotential, constant_potential
+from ergopt.potential_model import LocallyConstantPotential
 from ergopt.symbolic_core import allowed_words, point
 
-from conftest import full_shift, random_fraction, random_system
+from conftest import constant_potential, full_shift, random_fraction, random_system
 
 
 def tail_anchored_potential() -> LocallyConstantPotential:

@@ -1,4 +1,4 @@
-"""Potential tables, reduction, coboundaries, and bounds."""
+"""Potential tables, reduction, coboundaries, padding and combination."""
 
 from __future__ import annotations
 
@@ -9,21 +9,17 @@ from fractions import Fraction
 import pytest
 
 from ergopt.graph_engine import build_prepend_graph, max_mean_cycle
-from ergopt.holonomic_opt import DecoratedOrbitMeasure, decorated_in_face, integral
+from ergopt.holonomic_opt import DecoratedOrbitMeasure, integral
 from ergopt.potential_model import (
     LocallyConstantPotential,
-    birkhoff_sum,
     coboundary_modify,
     combine,
-    constant_potential,
-    evaluate,
-    holder_bound,
     pad_potential,
     reduce_past,
 )
-from ergopt.symbolic_core import BACKWARD, PairedPoint, allowed_words, point
+from ergopt.symbolic_core import allowed_words
 
-from conftest import full_shift, golden_mean, random_fraction, random_system
+from conftest import constant_potential, full_shift, golden_mean, random_fraction, random_system
 
 
 def tail_anchored_potential() -> LocallyConstantPotential:
@@ -33,23 +29,7 @@ def tail_anchored_potential() -> LocallyConstantPotential:
     )
 
 
-class TestEvaluate:
-    def test_constant(self):
-        A = constant_potential(full_shift(), 5)
-        pt = PairedPoint(point("", "1", BACKWARD), point("", "0"), full_shift())
-        assert evaluate(A, pt) == 5
-
-    def test_tail_anchored_hit(self):
-        A = tail_anchored_potential()
-        pt = PairedPoint(point("", "1", BACKWARD), point("", "1"), full_shift())
-        assert evaluate(A, pt) == 1
-
-    def test_tail_anchored_miss(self):
-        A = tail_anchored_potential()
-        # past reads 1, 0, 1, 0 ... backwards: y0 = 1 but y1 = 0
-        pt = PairedPoint(point("", "10", BACKWARD), point("", "1"), full_shift())
-        assert evaluate(A, pt) == 0
-
+class TestTable:
     def test_missing_windows_default_to_zero(self):
         A = LocallyConstantPotential(full_shift(), 1, 1, {(0, 0): Fraction(7)})
         assert A.value((1, 1)) == 0
@@ -111,10 +91,10 @@ class TestReducePast:
             assert attained == set(weights)
 
     def test_decorated_face_accepts_exactly_the_tails_at_the_maximum(self, rng: random.Random):
-        # brute force over A.table: a decorated orbit is in the face exactly
-        # when its key means reach beta and every tail's window attains the
-        # maximum over all windows of its key; integer weights in [-2, 2]
-        # make ties among the tails common
+        # brute force over A.table: a decorated orbit's integral is beta
+        # exactly when its key means reach beta and every tail's window
+        # attains the maximum over all windows of its key; integer weights in
+        # [-2, 2] make ties among the tails common
         potentials = [tail_anchored_potential()]
         while len(potentials) < 12:
             system = random_system(rng, rng.randint(2, 3), require_transitive=True)
@@ -148,7 +128,6 @@ class TestReducePast:
                     at_max = all(A.value(m.step_key(j, q)) == best[k] for j, k in enumerate(keys))
                     on_face = sum(best[k] for k in keys) == result.beta * M
                     expected = on_face and at_max
-                    assert decorated_in_face(graph, m) == expected
                     assert expected == (integral(A, m) == result.beta)
                     checked += 1
                     in_face += expected
@@ -178,56 +157,6 @@ class TestCoboundary:
                 future = key[p:]
                 shifted = (key[p - 1],) + future[: q - 1]
                 assert out.table[key] == A.table[key] + f[future] - f[shifted] + a
-
-
-class TestHolderBound:
-    def test_constant_zero(self):
-        assert holder_bound(constant_potential(full_shift(), 5), 1) == 0
-
-    def test_depth_one(self):
-        A = LocallyConstantPotential(full_shift(), 1, 1, {(1, 1): Fraction(1)})
-        assert holder_bound(A, 1) == 1
-
-    def test_past_depth_two(self):
-        assert holder_bound(tail_anchored_potential(), 1) == 4
-
-    def test_soundness(self, rng: random.Random):
-        from ergopt.symbolic_core import EventuallyPeriodicPoint, distance, forward_points
-
-        system = full_shift()
-        p, q = 2, 1
-        table = {k: random_fraction(rng, max_den=4) for k in allowed_words(system, p + q)}
-        A = LocallyConstantPotential(system, p, q, table)
-        C = holder_bound(A, 1)
-        pts = []
-        for fut in forward_points(system, 1, 2):
-            for past in forward_points(system, 1, 2):
-                back = EventuallyPeriodicPoint(past.preperiod, past.period, BACKWARD)
-                if system.allows(back.symbol(0), fut.symbol(0)):
-                    pts.append(PairedPoint(back, fut, system))
-        checked = 0
-        for _ in range(1000):
-            u, v = rng.choice(pts), rng.choice(pts)
-            d = max(
-                distance(system, u.past, v.past),
-                distance(system, u.future, v.future),
-            )
-            gap = abs(evaluate(A, u) - evaluate(A, v))
-            assert gap <= C * d
-            checked += 1
-        assert checked == 1000
-
-
-class TestBirkhoffSum:
-    def test_empty(self):
-        assert birkhoff_sum({(0,): 1, (1,): 0}, point("", "01"), 0) == 0
-
-    def test_alternating(self):
-        assert birkhoff_sum({(0,): 1, (1,): 0}, point("", "01"), 4) == 2
-
-    def test_constant(self):
-        f = {(0,): Fraction(3, 2), (1,): Fraction(3, 2)}
-        assert birkhoff_sum(f, point("0", "1"), 5) == Fraction(15, 2)
 
 
 class TestPadCombine:

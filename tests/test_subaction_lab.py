@@ -28,7 +28,6 @@ from ergopt.subaction_lab import (
     noncalibrated_example,
     pointwise_max,
     refine_subaction_Uk,
-    rigidity_check,
     subaction_residual,
 )
 from ergopt.symbolic_core import allowed_words
@@ -474,19 +473,6 @@ def test_livsic_off_coboundary_has_no_transfer(A):
 # rigidity
 
 
-def test_rigidity_pinned_cases():
-    g1 = f1_graph()
-    assert rigidity_check(nf(g1, 1, 0), nf(g1, 0, -1), {1})
-
-    g6 = f6_graph()
-    u = maximal_subaction(g6, ONE)
-    assert rigidity_check(nf(g6, -1, 0), u, {0, 1})
-
-    g5 = f5_graph()
-    assert rigidity_check(nf(g5, 0, 0), nf(g5, 0, 1), {0})
-    assert not rigidity_check(nf(g5, 0, 0), nf(g5, 0, 1), {0, 1})
-
-
 def test_rigidity_on_critical_classes(rng):
     for _ in range(20):
         g = random_graph(rng, 2, rng.choice([1, 2]), require_transitive=True)
@@ -494,7 +480,8 @@ def test_rigidity_on_critical_classes(rng):
         u = maximal_subaction(g, beta)
         v, _ = calibrated_via_discount(g)
         for cls in critical_structure(g).classes:
-            assert rigidity_check(u, v, cls)
+            # the maximal and a calibrated sub-action differ by one constant on a class
+            assert len({u[w] - v[w] for w in cls}) == 1
 
 
 # ---------------------------------------------------------------------------
