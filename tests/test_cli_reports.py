@@ -39,8 +39,9 @@ from ergopt.graph_engine import ManeMatrix, build_prepend_graph, critical_struct
 from ergopt.mane_aubry import omega_set
 from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
 from ergopt.subaction_lab import SCHEDULE_K_MAX
+from ergopt.symbolic_core import allowed_words
 
-from conftest import random_fraction, two_class_config_text, with_rows
+from conftest import random_fraction, random_system, two_class_config_text, with_rows
 
 MINIMAL = """
 [system]
@@ -253,6 +254,19 @@ def test_a_window_at_the_size_bounds_runs(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.endswith(
         "config error: window length 3 allows more than 7 words [line 5]\n"
     )
+
+
+def test_the_window_word_count_matches_the_allowed_words(rng, monkeypatch):
+    # the bound passes at exactly the number of allowed words and fails one below it
+    for _ in range(30):
+        system = random_system(rng, rng.randint(2, 4))
+        length = rng.randint(2, 6)
+        words = len(allowed_words(system, length))
+        monkeypatch.setattr(cli_reports, "MAX_WINDOW_WORDS", words)
+        cli_reports._check_window_size(system, length, None, None)
+        monkeypatch.setattr(cli_reports, "MAX_WINDOW_WORDS", words - 1)
+        with pytest.raises(ConfigError, match=f"window length {length} allows more than {words - 1} words"):
+            cli_reports._check_window_size(system, length, None, None)
 
 
 def test_load_config_missing_file(tmp_path):

@@ -23,7 +23,7 @@ from ergopt.holonomic_opt import (
     optimal_trajectory_average,
     orbit_circulation,
 )
-from ergopt.potential_model import ConstraintSpec, LocallyConstantPotential, pad_potential
+from ergopt.potential_model import ConstraintSpec, LocallyConstantPotential, pad_potential, reduce_past
 from ergopt.symbolic_core import allowed_words
 
 from conftest import (
@@ -203,6 +203,36 @@ def test_constant_potential_everything_maximizes():
     g = f3_graph()
     m = DecoratedOrbitMeasure(g.system, (0, 1), ((1,), (0,)))
     assert is_maximizing(m, g.potential, 5)
+
+
+def test_face_criterion_matches_integral():
+    # a decorated orbit reaches beta exactly when its x-marginal is in the
+    # face and every tail attains the maximum over the tails of its edge
+    A = counterexample_potential()
+    system = A.system
+    g = build_prepend_graph(system, A)
+    beta = max_mean_cycle(g).beta
+    face = maximizing_face(g)
+    weights = reduce_past(A)
+    p, q = A.past_depth, A.future_depth
+    candidates = [
+        DecoratedOrbitMeasure(system, orbit, tails)
+        for orbit, tails_options in [
+            ((1,), [((1, 1),), ((0, 1),)]),
+            ((0,), [((0, 0),), ((1, 0),)]),
+            ((0, 1), [((0, 1), (1, 0)), ((1, 1), (0, 0))]),
+        ]
+        for tails in tails_options
+    ]
+    in_face = 0
+    for m in candidates:
+        keys = [m.step_key(j, q) for j in range(len(m.orbit))]
+        criterion = face_contains(face, orbit_circulation(g, m)) and all(
+            A.value(key) == weights[key[p - 1:]] for key in keys
+        )
+        assert criterion == (integral(A, m) == beta)
+        in_face += criterion
+    assert in_face == 1
 
 
 # ---------------------------------------------------------------------------

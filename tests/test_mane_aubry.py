@@ -13,6 +13,7 @@ from ergopt.graph_engine import (
     max_mean_cycle,
     min_cost_all_pairs,
 )
+from ergopt.holonomic_opt import CirculationMeasure, face_contains, maximizing_face
 from ergopt.mane_aubry import (
     BoundaryData,
     OmegaSet,
@@ -44,6 +45,13 @@ from conftest import (
     reducible_system,
     with_rows,
 )
+
+
+def masses_by_key(graph, assignment: dict[tuple[int, ...], Fraction]):
+    vals = [Fraction(0)] * len(graph.edges)
+    for key, mass in assignment.items():
+        vals[graph.edge_by_key(key).index] = Fraction(mass)
+    return tuple(vals)
 
 
 def mane_at(omega: OmegaSet, x, xbar) -> Fraction:
@@ -308,3 +316,45 @@ def test_maximal_calibrated_dominates_nonpositive_on_omega(rng):
         assert all(a <= b for a, b in zip(u.values, top.values))
         shifted = reconstruct(represent(top, omega))
         assert shifted.values == top.values
+
+
+# ---------------------------------------------------------------------------
+# support location: a circulation is in the maximizing face exactly when its
+# support is critical, and a cycle's support is critical exactly when the
+# cycle's point lies in Omega
+
+
+def test_support_check_heavy_loop():
+    graph = f1_graph()
+    m = CirculationMeasure(graph, masses_by_key(graph, {(1, 1): Fraction(1)}))
+    assert face_contains(maximizing_face(graph), m)
+    assert omega_membership(omega_set(graph), point("", "1"))
+
+
+def test_support_check_two_cycle():
+    graph = f6_graph()
+    m = CirculationMeasure(
+        graph,
+        masses_by_key(graph, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}),
+    )
+    assert face_contains(maximizing_face(graph), m)
+    assert omega_membership(omega_set(graph), point("", "01"))
+
+
+def test_support_check_accepts_a_mixture_of_critical_loops():
+    # two critical classes: the face holds each loop and every mixture of them
+    graph = f5_graph()
+    m = CirculationMeasure(
+        graph,
+        masses_by_key(graph, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}),
+    )
+    assert face_contains(maximizing_face(graph), m)
+    omega = omega_set(graph)
+    assert omega_membership(omega, point("", "0")) and omega_membership(omega, point("", "1"))
+
+
+def test_support_check_detects_noncritical_cycle():
+    graph = f1_graph()
+    m = CirculationMeasure(graph, masses_by_key(graph, {(0, 0): Fraction(1)}))
+    assert not face_contains(maximizing_face(graph), m)
+    assert not omega_membership(omega_set(graph), point("", "0"))

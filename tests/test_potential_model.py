@@ -30,6 +30,22 @@ def tail_anchored_potential() -> LocallyConstantPotential:
 
 
 class TestTable:
+    # A window reads the past deepest first, then the future: (y1, y0, x0)
+    # for past depth 2 and future depth 1.
+
+    def test_constant(self):
+        A = constant_potential(full_shift(), 5)
+        assert {A.value(w) for w in allowed_words(full_shift(), 2)} == {5}
+
+    def test_tail_anchored_hit(self):
+        assert tail_anchored_potential().value((1, 1, 1)) == 1
+
+    def test_tail_anchored_miss(self):
+        # the past reads 1, 0 going back: y0 = 1 but y1 = 0
+        A = tail_anchored_potential()
+        assert A.value((0, 1, 1)) == 0
+        assert [w for w in allowed_words(full_shift(), 3) if A.value(w)] == [(1, 1, 1)]
+
     def test_missing_windows_default_to_zero(self):
         A = LocallyConstantPotential(full_shift(), 1, 1, {(0, 0): Fraction(7)})
         assert A.value((1, 1)) == 0

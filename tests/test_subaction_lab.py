@@ -473,6 +473,24 @@ def test_livsic_off_coboundary_has_no_transfer(A):
 # rigidity
 
 
+def test_rigidity_pinned_cases():
+    # f6 has one critical class, {0, 1}: the maximal and the discount-limit
+    # sub-actions differ there by one constant
+    g6 = f6_graph()
+    u = maximal_subaction(g6, ONE)
+    v, _ = calibrated_via_discount(g6)
+    assert u.values == (-1, 0)
+    assert len({u[w] - v[w] for w in (0, 1)}) == 1
+
+    # f5 has two classes, {0} and {1}: (0, 0) and (0, 1) are both calibrated,
+    # so the constant may change from one class to the next
+    g5 = f5_graph()
+    a, b = nf(g5, 0, 0), nf(g5, 0, 1)
+    assert calibration_residual(a, g5, ONE) == calibration_residual(b, g5, ONE) == 0
+    assert len({a[w] - b[w] for w in (0,)}) == 1
+    assert len({a[w] - b[w] for w in (0, 1)}) == 2
+
+
 def test_rigidity_on_critical_classes(rng):
     for _ in range(20):
         g = random_graph(rng, 2, rng.choice([1, 2]), require_transitive=True)

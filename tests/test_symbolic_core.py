@@ -52,6 +52,11 @@ class TestCanonicalForm:
         p = point("0", "1")
         assert p.symbols(4) == (0, 1, 1, 1)
 
+    def test_prepend_is_canonical(self):
+        # prepending undoes the shift, and the result is in canonical form
+        assert prepend(full_shift(), point("", "1"), 0) == point("0", "1")
+        assert prepend(full_shift(), point("", "10"), 0) == point("", "01")
+
 
 class TestClassify:
     def test_full_shift_mixing(self):
@@ -149,7 +154,26 @@ class TestDistance:
         assert distance(system, x, z) <= max(distance(system, x, y), distance(system, y, z))
 
 
+def prependable(system, x) -> set[int]:
+    """The symbols that prepend accepts in front of x."""
+    out = set()
+    for s in system.symbols():
+        try:
+            prepend(system, x, s)
+        except ForbiddenTransition:
+            continue
+        out.add(s)
+    return out
+
+
 class TestWindowsAndPasts:
+    def test_prependable_full(self):
+        assert prependable(full_shift(), point("", "0")) == {0, 1}
+
+    def test_prependable_golden(self):
+        assert prependable(golden_mean(), point("", "0")) == {0, 1}
+        assert prependable(golden_mean(), point("1", "0")) == {0}
+
     def test_window_examples(self):
         assert window(point("", "1"), 0, 3) == (1, 1, 1)
         assert window(point("0", "1"), 0, 2) == (0, 1)
