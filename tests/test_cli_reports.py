@@ -93,30 +93,79 @@ def test_schedule_override():
     assert config.schedule_k_max == 5
 
 
+def after(*lines: str) -> str:
+    """MINIMAL with the given lines after a blank line; the first one is line 12."""
+    return MINIMAL + "\n" + "\n".join(lines) + "\n"
+
+
+# past the interpreter's default limit of 4300 digits for int() of a string
+LONG = "1" * 5000
+
+
+# each config line's outcome: (message, line, field) of the ConfigError, or
+# the (word, value) it adds to the potential
 @pytest.mark.parametrize(
-    "mutation, fragment",
+    "text, expected",
     [
-        ("[system]\nalphabet_size = 2", "duplicate section"),
-        ("stray = 1", "unknown key"),
-        ("window 0 1 = 1.5", "expected a rational"),
-        ("window 1 1 = 2", "duplicate window"),
-        ("window 1 1 1 = 2", "window needs 2 symbols"),
-        ("window 1 3 = 2", "outside the alphabet"),
-        ("[constraints]\nc = 1", "no phi tables"),
-        ("[constraints]\nphi2 0 0 = 1\nc = 1", "without gaps"),
-        ("[constraints]\nphi1 0 0 = 1\nc = 1\nh = 1", "not both"),
-        ("[constraints]\nphi1 0 0 = 1\nc = 1 2", "needs 1 entries"),
-        ("[solver]\nschedule_k_max = 0", "in [1, 64]"),
-        ("[solver]\nschedule_k_max = x", "expected an integer"),
-        ("[solver]\nseed = 0", "unknown key 'seed'"),
-        ("window 0 \u00b2 = 1", "symbols must be nonnegative integers"),
-        ("= 3", "expected 'key = value'"),
+        (after("[system]", "alphabet_size = 2"), ("duplicate section 'system'", 12, None)),
+        (after("stray = 1"), ("unknown key 'stray' in [potential]", 12, "stray")),
+        (after("window 0 1 = 1.5"), ("expected a rational 'n' or 'n/d', got '1.5'", 12, "window")),
+        (after("window 0 1 = 1/0"), ("zero denominator", 12, "window")),
+        (after(f"window 0 1 = {LONG}"), ("integer literal has too many digits", 12, "window")),
+        (after("window 1 0 = 1_0"), ("expected a rational 'n' or 'n/d', got '1_0'", 12, "window")),
+        (after("window 1 1 = 2"), ("duplicate window (1, 1)", 12, "window")),
+        (after("window 1 1 1 = 2"), ("window needs 2 symbols, got 3", 12, "window")),
+        (after("window = 1"), ("window needs 2 symbols, got 0", 12, "window")),
+        (after("window 1 3 = 2"), ("window symbol outside the alphabet", 12, "window")),
+        (after("window 10 0 = 2"), ("window symbol outside the alphabet", 12, "window")),
+        (after("window 0 \u0663 = 1"), ("window symbol outside the alphabet", 12, "window")),
+        (after("window 0 \u00b2 = 1"), ("symbols must be nonnegative integers, got '\u00b2'", 12, "window")),
+        (after("window +1 0 = 2"), ("symbols must be nonnegative integers, got '+1'", 12, "window")),
+        (after("window 1_0 0 = 2"), ("symbols must be nonnegative integers, got '1_0'", 12, "window")),
+        (after("window 0 0 1"), ("expected 'key = value'", 12, None)),
+        (after("= 3"), ("expected 'key = value'", 12, None)),
+        (
+            MINIMAL.replace("row = 1 1\n\n", "row = 1 1\nwindow 0 0 = 1\n\n"),
+            ("unexpected tokens after key 'window'", 6, "window"),
+        ),
+        (
+            MINIMAL.replace("row = 1 1\n\n", "row = 1 0\n\n"),
+            ("windows not allowed by the transition matrix: [(1, 1)]", 7, None),
+        ),
+        (after("window 01 0 = 2"), ((1, 0), Fraction(2))),
+        (after("window\t0\t1\t=\t3/4"), ((0, 1), Fraction(3, 4))),
+        (after("window 0 1 = 3 # note"), ((0, 1), Fraction(3))),
+        (after("window 0 1 = -3#note"), ((0, 1), Fraction(-3))),
+        (after("[constraints]", "c = 1"), ("constraints block has no phi tables", 12, None)),
+        (after("[constraints]", "phi2 0 0 = 1", "c = 1"), ("phi indices must run 1..2 without gaps", 12, None)),
+        (after("[constraints]", "phi1 0 0 = 1", "c = 1", "h = 1"), ("give c or h, not both", 15, "h")),
+        (after("[constraints]", "phi1 0 0 = 1", "c = 1 2"), ("c needs 1 entries, got 2", 14, "c")),
+        (after("[solver]", "schedule_k_max = 0"), ("schedule_k_max must be in [1, 64]", 13, "schedule_k_max")),
+        (after("[solver]", "schedule_k_max = x"), ("expected an integer, got 'x'", 13, "schedule_k_max")),
+        (after("[solver]", "seed = 0"), ("unknown key 'seed' in [solver]", 13, "seed")),
+    ],
+    ids=[
+        "duplicate-section", "unknown-key", "decimal-weight", "zero-denominator", "long-weight",
+        "underscore-weight", "duplicate-window", "wrong-length", "no-symbols", "outside-alphabet",
+        "two-digit-symbol", "arabic-indic-digit", "superscript-digit", "plus-sign", "underscore-symbol",
+        "no-equals", "no-key", "window-in-system", "disallowed-word", "leading-zero", "tabs",
+        "comment-after-value", "comment-touching-value", "no-phi", "phi-gap", "c-and-h", "c-length",
+        "k-max-range", "k-max-text", "solver-key",
     ],
 )
-def test_parse_rejects(mutation, fragment):
+def test_parse_pins(text, expected):
+    if isinstance(expected[0], tuple):
+        word, value = expected
+        assert parse_config_text(text).potential.table == {(1, 1): 1, word: value} | {
+            w: 0 for w in itertools.product((0, 1), repeat=2) if w not in ((1, 1), word)
+        }
+        return
+    message, line, field = expected
     with pytest.raises(ConfigError) as err:
-        parse_config_text(MINIMAL + "\n" + mutation + "\n")
-    assert fragment in str(err.value)
+        parse_config_text(text)
+    assert (str(err.value), err.value.line, err.value.field) == (
+        str(ConfigError(message, line, field)), line, field
+    )
 
 
 def test_error_carries_line_number():
@@ -143,6 +192,30 @@ def test_each_distinct_weight_text_is_parsed_once(monkeypatch):
     assert config.constraints.components[0].value((0, 0)) == Fraction(1, 2)
     # the c vector is not a weight table and is read on its own
     assert sorted(parsed) == ["1", "1/2", "1/2", "3"]
+
+
+@pytest.mark.parametrize(
+    "rows, p, q",
+    [(((1, 1), (1, 0)), 1, 4), (((1, 1, 1),) * 3, 1, 2), (((1, 1), (1, 1)), 2, 3)],
+    ids=["golden-q4", "full3-q2", "full2-p2-q3"],
+)
+def test_the_windows_are_enumerated_once_per_parse(monkeypatch, rows, p, q):
+    text = _config_text(random.Random(3), rows, q, 10)
+    if p == 2:
+        text = text.replace("past_depth = 1", "past_depth = 2").replace("window ", "window 0 ")
+    lengths = []
+    enumerate_words = allowed_words
+
+    def spy(system, length):
+        lengths.append(length)
+        return enumerate_words(system, length)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ergopt") and getattr(module, "allowed_words", None) is enumerate_words:
+            monkeypatch.setattr(module, "allowed_words", spy)
+    config = parse_config_text(text)
+    assert len(config.potential.table) == len(enumerate_words(config.system, p + q))
+    assert lengths.count(p + q) == 1
 
 
 @pytest.mark.parametrize("field", ["window", "phi1"])
@@ -299,10 +372,6 @@ def test_a_config_with_a_byte_order_mark_reads_as_without(tmp_path, name):
         assert main(["beta", "--config", str(path), "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
-
-
-# past the interpreter's default limit of 4300 digits for int() of a string
-LONG = "1" * 5000
 
 
 @pytest.mark.parametrize(
@@ -1071,19 +1140,26 @@ def _csv_writer_mane(report: dict) -> str:
     return buffer.getvalue()
 
 
+def _json_dumps_report(report: dict) -> str:
+    """The JSON report as json.dumps writes it, the reference for render_report."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("name", [n for n in fixtures.available() if n != "reducible"])
-def test_mane_csv_matches_csv_writer_on_fixtures(name):
+def test_mane_text_matches_the_reference_writers_on_fixtures(name):
     report = cmd_mane(fixtures.load(name))
     assert render_report(report, "csv", "mane") == _csv_writer_mane(report)
+    assert render_report(report, "json", "mane") == _json_dumps_report(report)
 
 
 @pytest.mark.parametrize("den", [10, 1000])
 @pytest.mark.parametrize("rows", [((1, 1), (1, 1)), ((1, 1), (1, 0))], ids=["full", "golden"])
-def test_mane_csv_matches_csv_writer_on_random_configs(rows, den):
+def test_mane_text_matches_the_reference_writers_on_random_configs(rows, den):
     negative = 0
     for seed in (1, 2, 3):
         report = cmd_mane(parse_config_text(_config_text(random.Random(seed), rows, 3, den)))
         assert render_report(report, "csv", "mane") == _csv_writer_mane(report)
+        assert render_report(report, "json", "mane") == _json_dumps_report(report)
         negative += sum(v.startswith("-") for row in report["phi"].values() for v in row.values())
     assert negative > 0
 

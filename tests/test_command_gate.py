@@ -9,6 +9,12 @@ through every command variant in process, ``classify`` with one boundary
 value per critical class, and one variant a config again with
 ``--format csv``. Any exception that escapes ``main`` fails the test, and so
 does a ``check`` item that raised (status "error") or failed.
+
+A second generator writes configs of a few lines that name a large implicit
+table: deep windows over 2 or 3 symbols, or up to 10 symbols, with at most
+three windows listed (unlisted windows are 0). One past ``MAX_WINDOW_LENGTH``
+or ``MAX_WINDOW_WORDS`` must exit 2 from every command within 1 s; one under
+them, drawn with at most 1024 windows, goes through every command as above.
 """
 
 from __future__ import annotations
@@ -19,11 +25,13 @@ import json
 import random
 import time
 
-from ergopt.cli_reports import main, parse_config_text
+from ergopt.cli_reports import MAX_WINDOW_LENGTH, MAX_WINDOW_WORDS, main, parse_config_text
 from ergopt.symbolic_core import SubshiftSystem, allowed_words, classify_transitivity
 
 CONFIGS = 40
 SECONDS = 10
+LARGE_CONFIGS = 16
+LARGE_UNDER_CAP = 1024
 
 VARIANTS = (
     ("beta",),
@@ -155,3 +163,76 @@ def test_every_command_exits_with_a_documented_code(tmp_path):
     # the generator reaches both sides of the transitivity guards
     assert codes["subaction --kind u0"] == {0, 3}
     assert elapsed <= SECONDS
+
+
+def _word_count(rows, length: int, cap: int) -> int:
+    """The allowed words of this length, or cap + 1 once the count passes cap."""
+    counts = [1] * len(rows)
+    for _ in range(length - 1):
+        counts = [sum(c for a, c in enumerate(counts) if rows[a][b]) for b in range(len(rows))]
+        if sum(counts) > cap:
+            return cap + 1
+    return sum(counts)
+
+
+def large_table_config(rng: random.Random) -> tuple[str, bool]:
+    """Config text of a few lines, and whether its windows pass a size bound."""
+    while True:
+        if rng.random() < 0.5:
+            r, p, q = rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 80)
+        else:
+            r, p, q = rng.randint(5, 10), 1, rng.randint(1, 5)
+        rows = _random_rows(rng, r, reducible=rng.random() < 0.3)
+        words = _word_count(rows, p + q, MAX_WINDOW_WORDS)
+        past = p + q > MAX_WINDOW_LENGTH or words > MAX_WINDOW_WORDS
+        if past or words <= LARGE_UNDER_CAP:
+            break
+    lines = ["[system]", f"alphabet_size = {r}"]
+    lines += [f"row = {' '.join(map(str, row))}" for row in rows]
+    lines += ["[potential]", f"past_depth = {p}", f"future_depth = {q}"]
+    listed = {}
+    for _ in range(rng.randint(0, 3)):
+        # a walk on allowed transitions; a word drawn twice keeps its last value
+        word = [rng.randrange(r)]
+        while len(word) < p + q:
+            word.append(rng.choice([b for b in range(r) if rows[word[-1]][b]]))
+        listed[" ".join(map(str, word))] = _rational(rng, 10)
+    lines += [f"window {word} = {value}" for word, value in listed.items()]
+    return "\n".join(lines) + "\n", past
+
+
+def test_a_large_implicit_table_exits_2_or_runs(tmp_path):
+    rng = random.Random(2027)
+    path = tmp_path / "large.cfg"
+    seen = set()
+    for i in range(LARGE_CONFIGS):
+        text, past = large_table_config(rng)
+        path.write_text(text)
+        classes = 1
+        for variant in VARIANTS:
+            argv = list(variant) + ["--config", str(path)]
+            if variant[0] == "classify":
+                argv.append("--boundary=" + ",".join(["0"] * classes))
+            start = time.perf_counter()
+            rc, out, err = _run(argv)
+            elapsed = time.perf_counter() - start
+            context = f"{variant} on large config {i}:\n{text}"
+            if past:
+                assert (rc, out) == (2, ""), context
+                assert err.startswith("config error: window length "), context
+                assert elapsed < 1, context
+                seen.add("length" if "is above the bound" in err else "words")
+                continue
+            seen.add("under")
+            assert rc in EXIT_CODES[variant[0]], context
+            if rc in STDERR_PREFIX:
+                assert err.startswith(STDERR_PREFIX[rc]), context
+            else:
+                assert err == "", context
+            if variant == ("check",) and rc == 1:
+                bad = [c for c in json.loads(out)["checks"] if c["status"] in ("fail", "error")]
+                assert {(c["name"], c["status"]) for c in bad} <= KNOWN_CHECK_FAILURES, context
+            if variant == ("mane",) and rc == 0:
+                classes = len(json.loads(out)["classes"])
+    # the generator passes the length bound, the word bound, and neither
+    assert seen == {"length", "words", "under"}

@@ -15,12 +15,21 @@ python3.13 (``requires-python = ">=3.10"``). It takes the interpreter on the
 path or, when that one does not start (a pyenv shim exits 127 unless
 ``PYENV_VERSION`` names its version), one that pyenv installs, and skips a
 version only when none of them starts.
+
+Four seeded configs at the size of the excursion benchmark rungs go through
+every command but ``check`` (whose oracles are unbounded at 8 or more
+nodes): the full 2-shift at q = 6, the golden-mean shift at q = 8 with
+weight denominators up to 1000, the full 4-shift at q = 3 and the full
+2-shift at p = 2, q = 5. They are generated here from ``random.Random`` so
+that their bytes do not depend on the benchmark's own generator.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import random
 import shutil
 import subprocess
 from pathlib import Path
@@ -104,51 +113,128 @@ GOLDEN = {
 }
 
 
+FULL2 = ((1, 1), (1, 1))
+GOLDEN_MEAN = ((1, 1), (1, 0))
+FULL4 = ((1, 1, 1, 1),) * 4
+
+# name -> (seed, rows, past depth, future depth, largest weight denominator)
+GENERATED = {
+    "full2_q6": (1, FULL2, 1, 6, 10),
+    "golden_q8": (2, GOLDEN_MEAN, 1, 8, 1000),
+    "full4_q3": (3, FULL4, 1, 3, 10),
+    "full2_q5_p2": (4, FULL2, 2, 5, 10),
+}
+
+GENERATED_GOLDEN = {
+    "full2_q5_p2/beta": "7a741ceb145c9b1c3b7a9937abe8f37c96667916d96ab4c17cb23dc191fef79d",
+    "full2_q5_p2/calibrated": "e49ef5669c9ca2121b8ac8521811513caf7606d395f24887638c7d3dd64b64ea",
+    "full2_q5_p2/classify": "15871a5d89ae299072ae75f94227f53dfc1eb2641be320f1ea957e85bbbd342e",
+    "full2_q5_p2/mane_csv": "8b98c84bb0eceeefae173536e3a90947f0b51abeb550873cfe3541ca4926ebcf",
+    "full2_q5_p2/mane_json": "b49df08873bbbad82eff7cefe6784a46dc1f31fc2368136fe5252eed8b785aa2",
+    "full2_q5_p2/u0": "d25345a262fcb0316990c6ff255428d3aeeddec6d15e46b7ae7c2bb07bd42229",
+    "full2_q6/beta": "78f16f003c5f01abc2521f7a36f631f80a8b707b6089bbde1f4fed9c541ba283",
+    "full2_q6/calibrated": "37891df34a892f90aa841ee2c5c80a95d172a9715d1747bb258c6ec18361322d",
+    "full2_q6/classify": "3deca1683a39d8ac434fa5f77a11977cde78e06abefc8db3b27061cc87d04cd3",
+    "full2_q6/mane_csv": "4e4761fb882acba26eb183839254070fe7f41a142082c2d5f193769aabf92fdb",
+    "full2_q6/mane_json": "60efc537d1d1903d54ecf961388fe3e341b6cd354fc097175886bd7ae3baf8cf",
+    "full2_q6/u0": "49c1f3b9b31db6bc5f8a2daae0e50e5f05ec3e00034374d07df87dfa01e3e072",
+    "full4_q3/beta": "82cfb6794f416705872736ee78c60bb0abdf291808f73c8a2fc3db5a76bf47ba",
+    "full4_q3/calibrated": "67fd4d1347cd18740a2e3d344c7f891659e57cdbd31a660b6805d4fde778f0c5",
+    "full4_q3/classify": "13ce1a10cc43c7ad9a600d037ac8cc2297bd5a783e7e17ac4abf0fa53e740f6f",
+    "full4_q3/mane_csv": "3c794126f21c28681bf33a2cff65702ba23d80ca4ad26cf0561aa8d5e6c19f19",
+    "full4_q3/mane_json": "6da76a46ec588bd355be1359e7ca722fe61e1a1ac0801ee88f8258be11b182e5",
+    "full4_q3/u0": "1f05c367858ce187ac123d06dd2e1172726f2a793501bfd6858267d49078b20b",
+    "golden_q8/beta": "035ed1bd01bf750890364d2c579f3d926e3fef8bc613300197320aa57d5075ed",
+    "golden_q8/calibrated": "57f11c517f63ff5e9522a086176bafd939cba8c66d95ca97c33b9db1c15d2d14",
+    "golden_q8/classify": "3c8ea0987f39e3450c856fa8d5aa4ec99c60674a3a60270936b473d91afe7777",
+    "golden_q8/mane_csv": "22653c45a0afd72a1ca512b02104f30daee378ccbaa9f0a4e091b9f91c8af295",
+    "golden_q8/mane_json": "04b67e5b053aa3fb53e80f751c6da22c8b65079af8844b14a11213b2e898338c",
+    "golden_q8/u0": "b81d211c2dd11948f42508ba5484a1242cdd7f1a92542e21c0c34e774c6b4cbb",
+}
+
+
+def generated_config(seed: int, rows, p: int, q: int, den: int) -> str:
+    """A weight n/d, |n| <= 20 and 1 <= d <= den, on every allowed window in word order."""
+    rng = random.Random(seed)
+    lines = ["[system]", f"alphabet_size = {len(rows)}"]
+    lines += ["row = " + " ".join(map(str, row)) for row in rows]
+    lines += ["", "[potential]", f"past_depth = {p}", f"future_depth = {q}"]
+    for w in itertools.product(range(len(rows)), repeat=p + q):
+        if all(rows[a][b] for a, b in zip(w, w[1:])):
+            lines.append(f"window {' '.join(map(str, w))} = {rng.randint(-20, 20)}/{rng.randint(1, den)}")
+    return "\n".join(lines) + "\n"
+
+
+def _job(name: str, text: str, label: str) -> tuple[str, str, list[str]]:
+    """(digest key, config text, argv after --config) of one recorded report."""
+    extra = [f"--boundary={BOUNDARY.get(name, '-3/2')}"] if label == "classify" else []
+    return f"{name}/{label}", text, extra
+
+
+def _digest(tmp_path, capsys, job) -> str:
+    key, text, extra = job
+    name, label = key.split("/")
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    capsys.readouterr()
+    rc = main(COMMANDS[label] + ["--config", str(path)] + extra)
+    out, err = capsys.readouterr()
+    return hashlib.sha256(json.dumps([rc, out, err]).encode()).hexdigest()
+
+
+def _jobs() -> list[tuple[str, str, list[str]]]:
+    jobs = [
+        _job(fixture, fixtures.fixture_text(fixture), label)
+        for fixture in fixtures.available()
+        for label in COMMANDS
+    ]
+    for name, args in GENERATED.items():
+        text = generated_config(*args)
+        jobs += [_job(name, text, label) for label in COMMANDS if label != "check"]
+    return jobs
+
+
 @pytest.mark.parametrize("fixture", fixtures.available())
 @pytest.mark.parametrize("label", sorted(COMMANDS))
 def test_report_bytes_match_the_recorded_digest(tmp_path, capsys, fixture, label):
-    path = tmp_path / f"{fixture}.cfg"
-    path.write_text(fixtures.fixture_text(fixture))
-    argv = COMMANDS[label] + ["--config", str(path)]
-    if label == "classify":
-        argv.append(f"--boundary={BOUNDARY.get(fixture, '-3/2')}")
-    capsys.readouterr()
-    rc = main(argv)
-    out, err = capsys.readouterr()
-    blob = json.dumps([rc, out, err]).encode()
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN[f"{fixture}/{label}"]
+    job = _job(fixture, fixtures.fixture_text(fixture), label)
+    assert _digest(tmp_path, capsys, job) == GOLDEN[f"{fixture}/{label}"]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+@pytest.mark.parametrize("label", sorted(set(COMMANDS) - {"check"}))
+def test_generated_report_bytes_match_the_recorded_digest(tmp_path, capsys, name, label):
+    job = _job(name, generated_config(*GENERATED[name]), label)
+    assert _digest(tmp_path, capsys, job) == GENERATED_GOLDEN[f"{name}/{label}"]
 
 
 def test_every_digest_is_used():
     assert set(GOLDEN) == {f"{f}/{c}" for f in fixtures.available() for c in COMMANDS}
+    assert set(GOLDEN) | set(GENERATED_GOLDEN) == {key for key, _, _ in _jobs()}
 
 
 # the corpus above, standard library only, for an interpreter without pytest:
-# argv is the source directory, COMMANDS and BOUNDARY as JSON; prints the
-# digests as JSON
+# argv is the source directory and COMMANDS as JSON, standard input the jobs
+# as JSON; prints the digests as JSON
 CORPUS = """
 import contextlib, hashlib, io, json, sys, tempfile
 from pathlib import Path
 
-src, commands, boundary = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+src, commands = sys.argv[1], json.loads(sys.argv[2])
 sys.path.insert(0, src)
-from ergopt import fixtures
 from ergopt.cli_reports import main
 
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
-    for fixture in fixtures.available():
-        path = Path(tmp) / f"{fixture}.cfg"
-        path.write_text(fixtures.fixture_text(fixture))
-        for label, argv in commands.items():
-            argv = argv + ["--config", str(path)]
-            if label == "classify":
-                argv.append(f"--boundary={boundary.get(fixture, '-3/2')}")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main(argv)
-            blob = json.dumps([rc, out.getvalue(), err.getvalue()]).encode()
-            digests[f"{fixture}/{label}"] = hashlib.sha256(blob).hexdigest()
+    for key, text, extra in json.load(sys.stdin):
+        name, label = key.split("/")
+        path = Path(tmp) / f"{name}.cfg"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(commands[label] + ["--config", str(path)] + extra)
+        blob = json.dumps([rc, out.getvalue(), err.getvalue()]).encode()
+        digests[key] = hashlib.sha256(blob).hexdigest()
 print(json.dumps(digests))
 """
 
@@ -176,7 +262,7 @@ def test_other_interpreters_reproduce_every_digest(python):
     exe = next(filter(_starts, _interpreters(python)), None)
     if exe is None:
         pytest.skip(f"no {python} starts")
-    argv = [exe, "-I", "-c", CORPUS, str(SRC), json.dumps(COMMANDS), json.dumps(BOUNDARY)]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    argv = [exe, "-I", "-c", CORPUS, str(SRC), json.dumps(COMMANDS)]
+    proc = subprocess.run(argv, input=json.dumps(_jobs()), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == GOLDEN
+    assert json.loads(proc.stdout) == GOLDEN | GENERATED_GOLDEN
