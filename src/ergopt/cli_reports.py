@@ -1,17 +1,23 @@
 """Config ingestion, the command surface, and report emission.
 
 Config files are flat sectioned text: ``[system]``, ``[potential]``, optional
-``[constraints]`` and ``[solver]`` blocks of ``key = value`` lines. Every
-weight is an exact rational string ("3", "-1/2"); floating literals are
-rejected at parse time so exactness survives the boundary; each distinct
-weight text is parsed once per config, and a leading UTF-8 byte-order mark
-is dropped. Reports are JSON (default) or CSV, byte-stable for a fixed
+``[constraints]`` and ``[solver]`` blocks of ``key = value`` lines, read as
+UTF-8 bytes with a leading byte-order mark dropped. Every weight is an exact
+rational string ("3", "-1/2"); floating literals are rejected at parse time
+so exactness survives the boundary. A window line of single-digit symbols
+and a value with no comment, most of a config, is read in one pass from
+its whitespace-split tokens; any other line, or a symbol such as '01', goes
+through the general reader, with the same result or error. Each distinct
+weight text is parsed once, and the windows go into the potential's table
+in one update. Reports are JSON (default) or CSV, byte-stable for a fixed
 config: rationals are emitted as "n/d" strings and floats appear only
 inside discount traces. The excursion matrix is turned into text one int
-row over D at a time, and its CSV lines are its fields joined by commas:
-every field is digits, '-' or '/', which csv.writer never quotes. The
-flattened key/value CSV of the other reports, whose notes can hold
-commas, goes through csv.writer.
+row over D at a time, and both its formats are written from each row's
+strings: CSV lines are the fields joined by commas, and the JSON "phi"
+block is written row by row as json.dumps(indent=2, sort_keys=True) would
+write it, since every field is digits, '-' or '/', which neither csv.writer
+quotes nor JSON escapes. The other reports go through json.dumps, and the
+flattened key/value CSV, whose notes can hold commas, through csv.writer.
 
 Exit codes: 0 ok, 1 check-suite failure, 2 config error (also an
 unwritable --out path), 3 hypothesis not met (reducible system, class
@@ -36,6 +42,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -143,18 +151,46 @@ def _parse_symbols(tokens: Sequence[str], line: int, field: str) -> Word:
         raise ConfigError(_TOO_LONG, line, field) from None
 
 
+# the canonical symbol tokens; any other token is read by _parse_symbols
+_SYMBOLS = {str(s): s for s in range(10)}
+
+
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     """Parse sectioned key-value config text into an ExperimentConfig."""
     section: str | None = None
     section_lines: dict[str, int] = {}
     scalars: dict[tuple[str, str], tuple[str, int]] = {}
     rows: list[tuple[Word, int]] = []
-    windows: dict[Word, tuple[Fraction, int]] = {}
-    phi_entries: dict[int, dict[Word, tuple[Fraction, int]]] = {}
+    # each window's value, and its line number in a parallel list
+    windows: dict[Word, Fraction] = {}
+    window_lines: list[int] = []
+    phi_entries: dict[int, tuple[dict[Word, Fraction], list[int]]] = {}
     # each distinct weight text is parsed once; a bad one raises at its first line
     rationals: dict[str, Fraction] = {}
+    symbol = _SYMBOLS.__getitem__
+    in_potential = False
 
     for lineno, raw in enumerate(text.splitlines(), 1):
+        # window lines are most of a config, so they are tested first:
+        # 'window', canonical symbols, '=' and a value with no '#' read as
+        # the general path below reads them
+        parts = raw.split()
+        if in_potential and len(parts) > 2 and parts[0] == "window" and parts[-2] == "=":
+            rhs = parts[-1]
+            value = rationals.get(rhs)
+            if value is not None or "#" not in rhs:
+                try:
+                    symbols = tuple(map(symbol, parts[1:-2]))
+                except KeyError:
+                    pass
+                else:
+                    if symbols in windows:
+                        raise ConfigError(f"duplicate window {symbols}", lineno, "window")
+                    if value is None:
+                        value = rationals[rhs] = _parse_rational(rhs, lineno, "window")
+                    windows[symbols] = value
+                    window_lines.append(lineno)
+                    continue
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -168,6 +204,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
                 raise ConfigError(f"duplicate section {name!r}", lineno)
             section_lines[name] = lineno
             section = name
+            in_potential = name == "potential"
             continue
         if section is None:
             raise ConfigError("key before any section header", lineno)
@@ -177,35 +214,31 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             raise ConfigError("expected 'key = value'", lineno)
         key = parts[0]
         rhs = rhs.strip()
-        # window lines are most of a config, so they are tested first
-        if key == "window" and section == "potential":
-            symbols = _parse_symbols(parts[1:], lineno, "window")
-            if symbols in windows:
-                raise ConfigError(f"duplicate window {symbols}", lineno, "window")
-            value = rationals.get(rhs)
-            if value is None:
-                value = rationals[rhs] = _parse_rational(rhs, lineno, "window")
-            windows[symbols] = (value, lineno)
+        if key == "window" and in_potential:
+            table, lines = windows, window_lines
         elif key == "row" and section == "system":
             if len(parts) != 1:
                 raise ConfigError("row takes its entries on the right of '='", lineno, "row")
             rows.append((_parse_symbols(rhs.split(), lineno, "row"), lineno))
+            continue
         elif section == "constraints" and re.fullmatch(r"phi[1-9]\d*", key):
-            index = int(key[3:])
-            symbols = _parse_symbols(parts[1:], lineno, key)
-            table = phi_entries.setdefault(index, {})
-            if symbols in table:
-                raise ConfigError(f"duplicate window {symbols}", lineno, key)
-            value = rationals.get(rhs)
-            if value is None:
-                value = rationals[rhs] = _parse_rational(rhs, lineno, key)
-            table[symbols] = (value, lineno)
+            table, lines = phi_entries.setdefault(int(key[3:]), ({}, []))
         else:
             if len(parts) != 1:
                 raise ConfigError(f"unexpected tokens after key {key!r}", lineno, key)
             if (section, key) in scalars:
                 raise ConfigError(f"duplicate key {key!r}", lineno, key)
             scalars[(section, key)] = (rhs, lineno)
+            continue
+        # a window or phi line the fast path above did not read
+        symbols = _parse_symbols(parts[1:], lineno, key)
+        if symbols in table:
+            raise ConfigError(f"duplicate window {symbols}", lineno, key)
+        value = rationals.get(rhs)
+        if value is None:
+            value = rationals[rhs] = _parse_rational(rhs, lineno, key)
+        table[symbols] = value
+        lines.append(lineno)
 
     for required in ("system", "potential"):
         if required not in section_lines:
@@ -222,7 +255,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r} in [{sec}]", lineno, key)
 
     system = _build_system(scalars, rows, section_lines["system"])
-    potential = _build_potential(system, scalars, windows, section_lines["potential"])
+    potential = _build_potential(system, scalars, windows, window_lines, section_lines["potential"])
     constraints = _build_constraints(
         system, potential.past_depth, scalars, phi_entries, section_lines.get("constraints")
     )
@@ -275,11 +308,10 @@ def _check_window_size(system: SubshiftSystem, length: int, line: int | None, fi
         raise ConfigError(
             f"window length {length} is above the bound {MAX_WINDOW_LENGTH}", line, field
         )
-    rows = system.transition
-    symbols = range(system.alphabet_size)
+    columns = list(zip(*system.transition))
     counts = [1] * system.alphabet_size  # allowed words of each length ending in each symbol
     for _ in range(length - 1):
-        counts = [sum(counts[a] for a in symbols if rows[a][b]) for b in symbols]
+        counts = [sum(compress(counts, column)) for column in columns]
         if sum(counts) > MAX_WINDOW_WORDS:
             raise ConfigError(
                 f"window length {length} allows more than {MAX_WINDOW_WORDS} words",
@@ -288,7 +320,7 @@ def _check_window_size(system: SubshiftSystem, length: int, line: int | None, fi
             )
 
 
-def _build_potential(system, scalars, windows, header_line) -> LocallyConstantPotential:
+def _build_potential(system, scalars, windows, window_lines, header_line) -> LocallyConstantPotential:
     depths = {}
     for field in ("past_depth", "future_depth"):
         if ("potential", field) not in scalars:
@@ -299,20 +331,20 @@ def _build_potential(system, scalars, windows, header_line) -> LocallyConstantPo
             raise ConfigError(f"{field} must be >= 1", lineno, field)
     width = depths["past_depth"] + depths["future_depth"]
     _check_window_size(system, width, header_line, None)
-    table = {}
-    for symbols, (value, lineno) in windows.items():
-        if len(symbols) != width:
-            raise ConfigError(
-                f"window needs {width} symbols, got {len(symbols)}", lineno, "window"
-            )
-        if max(symbols) >= system.alphabet_size:
-            raise ConfigError("window symbol outside the alphabet", lineno, "window")
-        table[symbols] = value
     try:
         return LocallyConstantPotential(
-            system, depths["past_depth"], depths["future_depth"], table
+            system, depths["past_depth"], depths["future_depth"], windows
         )
     except ValueError as exc:
+        # a window of another length or off the alphabet is no allowed word;
+        # the first such window in line order names the error
+        for symbols, lineno in zip(windows, window_lines):
+            if len(symbols) != width:
+                raise ConfigError(
+                    f"window needs {width} symbols, got {len(symbols)}", lineno, "window"
+                ) from None
+            if max(symbols) >= system.alphabet_size:
+                raise ConfigError("window symbol outside the alphabet", lineno, "window") from None
         raise ConfigError(str(exc), header_line) from None
 
 
@@ -329,9 +361,9 @@ def _build_constraints(system, past_depth, scalars, phi_entries, header_line) ->
         )
     components = []
     for index in range(1, count + 1):
-        table = phi_entries[index]
+        table, lines = phi_entries[index]
         widths = {len(symbols) for symbols in table}
-        lineno = min(line for _, line in table.values())
+        lineno = lines[0]
         if len(widths) != 1:
             raise ConfigError(f"phi{index} windows differ in length", lineno, f"phi{index}")
         width = widths.pop()
@@ -339,15 +371,11 @@ def _build_constraints(system, past_depth, scalars, phi_entries, header_line) ->
             raise ConfigError(f"phi{index} windows need >= 2 symbols", lineno, f"phi{index}")
         # constrained_beta pads the potential's windows to this future depth
         _check_window_size(system, past_depth + width - 1, lineno, f"phi{index}")
-        for symbols, (_, line) in table.items():
+        for symbols, line in zip(table, lines):
             if any(s >= system.alphabet_size for s in symbols):
                 raise ConfigError("window symbol outside the alphabet", line, f"phi{index}")
         try:
-            components.append(
-                LocallyConstantPotential(
-                    system, 1, width - 1, {w: v for w, (v, _) in table.items()}
-                )
-            )
+            components.append(LocallyConstantPotential(system, 1, width - 1, table))
         except ValueError as exc:
             raise ConfigError(str(exc), lineno, f"phi{index}") from None
 
@@ -375,11 +403,16 @@ def _build_constraints(system, past_depth, scalars, phi_entries, header_line) ->
         raise ConfigError(str(exc), header_line) from None
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
+    """Parse the UTF-8 config file at path; a leading byte-order mark is dropped."""
     try:
-        # utf-8-sig drops a leading byte-order mark
-        text = path.read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes()
+        # as the utf-8-sig stream decoder, drop a byte-order mark, or the
+        # start of one that ends the file
+        text = (data[3:] if _BOM.startswith(data[:3]) else data).decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return parse_config_text(text, source=str(path))
@@ -782,17 +815,41 @@ def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, "" if obj is None else str(obj)))
 
 
+def _mane_json(report: dict) -> str:
+    """json.dumps(report, indent=2, sort_keys=True) of a mane report, phi row by row.
+
+    Every other key sorts before "phi", so json.dumps writes the rest and
+    phi's block closes the object. Its rows and each row's entries come in
+    word order, which is sorted order, and every string is digits, '-' or
+    '/', which JSON never escapes.
+    """
+    phi = report["phi"]
+    head = json.dumps({k: v for k, v in report.items() if k != "phi"}, indent=2, sort_keys=True)
+    prefixes = [f'      "{word}": "' for word in phi]
+    rows = [
+        f'    "{src}": {{\n' + '",\n'.join(map(add, prefixes, row.values())) + '"\n    }'
+        for src, row in phi.items()
+    ]
+    return head[:-2] + ',\n  "phi": {\n' + ",\n".join(rows) + "\n  }\n}\n"
+
+
 def render_report(report: dict, fmt: str, command: str) -> str:
+    """The report as text: JSON with sorted keys and an indent of 2, or CSV.
+
+    The mane report is written row by row from its strings (``_mane_json``,
+    and CSV lines of fields joined by commas: every field is digits, '-' or
+    '/', which csv.writer never quotes). The key/value CSV of the other
+    reports, whose notes can hold commas, goes through csv.writer.
+    """
+    if command == "mane":
+        if fmt == "json":
+            return _mane_json(report)
+        phi = report["phi"]
+        lines = [",".join(["src", *phi])]
+        lines += [",".join([src, *row.values()]) for src, row in phi.items()]
+        return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if command == "mane":
-        # every field is digits, '-' or '/', which csv.writer never quotes,
-        # so each line is its fields joined by commas
-        phi = report["phi"]
-        words = sorted(phi)
-        lines = [",".join(["src", *words])]
-        lines += [",".join([src, *map(phi[src].__getitem__, words)]) for src in words]
-        return "\n".join(lines) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -805,7 +862,7 @@ def render_report(report: dict, fmt: str, command: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
-            Path(out).write_text(text)
+            Path(out).write_bytes(text.encode())
         except OSError as exc:
             raise ConfigError(f"cannot write report: {exc}") from None
     else:

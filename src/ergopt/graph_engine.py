@@ -64,6 +64,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -137,18 +138,20 @@ def build_prepend_graph(
     nodes = tuple(allowed_words(system, q))
     index = {w: i for i, w in enumerate(nodes)}
     symbols = system.symbols()
-    # before[b]: the symbols that may be prepended onto a word starting with b
-    before = [[s for s in symbols if system.allows(s, b)] for b in symbols]
-    edges = []
-    for i, w in enumerate(nodes):
-        for s in before[w[0]]:
-            key = (s,) + w
-            edges.append(Edge(len(edges), i, index[key[:q]], s, weight[key], key))
+    # before[b]: the 1-words that may be prepended onto a word starting with b
+    before = [[(s,) for s in symbols if system.allows(s, b)] for b in symbols]
     # node w has an out-arc when w[0] has a predecessor and an in-arc when
     # w[-1] has a successor; the cycle kernels need both at every node
     if not (all(before) and all(map(any, system.transition))):
         raise AssertionError("prepend graph must have no sources or sinks")
-    return PrependGraph(system, q, nodes, tuple(edges), potential)
+    # the edge columns, each in edge order
+    keys = [s + w for w in nodes for s in before[w[0]]]
+    sources = [i for i, w in enumerate(nodes) for _ in before[w[0]]]
+    targets = [index[key[:q]] for key in keys]
+    columns = zip(range(len(keys)), sources, targets, map(itemgetter(0), keys),
+                  map(weight.__getitem__, keys), keys)
+    edges = tuple(map(tuple.__new__, repeat(Edge), columns))
+    return PrependGraph(system, q, nodes, edges, potential)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .graph_engine import (
     min_cost_all_pairs,
 )
 from .subaction_lab import NodeFunction, calibration_residual
-from .symbolic_core import FORWARD, EventuallyPeriodicPoint, classify_transitivity, window
+from .symbolic_core import EventuallyPeriodicPoint, classify_transitivity, window
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,6 @@ def omega_set(graph: PrependGraph) -> OmegaSet:
     return OmegaSet(graph, beta, critical, mane)
 
 
-def _require_forward(x: EventuallyPeriodicPoint, system) -> None:
-    if x.orientation != FORWARD:
-        raise ValueError("expected a forward point")
-    if not x.is_valid(system):
-        raise ValueError("point violates the transition matrix")
-
-
 def _window_edges(omega: OmegaSet, x: EventuallyPeriodicPoint) -> list[Edge]:
     """The window edge at each step j over the preperiod plus one period.
 
@@ -77,7 +70,8 @@ def _window_edges(omega: OmegaSet, x: EventuallyPeriodicPoint) -> list[Edge]:
 
 def omega_membership(omega: OmegaSet, x: EventuallyPeriodicPoint) -> bool:
     """A point is non-wandering iff all of its window edges are critical."""
-    _require_forward(x, omega.graph.system)
+    if not x.is_valid(omega.graph.system):
+        raise ValueError("point violates the transition matrix")
     return all(e.index in omega.critical.critical_edges for e in _window_edges(omega, x))
 
 

@@ -38,8 +38,11 @@ class LocallyConstantPotential:
             raise ValueError("depths must be >= 1")
         keys = allowed_words(self.system, self.past_depth + self.future_depth)
         full = dict.fromkeys(keys, Fraction(0))
-        for k, v in self.table.items():
-            full[tuple(k)] = _as_fraction(v)
+        table = self.table
+        if {Fraction}.issuperset(map(type, table.values())):
+            full.update(table)
+        else:
+            full.update((tuple(k), _as_fraction(v)) for k, v in table.items())
         if len(full) != len(keys):  # a given window is not an allowed word
             extra = set(full) - set(keys)
             raise ValueError(f"windows not allowed by the transition matrix: {sorted(extra)[:3]}")
@@ -61,9 +64,13 @@ def reduce_past(A: LocallyConstantPotential) -> dict[Word, Fraction]:
 
     Keys are the allowed (1 + future_depth)-words (y_0, x_0 .. x_{q-1}).
     Lossless for path/cycle optimization because the tail at each step of a
-    prepend path is a free choice, independent of every other step.
+    prepend path is a free choice, independent of every other step. At
+    past depth 1 the windows already are the edge keys, and A's own table
+    is returned.
     """
     p = A.past_depth
+    if p == 1:
+        return A.table
     weights: dict[Word, Fraction] = {}
     for full, v in A.table.items():
         key = full[p - 1:]

@@ -57,7 +57,9 @@ class NodeFunction:
     def __post_init__(self) -> None:
         if len(self.values) != len(self.graph.nodes):
             raise ValueError("one value per node required")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        values = self.values
+        if not (type(values) is tuple and {Fraction}.issuperset(map(type, values))):
+            object.__setattr__(self, "values", tuple(map(Fraction, values)))
 
     def __getitem__(self, node: int):
         return self.values[node]

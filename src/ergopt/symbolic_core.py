@@ -1,8 +1,8 @@
-"""Subshifts of finite type, their dual space, and exact point arithmetic.
+"""Subshifts of finite type and exact point arithmetic.
 
-Points of the one-sided shift space and of its dual (backward) space are kept
-in canonical eventually periodic form, so equality is structural and the
-word metric is exactly computable.
+Points of the one-sided shift space are kept in canonical eventually
+periodic form, so equality is structural and the word metric is exactly
+computable.
 """
 
 from __future__ import annotations
@@ -16,16 +16,12 @@ from .errors import ForbiddenTransition
 
 Word = tuple[int, ...]
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 
 @dataclass(frozen=True)
 class SubshiftSystem:
     """One-sided subshift of finite type with a fixed word metric.
 
-    transition[a][b] == 1 means the two-letter word (a, b) is allowed; the
-    backward space uses the same matrix read in reverse order.
+    transition[a][b] == 1 means the two-letter word (a, b) is allowed.
     """
 
     alphabet_size: int
@@ -83,7 +79,7 @@ def _primitive_root(word: Word) -> Word:
 
 @dataclass(frozen=True)
 class EventuallyPeriodicPoint:
-    """Point of the shift (or dual shift) space: preperiod then repeated period.
+    """Point of the shift space: preperiod then repeated period.
 
     Canonical form is enforced on construction: the period is primitive and
     the preperiod is as short as possible, so structural equality coincides
@@ -92,11 +88,8 @@ class EventuallyPeriodicPoint:
 
     preperiod: Word
     period: Word
-    orientation: str = FORWARD
 
     def __post_init__(self) -> None:
-        if self.orientation not in (FORWARD, BACKWARD):
-            raise ValueError(f"bad orientation {self.orientation!r}")
         pre = tuple(int(s) for s in self.preperiod)
         per = _primitive_root(tuple(int(s) for s in self.period))
         if not per:
@@ -120,13 +113,10 @@ class EventuallyPeriodicPoint:
     def is_valid(self, system: SubshiftSystem) -> bool:
         """Check every consecutive transition against the system."""
         w = self.preperiod + self.period + self.period[:1]
-        pairs = zip(w, w[1:])
-        if self.orientation == FORWARD:
-            return all(system.allows(a, b) for a, b in pairs)
-        return all(system.allows(b, a) for a, b in pairs)
+        return all(system.allows(a, b) for a, b in zip(w, w[1:]))
 
 
-def point(symbol_string: Iterable[int] | str, period: Iterable[int] | str, orientation: str = FORWARD) -> EventuallyPeriodicPoint:
+def point(symbol_string: Iterable[int] | str, period: Iterable[int] | str) -> EventuallyPeriodicPoint:
     """Convenience constructor accepting digit strings, e.g. point("0", "1")."""
 
     def conv(w: Iterable[int] | str) -> Word:
@@ -134,7 +124,7 @@ def point(symbol_string: Iterable[int] | str, period: Iterable[int] | str, orien
             return tuple(int(ch) for ch in w)
         return tuple(int(s) for s in w)
 
-    return EventuallyPeriodicPoint(conv(symbol_string), conv(period), orientation)
+    return EventuallyPeriodicPoint(conv(symbol_string), conv(period))
 
 
 @dataclass(frozen=True)
@@ -185,18 +175,14 @@ def classify_transitivity(system: SubshiftSystem) -> TransitivityReport:
 
 
 def prepend(system: SubshiftSystem, x: EventuallyPeriodicPoint, s: int) -> EventuallyPeriodicPoint:
-    """Push symbol s onto the front of a forward point."""
-    if x.orientation != FORWARD:
-        raise ValueError("prepend acts on forward points")
+    """Push symbol s onto the front of a point."""
     if not system.allows(s, x.symbol(0)):
         raise ForbiddenTransition(f"pair ({s}, {x.symbol(0)}) is not allowed")
-    return EventuallyPeriodicPoint((s,) + x.preperiod, x.period, FORWARD)
+    return EventuallyPeriodicPoint((s,) + x.preperiod, x.period)
 
 
 def distance(system: SubshiftSystem, x: EventuallyPeriodicPoint, y: EventuallyPeriodicPoint) -> Fraction:
     """Word metric lambda**k, k the first coordinate where the points disagree."""
-    if x.orientation != y.orientation:
-        raise ValueError("points must share an orientation")
     if x == y:
         return Fraction(0)
     horizon = (

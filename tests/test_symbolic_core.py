@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ergopt.errors import ForbiddenTransition
 from ergopt.symbolic_core import (
-    FORWARD,
     EventuallyPeriodicPoint,
     allowed_words,
     classify_transitivity,
@@ -147,7 +146,7 @@ class TestDistance:
         words = st.lists(st.integers(0, 1), min_size=0, max_size=3).map(tuple)
         pers = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
         pts = [
-            EventuallyPeriodicPoint(data.draw(words), data.draw(pers), FORWARD)
+            EventuallyPeriodicPoint(data.draw(words), data.draw(pers))
             for _ in range(3)
         ]
         x, y, z = pts
