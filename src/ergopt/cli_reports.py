@@ -4,10 +4,11 @@ Config files are flat sectioned text: ``[system]``, ``[potential]``, optional
 ``[constraints]`` and ``[solver]`` blocks of ``key = value`` lines, read as
 UTF-8 bytes with a leading byte-order mark dropped. Every weight is an exact
 rational string ("3", "-1/2"); floating literals are rejected at parse time
-so exactness survives the boundary. A window line of single-digit symbols
-and a value with no comment, most of a config, is read in one pass from
-its whitespace-split tokens; any other line, or a symbol such as '01', goes
-through the general reader, with the same result or error. Each distinct
+so exactness survives the boundary. A line ends only at CR LF, CR or LF, so
+a form feed or U+2028 inside a comment stays in the comment. One reader
+takes every line: it cuts off a '#' comment, splits the rest at the first
+'=', and looks a window or phi line's symbols up in a table of '0' to '9',
+reading any other symbol token (such as '01') with int(). Each distinct
 weight text is parsed once, and the windows go into the potential's table
 in one update. Reports are JSON (default) or CSV, byte-stable for a fixed
 config: rationals are emitted as "n/d" strings and floats appear only
@@ -133,10 +134,17 @@ def _parse_rational(text: str, line: int | None, field: str) -> Fraction:
     return Fraction(n, d)
 
 
+# the literals int() reads in base 10 with no space around them, as in a
+# config value; its digits are those \d matches
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
 def _parse_int(text: str, line: int, field: str) -> int:
     try:
         return int(text)
     except ValueError:
+        if _INT_LITERAL.fullmatch(text):  # past the interpreter's digit limit for int()
+            raise ConfigError(_TOO_LONG, line, field) from None
         raise ConfigError(f"expected an integer, got {text!r}", line, field) from None
 
 
@@ -168,53 +176,35 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     # each distinct weight text is parsed once; a bad one raises at its first line
     rationals: dict[str, Fraction] = {}
     symbol = _SYMBOLS.__getitem__
-    in_potential = False
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        # window lines are most of a config, so they are tested first:
-        # 'window', canonical symbols, '=' and a value with no '#' read as
-        # the general path below reads them
-        parts = raw.split()
-        if in_potential and len(parts) > 2 and parts[0] == "window" and parts[-2] == "=":
-            rhs = parts[-1]
-            value = rationals.get(rhs)
-            if value is not None or "#" not in rhs:
-                try:
-                    symbols = tuple(map(symbol, parts[1:-2]))
-                except KeyError:
-                    pass
-                else:
-                    if symbols in windows:
-                        raise ConfigError(f"duplicate window {symbols}", lineno, "window")
-                    if value is None:
-                        value = rationals[rhs] = _parse_rational(rhs, lineno, "window")
-                    windows[symbols] = value
-                    window_lines.append(lineno)
-                    continue
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        if line[0] == "[":
-            if not line.endswith("]"):
-                raise ConfigError("unterminated section header", lineno)
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ConfigError(f"unknown section {name!r}", lineno)
-            if name in section_lines:
-                raise ConfigError(f"duplicate section {name!r}", lineno)
-            section_lines[name] = lineno
-            section = name
-            in_potential = name == "potential"
-            continue
-        if section is None:
-            raise ConfigError("key before any section header", lineno)
-        lhs, eq, rhs = line.partition("=")
+    # a line ends at '\n', '\r\n' or '\r' only; str.splitlines would also end
+    # one at '\v', '\f', '\x1c'-'\x1e', U+0085, U+2028 or U+2029 in a comment
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        code = raw.partition("#")[0] if "#" in raw else raw
+        lhs, eq, rhs = code.partition("=")
         parts = lhs.split()
+        if not parts or parts[0][0] == "[" or section is None:
+            line = code.strip()
+            if not line:
+                continue
+            if line[0] == "[":
+                if not line.endswith("]"):
+                    raise ConfigError("unterminated section header", lineno)
+                name = line[1:-1].strip()
+                if name not in _SECTIONS:
+                    raise ConfigError(f"unknown section {name!r}", lineno)
+                if name in section_lines:
+                    raise ConfigError(f"duplicate section {name!r}", lineno)
+                section_lines[name] = lineno
+                section = name
+                continue
+            if section is None:
+                raise ConfigError("key before any section header", lineno)
         if not (eq and parts):
             raise ConfigError("expected 'key = value'", lineno)
         key = parts[0]
         rhs = rhs.strip()
-        if key == "window" and in_potential:
+        if key == "window" and section == "potential":
             table, lines = windows, window_lines
         elif key == "row" and section == "system":
             if len(parts) != 1:
@@ -230,8 +220,10 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
                 raise ConfigError(f"duplicate key {key!r}", lineno, key)
             scalars[(section, key)] = (rhs, lineno)
             continue
-        # a window or phi line the fast path above did not read
-        symbols = _parse_symbols(parts[1:], lineno, key)
+        try:
+            symbols = tuple(map(symbol, parts[1:]))
+        except KeyError:
+            symbols = _parse_symbols(parts[1:], lineno, key)
         if symbols in table:
             raise ConfigError(f"duplicate window {symbols}", lineno, key)
         value = rationals.get(rhs)
@@ -275,6 +267,8 @@ def _build_system(scalars, rows, header_line) -> SubshiftSystem:
         raise ConfigError("missing alphabet_size", header_line, "alphabet_size")
     size_text, size_line = scalars[("system", "alphabet_size")]
     size = _parse_int(size_text, size_line, "alphabet_size")
+    if size < 1:
+        raise ConfigError("alphabet_size must be >= 1", size_line, "alphabet_size")
     if size > 10:
         # report keys write each symbol as one decimal digit
         raise ConfigError("alphabet_size must be at most 10", size_line, "alphabet_size")

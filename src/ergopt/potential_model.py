@@ -169,7 +169,3 @@ class ConstraintSpec:
                 if len(vec) != len(comps):
                     raise ValueError(f"{name} length must match component count")
                 object.__setattr__(self, name, vec)
-
-    @property
-    def system(self) -> SubshiftSystem:
-        return self.components[0].system

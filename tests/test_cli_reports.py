@@ -42,6 +42,7 @@ from ergopt.subaction_lab import SCHEDULE_K_MAX
 from ergopt.symbolic_core import allowed_words
 
 from conftest import random_fraction, random_system, two_class_config_text, with_rows
+from test_command_gate import random_config
 
 MINIMAL = """
 [system]
@@ -101,6 +102,13 @@ def after(*lines: str) -> str:
 # past the interpreter's default limit of 4300 digits for int() of a string
 LONG = "1" * 5000
 
+# the characters besides CR and LF at which str.splitlines ends a line; in a
+# config they are whitespace, and a comment holding one goes on to the line end
+LINE_BREAKS = {
+    "\v": "vt", "\f": "ff", "\x1c": "fs", "\x1d": "gs", "\x1e": "rs",
+    "\x85": "nel", "\u2028": "ls", "\u2029": "ps",
+}
+
 
 # each config line's outcome: (message, line, field) of the ConfigError, or
 # the (word, value) it adds to the potential
@@ -143,6 +151,19 @@ LONG = "1" * 5000
         (after("[solver]", "schedule_k_max = 0"), ("schedule_k_max must be in [1, 64]", 13, "schedule_k_max")),
         (after("[solver]", "schedule_k_max = x"), ("expected an integer, got 'x'", 13, "schedule_k_max")),
         (after("[solver]", "seed = 0"), ("unknown key 'seed' in [solver]", 13, "seed")),
+        *[(after(f"# note{c}more", "window 0 1 = 2"), ((0, 1), Fraction(2))) for c in LINE_BREAKS],
+        (
+            MINIMAL.replace("past_depth = 1", f"past_depth = {LONG}"),
+            ("integer literal has too many digits", 8, "past_depth"),
+        ),
+        (
+            after("[solver]", f"schedule_k_max = {LONG}"),
+            ("integer literal has too many digits", 13, "schedule_k_max"),
+        ),
+        (
+            MINIMAL.replace("alphabet_size = 2", "alphabet_size = -1"),
+            ("alphabet_size must be >= 1", 3, "alphabet_size"),
+        ),
     ],
     ids=[
         "duplicate-section", "unknown-key", "decimal-weight", "zero-denominator", "long-weight",
@@ -151,6 +172,8 @@ LONG = "1" * 5000
         "no-equals", "no-key", "window-in-system", "disallowed-word", "leading-zero", "tabs",
         "comment-after-value", "comment-touching-value", "no-phi", "phi-gap", "c-and-h", "c-length",
         "k-max-range", "k-max-text", "solver-key",
+        *[f"comment-holds-{name}" for name in LINE_BREAKS.values()],
+        "long-past-depth", "long-k-max", "alphabet-below-one",
     ],
 )
 def test_parse_pins(text, expected):
@@ -227,6 +250,48 @@ def test_a_repeated_bad_weight_text_fails_at_its_first_line(field):
     assert err.value.line == len(bad.splitlines()) - 1
     assert err.value.field == field
     assert "zero denominator" in str(err.value)
+
+
+def respell(rng: random.Random, text: str) -> str:
+    """The config text with its window, phi and row lines spelt another way.
+
+    Tokens are parted by tabs or runs of spaces, '=' may touch either side,
+    a symbol may have leading zeros, a weight may carry '+', a comment may
+    touch the value, and the lines end in LF, CR LF or CR.
+    """
+
+    def gap() -> str:
+        return rng.choice((" ", "  ", "\t", " \t "))
+
+    lines = []
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        words = key.split()
+        if not words or not (words[0] in ("row", "window") or words[0].startswith("phi")):
+            lines.append(line)
+            continue
+        entries = value.split() if words[0] == "row" else words[1:]
+        symbols = [rng.choice(("", "", "", "0", "00")) + s for s in entries]
+        if words[0] == "row":
+            lhs, rhs = "row", symbols[0] + "".join(gap() + s for s in symbols[1:])
+        else:
+            lhs = words[0] + "".join(gap() + s for s in symbols)
+            rhs = value if value.startswith("-") or rng.random() < 0.5 else "+" + value
+        eq = rng.choice(("", " ", "\t")) + "=" + rng.choice(("", " ", "\t"))
+        comment = rng.choice(("", "#", "# note", " #x", "\t# = 1"))
+        lines.append(rng.choice(("", " ", "\t")) + lhs + eq + rhs + comment)
+    end = rng.choice(("\n", "\r\n", "\r"))
+    return end.join(lines) + end
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_equivalent_spellings_parse_to_an_equal_config(seed):
+    rng = random.Random(seed)
+    for i in range(25):
+        text = random_config(rng, i)
+        variant = respell(rng, text)
+        assert variant != text
+        assert parse_config_text(variant) == parse_config_text(text), variant
 
 
 def test_key_before_section():
