@@ -7,10 +7,9 @@ rational string ("3", "-1/2"); floating literals are rejected at parse time
 so exactness survives the boundary. A line ends only at CR LF, CR or LF, so
 a form feed or U+2028 inside a comment stays in the comment. One reader
 takes every line: it cuts off a '#' comment, splits the rest at the first
-'=', and looks a window or phi line's symbols up in a table of '0' to '9',
-reading any other symbol token (such as '01') with int(). Each distinct
-weight text is parsed once, and the windows go into the potential's table
-in one update. Reports are JSON (default) or CSV, byte-stable for a fixed
+'=', and reads the symbol tokens of a window, phi or row line with int().
+Each distinct weight text is parsed once, and the windows go into the
+potential's table in one update. Reports are JSON (default) or CSV, byte-stable for a fixed
 config: rationals are emitted as "n/d" strings and floats appear only
 inside discount traces. The excursion matrix is turned into text one int
 row over D at a time, and both its formats are written from each row's
@@ -159,10 +158,6 @@ def _parse_symbols(tokens: Sequence[str], line: int, field: str) -> Word:
         raise ConfigError(_TOO_LONG, line, field) from None
 
 
-# the canonical symbol tokens; any other token is read by _parse_symbols
-_SYMBOLS = {str(s): s for s in range(10)}
-
-
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     """Parse sectioned key-value config text into an ExperimentConfig."""
     section: str | None = None
@@ -175,31 +170,28 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     phi_entries: dict[int, tuple[dict[Word, Fraction], list[int]]] = {}
     # each distinct weight text is parsed once; a bad one raises at its first line
     rationals: dict[str, Fraction] = {}
-    symbol = _SYMBOLS.__getitem__
 
     # a line ends at '\n', '\r\n' or '\r' only; str.splitlines would also end
     # one at '\v', '\f', '\x1c'-'\x1e', U+0085, U+2028 or U+2029 in a comment
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
-        code = raw.partition("#")[0] if "#" in raw else raw
-        lhs, eq, rhs = code.partition("=")
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if line[0] == "[":
+            if not line.endswith("]"):
+                raise ConfigError("unterminated section header", lineno)
+            name = line[1:-1].strip()
+            if name not in _SECTIONS:
+                raise ConfigError(f"unknown section {name!r}", lineno)
+            if name in section_lines:
+                raise ConfigError(f"duplicate section {name!r}", lineno)
+            section_lines[name] = lineno
+            section = name
+            continue
+        if section is None:
+            raise ConfigError("key before any section header", lineno)
+        lhs, eq, rhs = line.partition("=")
         parts = lhs.split()
-        if not parts or parts[0][0] == "[" or section is None:
-            line = code.strip()
-            if not line:
-                continue
-            if line[0] == "[":
-                if not line.endswith("]"):
-                    raise ConfigError("unterminated section header", lineno)
-                name = line[1:-1].strip()
-                if name not in _SECTIONS:
-                    raise ConfigError(f"unknown section {name!r}", lineno)
-                if name in section_lines:
-                    raise ConfigError(f"duplicate section {name!r}", lineno)
-                section_lines[name] = lineno
-                section = name
-                continue
-            if section is None:
-                raise ConfigError("key before any section header", lineno)
         if not (eq and parts):
             raise ConfigError("expected 'key = value'", lineno)
         key = parts[0]
@@ -211,8 +203,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
                 raise ConfigError("row takes its entries on the right of '='", lineno, "row")
             rows.append((_parse_symbols(rhs.split(), lineno, "row"), lineno))
             continue
-        elif section == "constraints" and re.fullmatch(r"phi[1-9]\d*", key):
-            table, lines = phi_entries.setdefault(int(key[3:]), ({}, []))
+        elif section == "constraints" and re.fullmatch(r"phi[1-9][0-9]*", key):
+            table, lines = phi_entries.setdefault(_parse_int(key[3:], lineno, key), ({}, []))
         else:
             if len(parts) != 1:
                 raise ConfigError(f"unexpected tokens after key {key!r}", lineno, key)
@@ -220,10 +212,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
                 raise ConfigError(f"duplicate key {key!r}", lineno, key)
             scalars[(section, key)] = (rhs, lineno)
             continue
-        try:
-            symbols = tuple(map(symbol, parts[1:]))
-        except KeyError:
-            symbols = _parse_symbols(parts[1:], lineno, key)
+        symbols = _parse_symbols(parts[1:], lineno, key)
         if symbols in table:
             raise ConfigError(f"duplicate window {symbols}", lineno, key)
         value = rationals.get(rhs)

@@ -164,6 +164,14 @@ LINE_BREAKS = {
             MINIMAL.replace("alphabet_size = 2", "alphabet_size = -1"),
             ("alphabet_size must be >= 1", 3, "alphabet_size"),
         ),
+        (
+            after("[constraints]", f"phi1{LONG} 0 0 = 1", "c = 1"),
+            ("integer literal has too many digits", 13, f"phi1{LONG}"),
+        ),
+        (
+            after("[constraints]", "phi1\u0660 0 0 = 1", "c = 1"),
+            ("unexpected tokens after key 'phi1\u0660'", 13, "phi1\u0660"),
+        ),
     ],
     ids=[
         "duplicate-section", "unknown-key", "decimal-weight", "zero-denominator", "long-weight",
@@ -173,7 +181,7 @@ LINE_BREAKS = {
         "comment-after-value", "comment-touching-value", "no-phi", "phi-gap", "c-and-h", "c-length",
         "k-max-range", "k-max-text", "solver-key",
         *[f"comment-holds-{name}" for name in LINE_BREAKS.values()],
-        "long-past-depth", "long-k-max", "alphabet-below-one",
+        "long-past-depth", "long-k-max", "alphabet-below-one", "long-phi-index", "arabic-indic-phi-index",
     ],
 )
 def test_parse_pins(text, expected):
