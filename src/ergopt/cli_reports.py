@@ -56,7 +56,7 @@ from .errors import (
     OracleBudgetExceeded,
 )
 from .graph_engine import (
-    ManeMatrix,
+    BetaResult,
     PrependGraph,
     build_prepend_graph,
     max_mean_cycle,
@@ -274,6 +274,8 @@ def _build_system(scalars, rows, header_line) -> SubshiftSystem:
     for row, lineno in rows:
         if len(row) != size or any(v not in (0, 1) for v in row):
             raise ConfigError(f"row must hold {size} entries of 0 or 1", lineno, "row")
+        if not any(row):
+            raise ConfigError("every transition row needs at least one 1", lineno, "row")
     try:
         return SubshiftSystem(size, tuple(row for row, _ in rows), lam)
     except ValueError as exc:
@@ -694,7 +696,7 @@ def _check_items(
 
 
 def _excursion_cost_defect(
-    graph: PrependGraph, beta: Fraction, mane: ManeMatrix
+    graph: PrependGraph, beta: Fraction, mane: BetaResult
 ) -> str | None:
     """Where the excursion matrix differs from the least path costs, or None.
 

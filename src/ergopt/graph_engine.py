@@ -19,17 +19,17 @@ certifies it and gives the potential h. Karp's algorithm is kept in the
 tests as a reference, as are Floyd-Warshall and Tarjan; the parametric
 route and the circulation LP are the other two independent routes to beta.
 
-The excursion-cost matrix lives at the graph's own beta and comes from
-Johnson's method: the Bellman potential that ``max_mean_cycle`` kept
-reweights every arc to a cost >= 0, and row s is one label-correcting search
-from s on those reweighted costs, shifted back by the potential. A row is
-searched when it is first read, so a caller pays only for the rows it
-reads. The matrix stays on ints: ``ManeMatrix`` holds the costs over their
-denominator D and builds a Fraction only when an entry is read. The
-critical structure tests only the tight arcs inside the tight core (what is
-left of the tight subgraph once nodes without a tight in-arc or out-arc
-are peeled off), so it reads only the core's rows; the critical classes
-are the connected components of the critical edges.
+The excursion-cost matrix lives at the graph's own beta, on its
+``BetaResult``, and comes from Johnson's method: the Bellman potential that
+certifies beta reweights every arc to a cost >= 0, and row s is one
+label-correcting search from s on those reweighted costs, shifted back by
+the potential. A row is searched when it is first read, so a caller pays
+only for the rows it reads. The rows stay ints over the denominator D, and
+a Fraction is built only when an entry is read. The critical structure
+tests only the tight arcs inside the tight core (what is left of the tight
+subgraph once nodes without a tight in-arc or out-arc are peeled off), so
+it reads only the core's rows; the critical classes are the connected
+components of the critical edges.
 
 Each graph keeps what it has computed, so nothing is computed twice for
 one graph:
@@ -38,24 +38,22 @@ one graph:
   (``_scale_out_arcs``), the one int arc table it keeps: policy iteration,
   the discounted route and the edge slacks of ``subaction_lab`` read it,
   and ``_scaled_costs`` shifts it to the costs b - weight for any b;
-- its ``BetaResult``, so policy iteration and the search for h run once;
-  it keeps the arcs at beta and the tight core, which the critical
-  structure reads, and the canonical witness cycle is searched once, in
-  the core, and only when read (``max_mean_cycle``);
-- its excursion-cost matrix at beta, built from the kept Bellman potential
-  and arcs with no search for h of its own, and each row of it once read
-  (``min_cost_all_pairs``).
+- its ``BetaResult`` (``max_mean_cycle``, ``min_cost_all_pairs``), so
+  policy iteration and the search for h run once; it keeps the arcs at
+  beta, the tight core, which the critical structure reads, and each
+  excursion row once read, and searches the canonical witness cycle once,
+  in the core, and only when read.
 
 One least-cost search, ``_label_correcting``, serves every least-cost
 problem but the parametric route: the Bellman potential at beta and, in
 ``subaction_lab``, the maximal sub-action on reversed arcs (both
 ``_bellman_ints``, every node seeded at 0), each excursion row and
-``ManeMatrix.least_into``. It scans in FIFO passes and gives up when a
+``BetaResult.least_into``. It scans in FIFO passes and gives up when a
 pass n + 1 would start, which only a negative cycle reaches. The parametric
 route keeps its own Bellman-Ford rounds (``_relax``), so it shares no loop
-with the certificate of policy iteration's beta: its improving cycle
-(``_negative_cycle``) walks the predecessor arcs after each round, in
-O(n), and stops at the first cycle they close.
+with the certificate of policy iteration's beta: after each round, its
+improving cycle (``_negative_cycle``) reads the cycles of the predecessor
+arcs with ``_policy_split``, in O(n), and stops at the first.
 """
 
 from __future__ import annotations
@@ -114,10 +112,6 @@ class PrependGraph:
     @cached_property
     def _beta_result(self) -> BetaResult:
         return _solve_max_mean_cycle(self)
-
-    @cached_property
-    def _mane(self) -> ManeMatrix:
-        return _solve_min_cost_all_pairs(self)
 
     def out_edges(self, src: int) -> tuple[Edge, ...]:
         return self._out[src]
@@ -212,13 +206,27 @@ def _relax(
 
 
 class BetaResult:
-    """beta, its canonical witness cycle and the Bellman potential h at beta.
+    """beta, its canonical witness cycle, the Bellman potential h at beta and
+    the excursion costs at beta.
 
     beta, h and the scaled arcs of beta - weight, as ints over D, come with
     the result, which finds the indices of the tight-core arcs
-    (``_tight_core_arcs``); the witness cycle and h as Fractions are built
-    when first read. The result holds the graph's edges, never the graph
-    itself, so a graph that keeps its result forms no reference cycle.
+    (``_tight_core_arcs``); the witness cycle, h as Fractions, the
+    reweighted arcs and each excursion row are built when first read. The
+    result holds the graph's edges, never the graph itself, so a graph that
+    keeps its result forms no reference cycle.
+
+    The excursion costs are the least costs of nonempty paths between node
+    pairs, as ints over D; None encodes an unreachable pair (possible only
+    off strongly connected graphs). They come from Johnson's method (1977):
+    h is a least cost from a super-source and no arc can lower it further,
+    so h[tgt] <= h[src] + c on every arc (src, tgt, c), every reweighted
+    cost c + h[src] - h[tgt] is >= 0, and a path's reweighted cost is its
+    cost plus h[s] - h[v] for its ends s and v. Row s is one label-correcting
+    search from s over the reweighted arcs, run on first read (``row``);
+    ``cost`` and ``value`` read rows, and ``least_into`` searches the
+    reversed arcs once for the least costs into a set of targets and reads
+    no row.
     """
 
     def __init__(
@@ -235,6 +243,7 @@ class BetaResult:
         self.arcs = arcs
         self.core = tuple(_tight_core_arcs(len(h), arcs, h))
         self._edges = edges
+        self._rows: list[tuple[int | None, ...] | None] = [None] * len(h)
 
     @cached_property
     def witness_cycle(self) -> tuple[Edge, ...]:
@@ -252,6 +261,58 @@ class BetaResult:
     def potential(self) -> tuple[Fraction, ...]:
         """h as exact Fractions."""
         return tuple(Fraction(x, self.D) for x in self.h)
+
+    @cached_property
+    def out(self) -> list[list[tuple[int, int]]]:
+        """out[v]: the arcs (t, c + h[v] - h[t]) leaving v, each cost >= 0."""
+        h = self.h
+        out: list[list[tuple[int, int]]] = [[] for _ in h]
+        for a, b, c in self.arcs:
+            out[a].append((b, c + h[a] - h[b]))
+        return out
+
+    def row(self, src: int) -> tuple[int | None, ...]:
+        """The excursion costs over D from src to every node, searched on first read."""
+        row = self._rows[src]
+        if row is None:
+            row = self._rows[src] = self._build_row(src)
+        return row
+
+    def _build_row(self, src: int) -> tuple[int | None, ...]:
+        # seeded with the out-arcs of src, never with the empty path, so
+        # the diagonal entry is the least cost of a nonempty cycle
+        INF, hs = math.inf, self.h[src]
+        dist = _label_correcting(self.out, self.out[src])
+        return tuple([
+            None if d == INF else d - hs + hv  # type: ignore[misc]
+            for d, hv in zip(dist, self.h)
+        ])
+
+    @property
+    def cost(self) -> tuple[tuple[int | None, ...], ...]:
+        """Every row; reading it searches from each source not yet read."""
+        return tuple(self.row(s) for s in range(len(self.h)))
+
+    def value(self, src: int, tgt: int) -> Fraction | None:
+        c = self.row(src)[tgt]
+        return None if c is None else Fraction(c, self.D)
+
+    def least_into(self, seeds: Sequence[tuple[int, int]], m: int) -> list[int | None]:
+        """min over the seeds (t, f) of f + m * cost(v -> t), for every node v.
+
+        The costs are over D, so f and the result are over D * m. The path
+        from v to t may be empty, which gives f at v = t. One multi-source
+        search on the reversed reweighted arcs scaled by m, seeded at each t
+        with f + m * h[t]; None marks a node that reaches no seed.
+        """
+        h = self.h
+        into: list[list[tuple[int, int]]] = [[] for _ in h]
+        for v, arcs in enumerate(self.out):
+            for t, c in arcs:
+                into[t].append((v, c * m))
+        dist = _label_correcting(into, [(t, f + m * h[t]) for t, f in seeds])
+        INF = math.inf
+        return [None if d == INF else d - m * hv for d, hv in zip(dist, h)]  # type: ignore[misc]
 
 
 def _policy_iteration(out: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
@@ -482,7 +543,9 @@ def _negative_cycle(graph: PrependGraph, b: Fraction) -> tuple[Edge, ...] | None
     Bellman-Ford on the costs b - weight, stopped at the first round after
     which the predecessor arcs close a cycle: every such cycle costs less
     than 0, and when some cycle does, one closes within n + 1 rounds. A
-    round that changes nothing proves there is none.
+    round that changes nothing proves there is none. The cycles are those
+    of the map from each node to the source of its predecessor arc
+    (``_policy_split``); a node with none maps to itself and closes no cycle.
     """
     n = len(graph.nodes)
     _, arcs = _scaled_costs(graph, b)
@@ -491,40 +554,11 @@ def _negative_cycle(graph: PrependGraph, b: Fraction) -> tuple[Edge, ...] | None
     for _ in range(n + 1):
         if _relax(arcs, dist, pred) is None:
             return None
-        cycle = _predecessor_cycle(arcs, pred)
-        if cycle is not None:
-            return tuple(graph.edges[i] for i in cycle)
+        succ = [v if i is None else arcs[i][0] for v, i in enumerate(pred)]
+        for cycle in _policy_split(succ)[0]:
+            if pred[cycle[0]] is not None:
+                return tuple(graph.edges[pred[v]] for v in reversed(cycle))  # type: ignore[index]
     raise AssertionError("a node lowered in round n + 1 closes no predecessor cycle")
-
-
-def _predecessor_cycle(
-    arcs: Sequence[tuple[int, int, int]], pred: list[int | None]
-) -> list[int] | None:
-    """The arc indices, in path order, of the first cycle of predecessor arcs.
-
-    Walks back from each node in turn, in O(n) over all walks: a node is
-    unvisited, on the current walk (stamped with its start) or done; a walk
-    that meets its own stamp has closed a cycle.
-    """
-    stamp = [0] * len(pred)
-    for start in range(1, len(pred) + 1):
-        v: int | None = start - 1
-        while v is not None and not stamp[v]:
-            stamp[v] = start
-            i = pred[v]
-            v = None if i is None else arcs[i][0]
-        if v is not None and stamp[v] == start:
-            cycle = []
-            u = v
-            while True:
-                i = pred[u]
-                cycle.append(i)
-                u = arcs[i][0]
-                if u == v:
-                    break
-            cycle.reverse()
-            return cycle
-    return None
 
 
 def parametric_beta(graph: PrependGraph) -> Fraction:
@@ -595,108 +629,14 @@ def _label_correcting(
     return None if queue else dist
 
 
-class ManeMatrix:
-    """Minimum cost of a nonempty path between node pairs, costs beta - weight.
-
-    Entries are ints over D, the common denominator of beta and the
-    weights; None encodes an unreachable pair (possible only off strongly
-    connected graphs). The matrix holds the Bellman potential h over D and
-    every arc reweighted by it, c + h[src] - h[tgt] >= 0 (Johnson 1977), and
-    fills row s only when it is first read: one label-correcting search
-    from s over the reweighted arcs (``row``). ``cost``, ``value`` and
-    ``phi`` read rows; ``least_into`` searches the reversed arcs once for
-    the least costs into a set of targets, and reads no row.
-    """
-
-    def __init__(
-        self,
-        beta: Fraction,
-        D: int,
-        h: Sequence[int],
-        out: Sequence[Sequence[tuple[int, int]]],
-    ) -> None:
-        self.beta = beta
-        self.D = D
-        self.h = h
-        self.out = out  # out[v]: the arcs (t, reweighted cost) leaving v
-        self._rows: list[tuple[int | None, ...] | None] = [None] * len(h)
-
-    def row(self, src: int) -> tuple[int | None, ...]:
-        """The costs over D from src to every node, searched on first read."""
-        row = self._rows[src]
-        if row is None:
-            row = self._rows[src] = self._build_row(src)
-        return row
-
-    def _build_row(self, src: int) -> tuple[int | None, ...]:
-        # seeded with the out-arcs of src, never with the empty path, so
-        # the diagonal entry is the least cost of a nonempty cycle
-        INF, hs = math.inf, self.h[src]
-        dist = _label_correcting(self.out, self.out[src])
-        return tuple([
-            None if d == INF else d - hs + hv  # type: ignore[misc]
-            for d, hv in zip(dist, self.h)
-        ])
-
-    @property
-    def cost(self) -> tuple[tuple[int | None, ...], ...]:
-        """Every row; reading it searches from each source not yet read."""
-        return tuple(self.row(s) for s in range(len(self.h)))
-
-    def value(self, src: int, tgt: int) -> Fraction | None:
-        c = self.row(src)[tgt]
-        return None if c is None else Fraction(c, self.D)
-
-    @cached_property
-    def phi(self) -> tuple[tuple[Fraction | None, ...], ...]:
-        """Every entry as an exact Fraction."""
-        n = len(self.h)
-        return tuple(tuple(self.value(i, j) for j in range(n)) for i in range(n))
-
-    def least_into(self, seeds: Sequence[tuple[int, int]], m: int) -> list[int | None]:
-        """min over the seeds (t, f) of f + m * cost(v -> t), for every node v.
-
-        The costs are over D, so f and the result are over D * m. The path
-        from v to t may be empty, which gives f at v = t. One multi-source
-        search on the reversed reweighted arcs scaled by m, seeded at each t
-        with f + m * h[t]; None marks a node that reaches no seed.
-        """
-        h = self.h
-        into: list[list[tuple[int, int]]] = [[] for _ in h]
-        for v, arcs in enumerate(self.out):
-            for t, c in arcs:
-                into[t].append((v, c * m))
-        dist = _label_correcting(into, [(t, f + m * h[t]) for t, f in seeds])
-        INF = math.inf
-        return [None if d == INF else d - m * hv for d, hv in zip(dist, h)]  # type: ignore[misc]
-
-
-def min_cost_all_pairs(graph: PrependGraph) -> ManeMatrix:
+def min_cost_all_pairs(graph: PrependGraph) -> BetaResult:
     """Least costs of nonempty paths between all node pairs, costs beta - weight.
 
-    beta is the graph's own maximum mean. The matrix is kept on the graph,
-    so a repeated call returns the same object, with the rows read so far.
+    beta is the graph's own maximum mean, and the costs are the rows of its
+    ``BetaResult``, so a repeated call returns the same object, with the rows
+    read so far.
     """
-    return graph._mane
-
-
-def _solve_min_cost_all_pairs(graph: PrependGraph) -> ManeMatrix:
-    """Johnson's reweighting by the kept Bellman potential; no row searched yet.
-
-    The potential h of ``BetaResult``, as ints over D, satisfies
-    h[tgt] <= h[src] + c on every scaled arc (src, tgt, c), since h is a
-    least cost from a super-source and no arc can lower it further. So
-    every reweighted cost c + h[src] - h[tgt] is >= 0, and a path's
-    reweighted cost is its cost plus h[s] - h[v] for its ends s and v. On
-    random full shifts of 64-256 nodes a row search scanned each node about
-    2-2.5 times.
-    """
-    result = graph._beta_result
-    D, h = result.D, result.h
-    out: list[list[tuple[int, int]]] = [[] for _ in h]
-    for a, b, c in result.arcs:
-        out[a].append((b, c + h[a] - h[b]))
-    return ManeMatrix(result.beta, D, h, out)
+    return graph._beta_result
 
 
 @dataclass(frozen=True)
@@ -760,8 +700,7 @@ def critical_structure(graph: PrependGraph) -> CriticalStructure:
     are then checked against the matrix: 0 from each anchor to every
     member of its class, > 0 between two anchors.
     """
-    result = graph._beta_result
-    mane = min_cost_all_pairs(graph)
+    result = min_cost_all_pairs(graph)
     arcs = result.arcs
     n = len(graph.nodes)
     root = list(range(n))
@@ -775,7 +714,7 @@ def critical_structure(graph: PrependGraph) -> CriticalStructure:
     edge_ids = []
     for i in result.core:
         src, tgt, c = arcs[i]
-        back = mane.row(tgt)[src]
+        back = result.row(tgt)[src]
         if back is not None and c + back == 0:
             edge_ids.append(i)
             root[find(src)] = find(tgt)
@@ -785,11 +724,11 @@ def critical_structure(graph: PrependGraph) -> CriticalStructure:
     for v in sorted(nodes):
         classes.setdefault(find(v), []).append(v)
     structure = CriticalStructure(
-        mane.beta, nodes, frozenset(edge_ids), tuple(map(tuple, classes.values()))
+        result.beta, nodes, frozenset(edge_ids), tuple(map(tuple, classes.values()))
     )
 
     def round_trip(u: int, v: int) -> int | None:
-        there, back = mane.row(u)[v], mane.row(v)[u]
+        there, back = result.row(u)[v], result.row(v)[u]
         return None if there is None or back is None else there + back
 
     anchors = structure.anchors()

@@ -21,9 +21,9 @@ from typing import Iterable
 
 from .errors import NotCalibrated, NotInOmega, NotTransitive
 from .graph_engine import (
+    BetaResult,
     CriticalStructure,
     Edge,
-    ManeMatrix,
     PrependGraph,
     critical_structure,
     max_mean_cycle,
@@ -40,7 +40,7 @@ class OmegaSet:
     graph: PrependGraph
     beta: Fraction
     critical: CriticalStructure
-    mane: ManeMatrix
+    mane: BetaResult
 
 
 def omega_set(graph: PrependGraph) -> OmegaSet:
@@ -79,7 +79,7 @@ def _least_into(omega: OmegaSet, seeds: Iterable[tuple[int, Fraction]]) -> tuple
     """min over the seeds (t, f) of f + phi(V -> t), for every node V.
 
     The seed values and the int excursion costs over D go on one common
-    denominator L, so one search over ints (``ManeMatrix.least_into``)
+    denominator L, so one search over ints (``BetaResult.least_into``)
     gives every node's minimum. The path to t may be empty, which gives f
     at t itself; for a critical t, phi(t -> t) = 0, so the nonempty
     minimum is the same. A node that reaches no seed raises AssertionError.

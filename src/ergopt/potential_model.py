@@ -82,12 +82,8 @@ def reduce_past(A: LocallyConstantPotential) -> dict[Word, Fraction]:
     return weights
 
 
-def _as_word_table(f) -> tuple[dict[Word, Fraction], int]:
-    """Accept either a mapping word -> value or a graph-aligned node function."""
-    graph = getattr(f, "graph", None)
-    if graph is not None:
-        values = f.values
-        return {graph.nodes[i]: Fraction(values[i]) for i in range(len(graph.nodes))}, graph.q
+def _as_word_table(f: Mapping) -> tuple[dict[Word, Fraction], int]:
+    """A mapping word -> value as a table of Fractions, and its word length."""
     table = {tuple(k): _as_fraction(v) for k, v in dict(f).items()}
     if not table:
         raise ValueError("empty word table")
@@ -97,7 +93,7 @@ def _as_word_table(f) -> tuple[dict[Word, Fraction], int]:
     return table, qs.pop()
 
 
-def coboundary_modify(A: LocallyConstantPotential, f, const) -> LocallyConstantPotential:
+def coboundary_modify(A: LocallyConstantPotential, f: Mapping, const) -> LocallyConstantPotential:
     """Add the coboundary of a depth-q word function plus a constant.
 
     The new table satisfies, at every paired point,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -137,16 +138,15 @@ def random_graph(rng: random.Random, r: int, q: int, max_den: int = 10, p: int =
     return build_prepend_graph(system, A)
 
 
-def with_rows(mane, rows):
-    """A copy of the excursion matrix that returns the given rows as read.
+def with_rows(result, rows):
+    """A copy of a graph's ``BetaResult`` that returns the given excursion rows as read.
 
     rows maps a source to its tampered row; every other row is searched on
     first read, as in the original.
     """
-    from ergopt.graph_engine import ManeMatrix
-
-    copy = ManeMatrix(mane.beta, mane.D, mane.h, mane.out)
+    tampered = copy.copy(result)
+    tampered._rows = list(result._rows)
     for src, row in rows.items():
-        copy._rows[src] = tuple(row)
-    return copy
+        tampered._rows[src] = tuple(row)
+    return tampered
 

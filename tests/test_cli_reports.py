@@ -35,7 +35,7 @@ from ergopt.cli_reports import (
     render_report,
 )
 from ergopt.errors import ConfigError
-from ergopt.graph_engine import ManeMatrix, build_prepend_graph, critical_structure
+from ergopt.graph_engine import BetaResult, build_prepend_graph, critical_structure
 from ergopt.mane_aubry import omega_set
 from ergopt.oracle_bruteforce import BETA_WORD_BUDGET
 from ergopt.subaction_lab import SCHEDULE_K_MAX
@@ -101,6 +101,11 @@ def after(*lines: str) -> str:
 
 # past the interpreter's default limit of 4300 digits for int() of a string
 LONG = "1" * 5000
+
+# the golden-mean shift, which forbids the word 1 1, with its weight moved off it
+GOLDEN_MINIMAL = MINIMAL.replace("row = 1 1\n\n", "row = 1 0\n\n").replace(
+    "window 1 1 = 1", "window 1 0 = 1"
+)
 
 # the characters besides CR and LF at which str.splitlines ends a line; in a
 # config they are whitespace, and a comment holding one goes on to the line end
@@ -172,6 +177,55 @@ LINE_BREAKS = {
             after("[constraints]", "phi1\u0660 0 0 = 1", "c = 1"),
             ("unexpected tokens after key 'phi1\u0660'", 13, "phi1\u0660"),
         ),
+        (after("[solver"), ("unterminated section header", 12, None)),
+        (after("[extra]"), ("unknown section 'extra'", 12, None)),
+        (
+            MINIMAL.replace("row = 1 1", "row 1 = 1", 1),
+            ("row takes its entries on the right of '='", 4, "row"),
+        ),
+        (
+            MINIMAL.replace("future_depth = 1", "future_depth = 1\nfuture_depth = 1"),
+            ("duplicate key 'future_depth'", 10, "future_depth"),
+        ),
+        (
+            MINIMAL[: MINIMAL.index("[potential]")],
+            ("missing [potential] section in <string>", None, None),
+        ),
+        (
+            MINIMAL.replace("alphabet_size = 2\n", ""),
+            ("missing alphabet_size", 2, "alphabet_size"),
+        ),
+        (
+            MINIMAL.replace("alphabet_size = 2", "alphabet_size = 2\nlambda = 1"),
+            ("lambda must lie strictly between 0 and 1", 4, "lambda"),
+        ),
+        (MINIMAL.replace("row = 1 1\n\n", "row = 1\n\n"), ("row must hold 2 entries of 0 or 1", 5, "row")),
+        (
+            MINIMAL.replace("row = 1 1\n\n", "row = 0 0\n\n"),
+            ("every transition row needs at least one 1", 5, "row"),
+        ),
+        (
+            MINIMAL.replace("row = 1 1\nrow = 1 1", "row = 1 0\nrow = 1 0"),
+            ("every transition column needs at least one 1", 2, None),
+        ),
+        (MINIMAL.replace("past_depth = 1\n", ""), ("missing past_depth", 7, "past_depth")),
+        (
+            MINIMAL.replace("future_depth = 1", "future_depth = 0"),
+            ("future_depth must be >= 1", 9, "future_depth"),
+        ),
+        (
+            after("[constraints]", "phi1 0 0 = 1", "phi1 0 0 1 = 1", "c = 1"),
+            ("phi1 windows differ in length", 13, "phi1"),
+        ),
+        (after("[constraints]", "phi1 0 = 1", "c = 1"), ("phi1 windows need >= 2 symbols", 13, "phi1")),
+        (
+            after("[constraints]", "phi1 0 2 = 1", "c = 1"),
+            ("window symbol outside the alphabet", 13, "phi1"),
+        ),
+        (
+            GOLDEN_MINIMAL + "\n[constraints]\nphi1 1 1 = 1\nc = 1\n",
+            ("windows not allowed by the transition matrix: [(1, 1)]", 13, "phi1"),
+        ),
     ],
     ids=[
         "duplicate-section", "unknown-key", "decimal-weight", "zero-denominator", "long-weight",
@@ -182,6 +236,10 @@ LINE_BREAKS = {
         "k-max-range", "k-max-text", "solver-key",
         *[f"comment-holds-{name}" for name in LINE_BREAKS.values()],
         "long-past-depth", "long-k-max", "alphabet-below-one", "long-phi-index", "arabic-indic-phi-index",
+        "unterminated-section", "unknown-section", "row-tokens-left-of-equals", "duplicate-key",
+        "no-potential-section", "no-alphabet-size", "lambda-range", "short-row", "empty-row",
+        "empty-column", "no-past-depth", "future-depth-zero", "phi-widths-differ", "phi-width-one",
+        "phi-outside-alphabet", "phi-forbidden-window",
     ],
 )
 def test_parse_pins(text, expected):
@@ -621,24 +679,40 @@ F5_DEPTH_TWO = MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
 )
 
 
+def tamper_rows(monkeypatch, text, rows_of):
+    """Make the graph of config text read the excursion rows rows_of(graph, result) gives.
+
+    Patches the beta solve, whose result holds the rows; every other graph,
+    such as check's refined and negated ones, keeps its own rows.
+    """
+    potential = parse_config_text(text).potential
+    solve = graph_engine._solve_max_mean_cycle
+
+    def tampered(graph):
+        result = solve(graph)
+        if graph.potential != potential:
+            return result
+        return with_rows(result, rows_of(graph, result))
+
+    monkeypatch.setattr(graph_engine, "_solve_max_mean_cycle", tampered)
+
+
 def test_check_fails_a_zero_diagonal_off_the_critical_nodes(tmp_path, capsys, monkeypatch):
     # the f5 loops at depth 2: the 2-cycle 01 <-> 10 weighs 0, so neither
     # node is critical, and neither has a loop, so no critical-edge test
     # reads its diagonal entry
     path = tmp_path / "f5q2.cfg"
     path.write_text(F5_DEPTH_TWO)
-    solve = graph_engine._solve_min_cost_all_pairs
 
-    def zero_diagonal_at_01(graph):
-        mane = solve(graph)
+    def zero_diagonal_at_01(graph, mane):
         v = graph.node_index[(0, 1)]
         if any(e.src == v == e.tgt for e in graph.edges) or mane.cost[v][v] == 0:
             raise AssertionError("node 01 must be off the critical nodes and carry no loop")
         row = list(mane.row(v))
         row[v] = 0
-        return with_rows(mane, {v: row})
+        return {v: row}
 
-    monkeypatch.setattr(graph_engine, "_solve_min_cost_all_pairs", zero_diagonal_at_01)
+    tamper_rows(monkeypatch, F5_DEPTH_TWO, zero_diagonal_at_01)
     assert main(["check", "--config", str(path)]) == 1
     items = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert items["mane_diagonal"]["status"] == "fail"
@@ -649,16 +723,14 @@ def test_check_reports_a_raising_guard_as_error_and_goes_on(tmp_path, capsys, mo
     # entry 0 -> 1, so the critical structure stands and omega_set's guard
     # on the critical rows raises in every item that calls it
     path = write_fixture(tmp_path, "f5")
-    solve = graph_engine._solve_min_cost_all_pairs
 
-    def unreachable_from_0(graph):
-        mane = solve(graph)
+    def unreachable_from_0(graph, mane):
         a, b = graph.node_index[(0,)], graph.node_index[(1,)]
         row = list(mane.row(a))
         row[b] = None
-        return with_rows(mane, {a: row})
+        return {a: row}
 
-    monkeypatch.setattr(graph_engine, "_solve_min_cost_all_pairs", unreachable_from_0)
+    tamper_rows(monkeypatch, fixtures.fixture_text("f5"), unreachable_from_0)
     assert main(["check", "--config", path]) == 1
     report = json.loads(capsys.readouterr().out)
     statuses = {c["name"]: c["status"] for c in report["checks"]}
@@ -844,13 +916,10 @@ def test_check_fails_a_tampered_excursion_matrix(tmp_path, capsys, monkeypatch, 
     # that the critical structure and omega_set read
     path = tmp_path / "f5q2.cfg"
     path.write_text(F5_DEPTH_TWO)
-    solve = graph_engine._solve_min_cost_all_pairs
 
-    def tampered(graph):
-        mane = solve(graph)
+    def tampered(graph, mane):
         if mutation == "uniform_shift":
-            shifted = {i: [c + 1 for c in mane.row(i)] for i in range(len(graph.nodes))}
-            return with_rows(mane, shifted)
+            return {i: [c + 1 for c in mane.row(i)] for i in range(len(graph.nodes))}
         v, w = graph.node_index[(0, 1)], graph.node_index[(1, 0)]
         row = list(mane.row(v))
         row[w] = {
@@ -858,9 +927,9 @@ def test_check_fails_a_tampered_excursion_matrix(tmp_path, capsys, monkeypatch, 
             "entry_minus_one": row[w] - 1,
             "none_on_a_reachable_pair": None,
         }[mutation]
-        return with_rows(mane, {v: row})
+        return {v: row}
 
-    monkeypatch.setattr(graph_engine, "_solve_min_cost_all_pairs", tampered)
+    tamper_rows(monkeypatch, F5_DEPTH_TWO, tampered)
     assert main(["check", "--config", str(path)]) == 1
     items = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert items["mane_triangle"]["status"] == "fail"
@@ -928,6 +997,23 @@ def test_main_zero_denominator_boundary_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: zero denominator [field 'boundary']\n"
     assert main(["classify", "--config", f5, "--boundary", "0,x"]) == 2
     assert "expected a rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["classify", "--boundary", " , "], "boundary vector is empty [field 'boundary']"),
+        (
+            ["subaction", "--kind", "calibrated", "--schedule", "0"],
+            "schedule k_max must be in [1, 64] [field 'schedule']",
+        ),
+    ],
+    ids=["empty-boundary", "schedule-zero"],
+)
+def test_main_rejects_a_bad_option_value(tmp_path, capsys, argv, err):
+    f5 = write_fixture(tmp_path, "f5")
+    assert main(argv + ["--config", f5]) == 2
+    assert capsys.readouterr() == ("", f"config error: {err}\n")
 
 
 def test_main_nonconvergence_exit(tmp_path, capsys):
@@ -1030,27 +1116,6 @@ def test_reports_byte_stable(tmp_path):
         assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["mane"], ["check"], ["classify", "--boundary", "0,0"], ["subaction", "--kind", "u0"]],
-    ids=lambda c: c[-1] if c[0] == "subaction" else c[0],
-)
-def test_one_excursion_matrix_per_command(tmp_path, monkeypatch, command):
-    path = write_fixture(tmp_path, "f5")
-    built = []
-    init = ManeMatrix.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ManeMatrix, "__init__", counting_init)
-    # a second run in the same process builds its own matrix again
-    for run in (1, 2):
-        assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
-        assert len(built) == run
-
-
 # full 2-shift at depth 2 whose tight arcs enter nodes 01, 10 and 11, and
 # whose tight core is the critical node 11 alone
 ONE_CORE_NODE = MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
@@ -1085,13 +1150,13 @@ def test_excursion_rows_built_per_command(tmp_path, monkeypatch, command, text, 
         "mane": ["mane"],
     }[command]
     built = []
-    build = ManeMatrix._build_row
+    build = BetaResult._build_row
 
     def counting_build(self, src):
         built.append(src)
         return build(self, src)
 
-    monkeypatch.setattr(ManeMatrix, "_build_row", counting_build)
+    monkeypatch.setattr(BetaResult, "_build_row", counting_build)
     assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 0
     assert sorted(built) == (list(range(4)) if command == "mane" else critical)
 
@@ -1100,11 +1165,13 @@ def test_excursion_rows_built_per_command(tmp_path, monkeypatch, command, text, 
     "command, graphs",
     [
         (["beta"], 1),
+        (["mane"], 1),
+        (["classify", "--boundary", "0,0"], 1),
         (["subaction", "--kind", "u0"], 1),
         (["subaction", "--kind", "calibrated"], 1),
         (["check"], 3),
     ],
-    ids=lambda c: c[-1] if isinstance(c, list) else str(c),
+    ids=lambda c: (c[-1] if c[0] == "subaction" else c[0]) if isinstance(c, list) else str(c),
 )
 def test_one_beta_solve_per_graph(tmp_path, monkeypatch, command, graphs):
     path = write_fixture(tmp_path, "f5")

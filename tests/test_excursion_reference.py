@@ -47,8 +47,8 @@ import pytest
 from ergopt import fixtures
 from ergopt.errors import NegativeCycle, NotSubaction, NotTransitive
 from ergopt.graph_engine import (
+    BetaResult,
     CriticalStructure,
-    ManeMatrix,
     _minimal_cycle,
     _scaled_costs,
     bellman_potentials,
@@ -493,13 +493,13 @@ def test_family_and_potential_search_no_row(monkeypatch):
     graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, 6, table))
     omega = omega_set(graph)
     built = []
-    build_row = ManeMatrix._build_row
+    build_row = BetaResult._build_row
 
     def counting_build_row(self, src):
         built.append(src)
         return build_row(self, src)
 
-    monkeypatch.setattr(ManeMatrix, "_build_row", counting_build_row)
+    monkeypatch.setattr(BetaResult, "_build_row", counting_build_row)
     cycle = max_mean_cycle(graph).witness_cycle
     x = point("", tuple(e.symbol for e in reversed(cycle)))
     u = mane_family_subaction(omega, x)

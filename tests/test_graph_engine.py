@@ -135,7 +135,7 @@ class TestManeMatrix:
 
     def test_f3_zero(self):
         mane = min_cost_all_pairs(f3_graph())
-        assert all(v == 0 for row in mane.phi for v in row)
+        assert all(v == 0 for row in mane.cost for v in row)
 
     def test_f6_values(self):
         g = f6_graph()
@@ -161,11 +161,15 @@ class TestManeMatrix:
 
 
 class TestManeMemo:
-    """One excursion-matrix build per graph, at its beta, kept on the graph itself."""
+    """The excursion rows live on the graph's kept beta result, so one per graph."""
 
     def test_same_graph_and_beta_give_the_same_matrix(self):
         g = f5_graph()
         assert min_cost_all_pairs(g) is min_cost_all_pairs(g)
+
+    def test_the_matrix_is_the_beta_result(self):
+        g = f5_graph()
+        assert min_cost_all_pairs(g) is max_mean_cycle(g)
 
     def test_a_rebuilt_graph_computes_again(self):
         g5 = f5_graph()
@@ -338,8 +342,8 @@ class TestCriticalStructure:
 class TestCriticalStructureCheck:
     """critical_structure rejects classes that its matrix does not support.
 
-    Each test keeps on the graph a copy of its matrix whose tampered rows
-    are returned as read. Only entries between two nodes with no arc either
+    Each test keeps on the graph a copy of its ``BetaResult`` whose tampered
+    rows are returned as read. Only entries between two nodes with no arc either
     way change, so no critical-edge test reads them and the critical edges
     stay the same.
     """
@@ -356,7 +360,7 @@ class TestCriticalStructureCheck:
         for (i, j), c in entries.items():
             assert not any({e.src, e.tgt} == {i, j} for e in g.edges)
             rows.setdefault(i, list(mane.row(i)))[j] = c
-        g.__dict__["_mane"] = with_rows(mane, rows)
+        g.__dict__["_beta_result"] = with_rows(mane, rows)
 
     def test_two_anchors_on_a_zero_cost_cycle(self):
         # the f5 loops at depth 2: classes {00} and {11}, which share no arc

@@ -112,7 +112,7 @@ def test_omega_set_rejects_an_unreachable_pair_in_a_critical_row():
     a, b = g.node_index[(0,)], g.node_index[(1,)]
     row = list(mane.row(a))
     row[b] = None
-    g.__dict__["_mane"] = with_rows(mane, {a: row})
+    g.__dict__["_beta_result"] = with_rows(mane, {a: row})
     with pytest.raises(AssertionError, match="excursion costs on a transitive system"):
         omega_set(g)
 

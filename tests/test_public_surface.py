@@ -1,12 +1,14 @@
-"""Every public function and class of ergopt is reached by something.
+"""Every public function, class, method and property of ergopt is reached by something.
 
 A public module-level ``def`` or ``class`` in ``src/ergopt`` must be
 referenced by name somewhere in the package (as a name, an attribute or an
 import alias; text in docstrings does not count), be imported by the
 acceptance gate, be wrapped by the benchmark's tracer, or be one of the
-brute-force oracles that tests compare against. A name that only its own unit
-tests call is surface without a user. The sources are read as syntax trees;
-no perfbench module is imported.
+brute-force oracles that tests compare against. A public method or property
+of a public class must be read as an attribute somewhere in the package or
+in the acceptance gate. A name that only its own unit tests call is surface
+without a user. The sources are read as syntax trees; no perfbench module is
+imported.
 """
 
 from __future__ import annotations
@@ -43,8 +45,12 @@ def _referenced(trees: dict[str, ast.Module]) -> set[str]:
     return names
 
 
+def _acceptance_tree() -> ast.Module:
+    return ast.parse(ACCEPTANCE.read_text(), filename=str(ACCEPTANCE))
+
+
 def _acceptance_imports() -> set[str]:
-    tree = ast.parse(ACCEPTANCE.read_text(), filename=str(ACCEPTANCE))
+    tree = _acceptance_tree()
     return {
         alias.name
         for node in ast.walk(tree)
@@ -81,6 +87,28 @@ def unreached(trees: dict[str, ast.Module]) -> list[str]:
     ]
 
 
+def unread_members(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.Class.name`` for each public method or property of a public
+    class that neither the package nor the acceptance gate reads as an attribute."""
+    read = {
+        node.attr
+        for tree in [*trees.values(), _acceptance_tree()]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        if module != ORACLES
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
 def test_every_public_name_is_reached():
     assert unreached(_trees()) == []
 
@@ -90,6 +118,19 @@ def test_a_name_only_tests_call_is_caught():
     source = (PACKAGE / "graph_engine.py").read_text() + "\n\ndef unused_helper():\n    return 0\n"
     trees["graph_engine"] = ast.parse(source)
     assert unreached(trees) == ["graph_engine.unused_helper"]
+
+
+def test_every_public_member_is_read():
+    assert unread_members(_trees()) == []
+
+
+def test_a_member_only_tests_read_is_caught():
+    trees = _trees()
+    source = (PACKAGE / "graph_engine.py").read_text().replace(
+        "    def out_edges(", "    def unused_member(self):\n        return 0\n\n    def out_edges(", 1
+    )
+    trees["graph_engine"] = ast.parse(source)
+    assert unread_members(trees) == ["graph_engine.PrependGraph.unused_member"]
 
 
 @pytest.mark.parametrize("table", [_acceptance_imports, _traced], ids=["acceptance", "tracer"])
