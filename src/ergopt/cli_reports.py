@@ -625,11 +625,26 @@ def _check_items(
         return ("pass", "excursion costs satisfy the triangle inequality")
 
     def mane_diagonal() -> tuple[str, str]:
+        # the matrix against the components that gave the critical classes:
+        # round trips cost 0 inside each class and more between two anchors
         omega = omega_set(graph)
-        for i in range(len(graph.nodes)):
-            zero = omega.mane.row(i)[i] == 0
-            if zero != (i in omega.critical.critical_nodes):
+        cost, critical = omega.mane.cost, omega.critical
+        for i, row in enumerate(cost):
+            if (row[i] == 0) != (i in critical.critical_nodes):
                 return ("fail", f"diagonal mismatch at node {i}")
+
+        def trip(u: int, v: int) -> int | float:
+            there, back = cost[u][v], cost[v][u]
+            return math.inf if there is None or back is None else there + back
+
+        anchors = critical.anchors()
+        for a, cls in zip(anchors, critical.classes):
+            for v in cls:
+                if trip(a, v) != 0:
+                    return ("fail", f"node {v} is off the zero-cost cycles of anchor {a}")
+            for b in anchors:
+                if b < a and trip(a, b) <= 0:
+                    return ("fail", f"anchors {b} and {a} share a zero-cost cycle")
         return ("pass", "zero diagonal exactly on critical nodes")
 
     def representation() -> tuple[str, str]:

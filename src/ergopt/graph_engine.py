@@ -16,8 +16,8 @@ beta comes from exact policy iteration on the max-plus Bellman operator
 random full and golden-mean shifts of 128-1024 nodes, 9-23 rounds, where
 Karp's table is Theta(n * m + n^2). One least-cost search at beta
 certifies it and gives the potential h. Karp's algorithm is kept in the
-tests as a reference, as are Floyd-Warshall and Tarjan; the parametric
-route and the circulation LP are the other two independent routes to beta.
+tests as a reference, as is Floyd-Warshall; the parametric route and the
+circulation LP are the other two independent routes to beta.
 
 The excursion-cost matrix lives at the graph's own beta, on its
 ``BetaResult``, and comes from Johnson's method: the Bellman potential that
@@ -26,10 +26,10 @@ label-correcting search from s on those reweighted costs, shifted back by
 the potential. A row is searched when it is first read, so a caller pays
 only for the rows it reads. The rows stay ints over the denominator D, and
 a Fraction is built only when an entry is read. The critical structure
-tests only the tight arcs inside the tight core (what is left of the tight
-subgraph once nodes without a tight in-arc or out-arc are peeled off), so
-it reads only the core's rows; the critical classes are the connected
-components of the critical edges.
+reads no row: a zero-cost cycle uses only tight arcs (reweighted cost 0),
+so the critical arcs are the tight arcs whose ends share a strongly
+connected component of the tight arcs (``_strong_components``, Tarjan's
+algorithm), and the critical classes are those components.
 
 Each graph keeps what it has computed, so nothing is computed twice for
 one graph:
@@ -40,9 +40,10 @@ one graph:
   and ``_scaled_costs`` shifts it to the costs b - weight for any b;
 - its ``BetaResult`` (``max_mean_cycle``, ``min_cost_all_pairs``), so
   policy iteration and the search for h run once; it keeps the arcs at
-  beta, the tight core, which the critical structure reads, and each
-  excursion row once read, and searches the canonical witness cycle once,
-  in the core, and only when read.
+  beta, the critical arcs and the component of each node, which the
+  critical structure reads, and each excursion row once read, and
+  searches the canonical witness cycle once, among the critical arcs, and
+  only when read.
 
 One least-cost search, ``_label_correcting``, serves every least-cost
 problem but the parametric route: the Bellman potential at beta and, in
@@ -62,7 +63,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -210,11 +211,14 @@ class BetaResult:
     the excursion costs at beta.
 
     beta, h and the scaled arcs of beta - weight, as ints over D, come with
-    the result, which finds the indices of the tight-core arcs
-    (``_tight_core_arcs``); the witness cycle, h as Fractions, the
-    reweighted arcs and each excursion row are built when first read. The
-    result holds the graph's edges, never the graph itself, so a graph that
-    keeps its result forms no reference cycle.
+    the result, which names each node's strongly connected component of the
+    tight arcs (c + h[src] == h[tgt]) in its list component, and keeps in
+    critical the indices of the tight arcs inside one component: those are
+    the arcs of zero-cost cycles, since every reweighted cost is >= 0.
+    The witness cycle, h as Fractions, the reweighted arcs and each
+    excursion row are built when first read. The result holds the graph's
+    edges, never the graph itself, so a graph that keeps its result forms
+    no reference cycle.
 
     The excursion costs are the least costs of nonempty paths between node
     pairs, as ints over D; None encodes an unreachable pair (possible only
@@ -241,7 +245,9 @@ class BetaResult:
         self.D = D
         self.h = h
         self.arcs = arcs
-        self.core = tuple(_tight_core_arcs(len(h), arcs, h))
+        tight = [i for i, (a, b, c) in enumerate(arcs) if c + h[a] == h[b]]
+        component = self.component = _strong_components(len(h), [arcs[i] for i in tight])
+        self.critical = tuple(i for i in tight if component[arcs[i][0]] == component[arcs[i][1]])
         self._edges = edges
         self._rows: list[tuple[int | None, ...] | None] = [None] * len(h)
 
@@ -249,10 +255,10 @@ class BetaResult:
     def witness_cycle(self) -> tuple[Edge, ...]:
         """The least cycle of tight arcs (``_minimal_cycle``); its mean is beta.
 
-        Every cycle of tight arcs lies in the tight core, so only the core's
-        arcs are searched.
+        The nodes of a cycle of tight arcs share one component, so every
+        arc of it is critical, and only the critical arcs are searched.
         """
-        witness = _minimal_cycle(len(self.h), [self._edges[i] for i in self.core])
+        witness = _minimal_cycle(len(self.h), [self._edges[i] for i in self.critical])
         if sum((e.weight for e in witness), Fraction(0)) / len(witness) != self.beta:
             raise AssertionError("witness cycle mean differs from beta")
         return witness
@@ -521,14 +527,14 @@ def _solve_max_mean_cycle(graph: PrependGraph) -> BetaResult:
     beta is the mean of a policy cycle, so no more than the maximum; the
     check is that beta - weight admits no negative cycle (``_bellman_ints``
     raises otherwise), so no cycle has a larger mean, and that some cycle
-    of tight arcs (a nonempty tight core) attains beta.
+    of tight arcs (a critical arc) attains beta.
     """
     W, out = graph._out_arcs
     num, den = _policy_iteration(out)
     beta = Fraction(-num, den * W)
     D, arcs, h = _bellman_ints(graph, beta)
     result = BetaResult(beta, D, tuple(h), graph.edges, arcs)
-    if not result.core:
+    if not result.critical:
         raise AssertionError("no cycle attains beta")
     return result
 
@@ -650,94 +656,64 @@ class CriticalStructure:
         return tuple(cls[0] for cls in self.classes)
 
 
-def _tight_core_arcs(
-    n: int, arcs: Sequence[tuple[int, int, int]], h: Sequence[int]
-) -> list[int]:
-    """Indices of the tight arcs (c + h[src] == h[tgt]) inside the tight core.
+def _strong_components(n: int, arcs: Iterable[tuple[int, int, int]]) -> list[int]:
+    """The strongly connected component of each node 0 .. n-1 over the arcs (a, b, c).
 
-    The core is what remains of the tight subgraph after repeatedly
-    dropping every node with no tight in-arc or no tight out-arc inside it.
-    Every node of a cycle of tight arcs keeps an arc either way, so each
-    such cycle lies in the core.
+    Iterative Tarjan (1972), O(n + m); the cost c is not read. Each
+    component is named by the first of its nodes that the search meets, so
+    two nodes share a name exactly when each reaches the other.
     """
-    tight = [i for i, (a, b, c) in enumerate(arcs) if c + h[a] == h[b]]
     succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i in tight:
-        a, b, _ = arcs[i]
+    for a, b, _ in arcs:
         succ[a].append(b)
-        pred[b].append(a)
-    ins = [len(p) for p in pred]
-    outs = [len(s) for s in succ]
-    dropped = [not (i and o) for i, o in zip(ins, outs)]
-    stack = [v for v in range(n) if dropped[v]]
-    while stack:
-        v = stack.pop()
-        for t in succ[v]:
-            ins[t] -= 1
-            if not (ins[t] or dropped[t]):
-                dropped[t] = True
-                stack.append(t)
-        for s in pred[v]:
-            outs[s] -= 1
-            if not (outs[s] or dropped[s]):
-                dropped[s] = True
-                stack.append(s)
-    return [i for i in tight if not (dropped[arcs[i][0]] or dropped[arcs[i][1]])]
+    tick = count()
+    found = [-1] * n  # the order in which the search first meets each node
+    low = [0] * n
+    component = [-1] * n
+    stack: list[int] = []  # the nodes met and in no component yet
+    for root in range(n):
+        if found[root] >= 0:
+            continue
+        found[root] = low[root] = next(tick)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if found[w] < 0:
+                    found[w] = low[w] = next(tick)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if component[w] < 0 and found[w] < low[v]:
+                    low[v] = found[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == found[v]:
+                    while component[v] < 0:
+                        component[stack.pop()] = v
+    return component
 
 
 def critical_structure(graph: PrependGraph) -> CriticalStructure:
     """Edges on mean-beta cycles, their source nodes, and the classes they join.
 
-    An arc (src, tgt, c) is critical when c + cost[tgt][src] == 0, that is
-    when it closes a zero-cost cycle. Every arc of such a cycle has
-    reweighted cost 0, so it is tight under the Bellman potential and the
-    cycle lies in the tight core that ``BetaResult`` keeps: the test runs
-    on the core's arcs only and reads only the core's rows of the matrix.
-    Every arc of a zero-cost cycle is critical, so the classes (two nodes
-    share one exactly when their round-trip cost is 0) are the connected
-    components of the critical edges, found by union-find. The round trips
-    are then checked against the matrix: 0 from each anchor to every
-    member of its class, > 0 between two anchors.
+    An arc is critical when it closes a zero-cost cycle. Every reweighted
+    cost is >= 0, so such a cycle uses only tight arcs, and a tight arc
+    (a, b) closes one exactly when b reaches a along tight arcs: when a and
+    b share a strongly connected component of the tight arcs. Two critical
+    nodes have round-trip cost 0 exactly when they share one, so the classes
+    are the components that hold a critical arc. All of it is read off the
+    graph's ``BetaResult``, and no excursion row is searched.
     """
     result = min_cost_all_pairs(graph)
-    arcs = result.arcs
-    n = len(graph.nodes)
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    edge_ids = []
-    for i in result.core:
-        src, tgt, c = arcs[i]
-        back = result.row(tgt)[src]
-        if back is not None and c + back == 0:
-            edge_ids.append(i)
-            root[find(src)] = find(tgt)
-    nodes = frozenset(arcs[i][0] for i in edge_ids)
+    nodes = frozenset(result.arcs[i][0] for i in result.critical)
     # in ascending node order, each class first appears at its least node
     classes: dict[int, list[int]] = {}
     for v in sorted(nodes):
-        classes.setdefault(find(v), []).append(v)
-    structure = CriticalStructure(
-        result.beta, nodes, frozenset(edge_ids), tuple(map(tuple, classes.values()))
+        classes.setdefault(result.component[v], []).append(v)
+    return CriticalStructure(
+        result.beta, nodes, frozenset(result.critical), tuple(map(tuple, classes.values()))
     )
-
-    def round_trip(u: int, v: int) -> int | None:
-        there, back = result.row(u)[v], result.row(v)[u]
-        return None if there is None or back is None else there + back
-
-    anchors = structure.anchors()
-    for a, cls in zip(anchors, structure.classes):
-        if any(round_trip(a, v) != 0 for v in cls):
-            raise AssertionError("a critical class holds a node off its anchor's zero-cost cycles")
-    for i, a in enumerate(anchors):
-        for b in anchors[:i]:
-            trip = round_trip(a, b)
-            if trip is not None and trip <= 0:
-                raise AssertionError("two critical classes share a zero-cost cycle")
-    return structure

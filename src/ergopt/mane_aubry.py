@@ -9,6 +9,8 @@ per-class boundary values through reconstruct/represent. The Mane family
 and reconstruction are one min-plus expression, min over seed windows t of
 f_t + phi(V -> t); each is one search from its seeds along the reversed
 arcs (``_least_into``) and reads no row of the excursion-cost matrix.
+``omega_set`` reads none either: it tests that every cost is finite by
+testing that the graph is one strongly connected component.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .graph_engine import (
     CriticalStructure,
     Edge,
     PrependGraph,
+    _strong_components,
     critical_structure,
     max_mean_cycle,
     min_cost_all_pairs,
@@ -49,10 +52,9 @@ def omega_set(graph: PrependGraph) -> OmegaSet:
     beta = max_mean_cycle(graph).beta
     critical = critical_structure(graph)
     mane = min_cost_all_pairs(graph)
-    # the critical rows are the ones critical_structure has read; with
-    # reconstruct's check that every node reaches an anchor, a finite anchor
-    # row means the graph is strongly connected
-    if any(None in mane.row(v) for v in critical.critical_nodes):
+    # every excursion cost is finite exactly when the graph is one strongly
+    # connected component; no row is read
+    if len(set(_strong_components(len(graph.nodes), mane.arcs))) > 1:
         raise AssertionError("excursion costs on a transitive system are all finite")
     return OmegaSet(graph, beta, critical, mane)
 

@@ -18,6 +18,7 @@ import pytest
 
 import ergopt.cli_reports as cli_reports
 import ergopt.graph_engine as graph_engine
+import ergopt.mane_aubry as mane_aubry
 import ergopt.subaction_lab as subaction_lab
 from ergopt import fixtures
 from ergopt.cli_reports import (
@@ -719,29 +720,79 @@ def test_check_fails_a_zero_diagonal_off_the_critical_nodes(tmp_path, capsys, mo
 
 
 def test_check_reports_a_raising_guard_as_error_and_goes_on(tmp_path, capsys, monkeypatch):
-    # f5: classes {0} and {1}; no critical-edge test or round trip reads the
-    # entry 0 -> 1, so the critical structure stands and omega_set's guard
-    # on the critical rows raises in every item that calls it
+    # f5: every search into a set of targets leaves node 0 unreached, so the
+    # guard of mane_aubry._least_into raises in each item that builds a
+    # family member or reconstructs a sub-action
     path = write_fixture(tmp_path, "f5")
+    least_into = BetaResult.least_into
 
-    def unreachable_from_0(graph, mane):
-        a, b = graph.node_index[(0,)], graph.node_index[(1,)]
-        row = list(mane.row(a))
-        row[b] = None
-        return {a: row}
+    def unreached_at_0(self, seeds, m):
+        return [None] + least_into(self, seeds, m)[1:]
 
-    tamper_rows(monkeypatch, fixtures.fixture_text("f5"), unreachable_from_0)
+    monkeypatch.setattr(BetaResult, "least_into", unreached_at_0)
     assert main(["check", "--config", path]) == 1
     report = json.loads(capsys.readouterr().out)
     statuses = {c["name"]: c["status"] for c in report["checks"]}
-    raised = {"family_calibrated", "mane_diagonal", "mane_triangle", "omega_oracle",
-              "representation_roundtrip"}
+    raised = {"family_calibrated", "representation_roundtrip"}
     assert {name for name, status in statuses.items() if status == "error"} == raised
     assert {status for name, status in statuses.items() if name not in raised} == {"pass"}
     assert len(statuses) == 12
     notes = {c["note"] for c in report["checks"] if c["status"] == "error"}
     assert notes == {"excursion costs on a transitive system are all finite"}
     assert report["ok"] is False
+
+
+# the zero potential at depth 2: every arc is critical, and the four nodes
+# form one class with anchor 00
+ZERO_DEPTH_TWO = MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
+    "window 1 1 = 1", "window 0 0 0 = 0"
+)
+
+
+def _round_trip_to_zero(graph, mane):
+    # 00 -> 11 set to minus the cost back: classes {00} and {11} of the f5
+    # loops at depth 2 now share a zero-cost cycle
+    a, b = graph.node_index[(0, 0)], graph.node_index[(1, 1)]
+    row = list(mane.row(a))
+    row[b] = -mane.row(b)[a]
+    return {a: row}
+
+
+def _round_trip_above_zero(graph, mane):
+    # 00 -> 11 raised by 1: 11 leaves the zero-cost cycles of its anchor 00
+    a, v = graph.node_index[(0, 0)], graph.node_index[(1, 1)]
+    row = list(mane.row(a))
+    row[v] += 1
+    return {a: row}
+
+
+@pytest.mark.parametrize(
+    "text, rows_of, note",
+    [
+        (F5_DEPTH_TWO, _round_trip_to_zero, "anchors 0 and 3 share a zero-cost cycle"),
+        (ZERO_DEPTH_TWO, _round_trip_above_zero, "node 3 is off the zero-cost cycles of anchor 0"),
+    ],
+    ids=["two_anchors_on_a_zero_cost_cycle", "a_member_off_its_anchors_zero_cost_cycles"],
+)
+def test_check_fails_a_round_trip_that_splits_or_joins_the_classes(
+    tmp_path, capsys, monkeypatch, text, rows_of, note
+):
+    # the classes come from the tight arcs, so only mane_diagonal's round
+    # trips see the tampered entry; 00 and 11 share no arc either way, and
+    # the diagonal stays as it was
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+
+    def checked(graph, mane):
+        a, b = graph.node_index[(0, 0)], graph.node_index[(1, 1)]
+        if any({e.src, e.tgt} == {a, b} for e in graph.edges):
+            raise AssertionError("00 and 11 must share no arc")
+        return rows_of(graph, mane)
+
+    tamper_rows(monkeypatch, text, checked)
+    assert main(["check", "--config", str(path)]) == 1
+    items = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert (items["mane_diagonal"]["status"], items["mane_diagonal"]["note"]) == ("fail", note)
 
 
 def random_full_shift_config(rng: random.Random, r: int, q: int, binary: bool) -> str:
@@ -912,8 +963,8 @@ def test_mane_certificate_rejects_a_finite_entry_on_an_unreachable_pair():
 )
 def test_check_fails_a_tampered_excursion_matrix(tmp_path, capsys, monkeypatch, mutation):
     # every entry + 1 keeps the triangle inequality; the single entries are
-    # 01 -> 10 of the f5 loops at depth 2, off the critical rows 00 and 11
-    # that the critical structure and omega_set read
+    # 01 -> 10 of the f5 loops at depth 2, which no round trip of
+    # mane_diagonal reads, as 01 and 10 are off the critical nodes
     path = tmp_path / "f5q2.cfg"
     path.write_text(F5_DEPTH_TWO)
 
@@ -1117,7 +1168,7 @@ def test_reports_byte_stable(tmp_path):
 
 
 # full 2-shift at depth 2 whose tight arcs enter nodes 01, 10 and 11, and
-# whose tight core is the critical node 11 alone
+# whose only critical node is 11
 ONE_CORE_NODE = MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
     "window 1 1 = 1",
     "\n".join(
@@ -1130,23 +1181,32 @@ ONE_CORE_NODE = MINIMAL.replace("future_depth = 1", "future_depth = 2").replace(
 )
 
 
-@pytest.mark.parametrize("command", ["u0", "classify", "mane"])
+@pytest.mark.parametrize("command", ["u0", "calibrated", "maximal", "classify", "mane"])
 @pytest.mark.parametrize(
-    "text, critical",
-    [(two_class_config_text(), [0, 1, 2, 3]), (F5_DEPTH_TWO, [0, 3]), (ONE_CORE_NODE, [3])],
-    ids=["two_class", "f5q2", "one_core_node"],
+    "text, anchors",
+    [
+        (two_class_config_text(), [0, 3]),
+        (F5_DEPTH_TWO, [0, 3]),
+        (ONE_CORE_NODE, [3]),
+        (ZERO_DEPTH_TWO, [0]),
+    ],
+    ids=["two_class", "f5q2", "one_core_node", "zero"],
 )
-def test_excursion_rows_built_per_command(tmp_path, monkeypatch, command, text, critical):
-    # u0 and classify search only the rows of the tight core, which on these
-    # graphs is the critical node set; the mane report searches every row
+def test_excursion_rows_built_per_command(tmp_path, monkeypatch, command, text, anchors):
+    # the critical classes read no row, and neither do the sub-actions;
+    # classify reads the anchors' rows to test the boundary data when there
+    # are two classes or more, and the mane report searches every row
     path = tmp_path / "c.cfg"
     path.write_text(text)
     config = parse_config_text(text)
-    classes = critical_structure(build_prepend_graph(config.system, config.potential)).classes
-    boundary = ",".join(["0"] * len(classes))
+    assert critical_structure(build_prepend_graph(config.system, config.potential)).anchors() == (
+        tuple(anchors)
+    )
     argv = {
         "u0": ["subaction", "--kind", "u0"],
-        "classify": ["classify", "--boundary", boundary],
+        "calibrated": ["subaction", "--kind", "calibrated"],
+        "maximal": ["subaction", "--kind", "maximal"],
+        "classify": ["classify", "--boundary", ",".join(["0"] * len(anchors))],
         "mane": ["mane"],
     }[command]
     built = []
@@ -1158,7 +1218,8 @@ def test_excursion_rows_built_per_command(tmp_path, monkeypatch, command, text, 
 
     monkeypatch.setattr(BetaResult, "_build_row", counting_build)
     assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 0
-    assert sorted(built) == (list(range(4)) if command == "mane" else critical)
+    expected = {"mane": list(range(4)), "classify": anchors if len(anchors) > 1 else []}
+    assert sorted(built) == expected.get(command, [])
 
 
 @pytest.mark.parametrize(
@@ -1189,25 +1250,30 @@ def test_one_beta_solve_per_graph(tmp_path, monkeypatch, command, graphs):
 
 
 @pytest.mark.parametrize(
-    "command, graphs",
-    [(["mane"], 1), (["subaction", "--kind", "u0"], 1), (["check"], 3)],
+    "command, tight, whole",
+    [(["mane"], 1, 1), (["subaction", "--kind", "u0"], 1, 1), (["check"], 3, 5)],
     ids=lambda c: c[-1] if isinstance(c, list) else str(c),
 )
-def test_one_tight_core_per_graph(tmp_path, monkeypatch, command, graphs):
-    # the tight core is found with beta and kept on its result, which the
-    # critical structure and the witness search read; check builds the
-    # base, negated and refined graphs
+def test_one_tight_component_search_per_graph(tmp_path, monkeypatch, command, tight, whole):
+    # the components of the tight arcs are found with beta and kept on its
+    # result, which the critical structure and the witness search read;
+    # check builds the base, negated and refined graphs. Each omega_set
+    # call searches the components of the whole graph once
     path = write_fixture(tmp_path, "f5")
-    runs = []
-    core = graph_engine._tight_core_arcs
+    runs = {"tight": 0, "whole": 0}
+    components = graph_engine._strong_components
 
-    def counting_core(n, arcs, h):
-        runs.append(n)
-        return core(n, arcs, h)
+    def counting(kind):
+        def count(n, arcs):
+            runs[kind] += 1
+            return components(n, arcs)
 
-    monkeypatch.setattr(graph_engine, "_tight_core_arcs", counting_core)
+        return count
+
+    monkeypatch.setattr(graph_engine, "_strong_components", counting("tight"))
+    monkeypatch.setattr(mane_aubry, "_strong_components", counting("whole"))
     assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
-    assert len(runs) == graphs
+    assert runs == {"tight": tight, "whole": whole}
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,15 @@ potentials) and of the three residuals. The integer code compares scaled
 ints instead, so every class, critical edge, witness cycle, residual,
 violation set, contact locus and error message must match them exactly: on
 full 2-, 3- and 4-shifts, golden-mean shifts, a random transitive system
-and a reducible system, at weight denominators up to 10 and up to 1000, and
-with weights in {0, 1}, which gives several critical classes.
+and a reducible system, at weight denominators up to 10 and up to 1000,
+with weights in {0, 1}, which gives several critical classes, and with a
+constant plus a random coboundary, which makes every arc critical on a
+transitive system.
 
-``ref_critical_structure`` groups the critical edges into classes with the
-Tarjan strongly connected components that ``critical_structure`` used
-before it took the connected components of the critical edges.
+``ref_critical_structure`` finds the critical edges on the Fraction
+Floyd-Warshall matrix, one round trip per edge, and groups them into classes
+with its own Tarjan pass, so it shares no input with ``critical_structure``,
+which takes the strongly connected components of the tight arcs.
 
 ``ref_int_floyd_warshall`` is the integer Floyd-Warshall that
 ``min_cost_all_pairs`` used before it reweighted by the Bellman potential
@@ -20,9 +23,8 @@ and searched from each source. D and every int entry of the excursion
 matrix must match it at beta, on the instances above plus more random
 transitive systems and one 128-node full shift per weight kind, and so
 must each row read on its own, in any order; below beta the reference must
-raise NegativeCycle. ``critical_structure`` reads only the rows of the
-tight core, and must still match the Tarjan reference, which reads every
-row.
+raise NegativeCycle. ``critical_structure`` reads no row, and must still
+match the reference, which reads every row.
 
 ``ref_excursion_minimum`` is the per-node formula that
 ``mane_family_subaction`` evaluated, one matrix row per node, before it ran
@@ -64,7 +66,7 @@ from ergopt.mane_aubry import (
     omega_set,
     reconstruct,
 )
-from ergopt.potential_model import LocallyConstantPotential
+from ergopt.potential_model import LocallyConstantPotential, coboundary_modify
 from ergopt.subaction_lab import (
     NodeFunction,
     calibration_residual,
@@ -224,20 +226,36 @@ SYSTEMS = {
     "reducible": (reducible_system(), (1, 2, 3)),
 }
 
+def _drawn(draw):
+    """The window table of seeded draws, one per allowed (1 + q)-word."""
+    return lambda rng, system, q: {k: draw(rng) for k in allowed_words(system, 1 + q)}
+
+
+def _coboundary(rng, system, q):
+    """A constant plus the coboundary of a random depth-q word function."""
+    zero = LocallyConstantPotential(
+        system, 1, q, dict.fromkeys(allowed_words(system, 1 + q), Fraction(0))
+    )
+    f = {w: random_fraction(rng, max_den=10) for w in allowed_words(system, q)}
+    return coboundary_modify(zero, f, random_fraction(rng, max_den=10)).table
+
+
+# each kind's window table on a system at future depth q
 WEIGHTS = {
-    "d10": lambda rng: random_fraction(rng, max_den=10),
-    "d1000": lambda rng: random_fraction(rng, max_den=1000),
-    "01": lambda rng: Fraction(rng.randint(0, 1)),
+    "d10": _drawn(lambda rng: random_fraction(rng, max_den=10)),
+    "d1000": _drawn(lambda rng: random_fraction(rng, max_den=1000)),
+    "01": _drawn(lambda rng: Fraction(rng.randint(0, 1))),
+    "coboundary": _coboundary,
 }
 
 
 def _instances():
     out = []
-    for kind, draw in WEIGHTS.items():
+    for kind, table_of in WEIGHTS.items():
         rng = random.Random(f"excursion-{kind}")
         for name, (system, depths) in SYSTEMS.items():
             for q in depths:
-                table = {k: draw(rng) for k in allowed_words(system, 1 + q)}
+                table = table_of(rng, system, q)
                 A = LocallyConstantPotential(system, 1, q, table)
                 graph = build_prepend_graph(system, A)
                 out.append(pytest.param(graph, id=f"{name}-q{q}-{kind}"))
@@ -306,9 +324,20 @@ def test_zero_one_weights_give_several_classes():
     assert max(counts) >= 2
 
 
+def test_coboundary_weights_make_every_arc_critical():
+    # the tight arcs then form one strongly connected component
+    graphs = [p.values[0] for p in INSTANCES if p.id.endswith("-coboundary")]
+    for graph in graphs:
+        cs = critical_structure(graph)
+        if graph.system != reducible_system():
+            assert cs.critical_edges == {e.index for e in graph.edges}
+            assert cs.classes == (tuple(range(len(graph.nodes))),)
+    assert len(graphs) == 17
+
+
 def _all_pairs_instances():
     out = list(INSTANCES)
-    for kind, draw in WEIGHTS.items():
+    for kind, table_of in WEIGHTS.items():
         rng = random.Random(f"all-pairs-{kind}")
         graphs = []
         for i in range(4):
@@ -316,7 +345,7 @@ def _all_pairs_instances():
             graphs.append((f"random{i}", system, rng.choice((1, 2))))
         graphs.append(("full2", full_shift(2), 7))  # 128 nodes
         for name, system, q in graphs:
-            table = {k: draw(rng) for k in allowed_words(system, 1 + q)}
+            table = table_of(rng, system, q)
             graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
             out.append(pytest.param(graph, id=f"{name}-q{q}-{kind}-n{len(graph.nodes)}"))
     return out
@@ -444,12 +473,12 @@ def test_family_and_potential_match_the_formula_on_the_fixtures(name):
 
 def _seeded_graphs():
     out = []
-    for kind, draw in WEIGHTS.items():
+    for kind, table_of in WEIGHTS.items():
         rng = random.Random(f"family-{kind}")
         for i in range(6):
             system = random_system(rng, rng.choice((2, 3)), require_transitive=True)
             q = rng.choice((1, 2))
-            table = {k: draw(rng) for k in allowed_words(system, 1 + q)}
+            table = table_of(rng, system, q)
             graph = build_prepend_graph(system, LocallyConstantPotential(system, 1, q, table))
             out.append(pytest.param(graph, id=f"random{i}-q{q}-{kind}-n{len(graph.nodes)}"))
     for name, system in (("full2", full_shift(2)), ("golden", golden_mean())):
@@ -485,8 +514,7 @@ def test_the_formula_comparison_meets_preperiods_and_repeated_windows():
 
 
 def test_family_and_potential_search_no_row(monkeypatch):
-    # 64 nodes; omega_set reads the rows of the tight core and the critical
-    # rows, and the formula reads every other row
+    # 64 nodes; omega_set reads no row, so the formula searches every row
     rng = random.Random("family-rows")
     system = full_shift(2)
     table = {k: random_fraction(rng) for k in allowed_words(system, 7)}
@@ -507,4 +535,4 @@ def test_family_and_potential_search_no_row(monkeypatch):
     unread = sum(row is None for row in omega.mane._rows)
     expected = tuple(ref_excursion_minimum(omega, x, v) for v in range(len(graph.nodes)))
     assert u.values == expected
-    assert len(built) == unread > 0
+    assert len(built) == unread == len(graph.nodes)

@@ -32,7 +32,6 @@ from conftest import (
     golden_mean,
     random_graph,
     two_class_graph,
-    with_rows,
 )
 
 
@@ -330,6 +329,26 @@ class TestCriticalStructure:
             for s in {e.src for e in pool}:
                 walk(s, s, {s}, Fraction(0), 1)
 
+    def test_strong_components_name_the_mutually_reachable_nodes(self, rng: random.Random):
+        # random digraphs on up to 12 nodes, loops and repeated arcs
+        # included, against reachability by repeated squaring
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            arcs = [(rng.randrange(n), rng.randrange(n), 0) for _ in range(rng.randint(0, 3 * n))]
+            reach = [{v} | {b for a, b, _ in arcs if a == v} for v in range(n)]
+            for _ in range(n):
+                reach = [set().union(*(reach[w] for w in r)) for r in reach]
+            names = graph_engine._strong_components(n, arcs)
+            for u in range(n):
+                for v in range(n):
+                    assert (names[u] == names[v]) == (v in reach[u] and u in reach[v])
+
+    def test_strong_components_of_a_long_cycle_need_no_recursion(self):
+        n = 20000
+        arcs = [(v, (v + 1) % n, 0) for v in range(n)]
+        assert set(graph_engine._strong_components(n, arcs)) == {0}
+        assert len(set(graph_engine._strong_components(n, arcs[:-1]))) == n
+
     def test_phi_diagonal_zero_iff_critical(self, rng: random.Random):
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 3), rng.randint(1, 2))
@@ -337,47 +356,3 @@ class TestCriticalStructure:
             cs = critical_structure(g)
             for v in range(len(g.nodes)):
                 assert (mane.value(v, v) == 0) == (v in cs.critical_nodes)
-
-
-class TestCriticalStructureCheck:
-    """critical_structure rejects classes that its matrix does not support.
-
-    Each test keeps on the graph a copy of its ``BetaResult`` whose tampered
-    rows are returned as read. Only entries between two nodes with no arc either
-    way change, so no critical-edge test reads them and the critical edges
-    stay the same.
-    """
-
-    @staticmethod
-    def q2_graph(table):
-        system = full_shift()
-        return build_prepend_graph(system, LocallyConstantPotential(system, 1, 2, table))
-
-    @staticmethod
-    def keep_tampered(g, entries):
-        mane = min_cost_all_pairs(g)
-        rows = {}
-        for (i, j), c in entries.items():
-            assert not any({e.src, e.tgt} == {i, j} for e in g.edges)
-            rows.setdefault(i, list(mane.row(i)))[j] = c
-        g.__dict__["_beta_result"] = with_rows(mane, rows)
-
-    def test_two_anchors_on_a_zero_cost_cycle(self):
-        # the f5 loops at depth 2: classes {00} and {11}, which share no arc
-        g = self.q2_graph({(0, 0, 0): 1, (1, 1, 1): 1})
-        a, b = g.node_index[(0, 0)], g.node_index[(1, 1)]
-        assert critical_structure(g).classes == ((a,), (b,))
-        cost = min_cost_all_pairs(g).cost
-        self.keep_tampered(g, {(a, b): -cost[b][a]})
-        with pytest.raises(AssertionError, match="two critical classes"):
-            critical_structure(g)
-
-    def test_a_member_off_its_anchors_zero_cost_cycles(self):
-        # constant weights at depth 2: one class of all four nodes, anchor 00
-        g = self.q2_graph({k: 5 for k in itertools.product(range(2), repeat=3)})
-        a, v = g.node_index[(0, 0)], g.node_index[(1, 1)]
-        assert critical_structure(g).classes == ((0, 1, 2, 3),)
-        cost = min_cost_all_pairs(g).cost
-        self.keep_tampered(g, {(a, v): cost[a][v] + 1})
-        with pytest.raises(AssertionError, match="a critical class holds"):
-            critical_structure(g)

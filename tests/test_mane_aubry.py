@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import ergopt.mane_aubry as mane_aubry
 from ergopt.errors import NotCalibrated, NotInOmega, NotTransitive
 from ergopt.graph_engine import (
     build_prepend_graph,
@@ -33,7 +34,7 @@ from ergopt.subaction_lab import (
     maximal_subaction,
     subaction_residual,
 )
-from ergopt.symbolic_core import point
+from ergopt.symbolic_core import TransitivityReport, point
 
 from conftest import (
     f1_graph,
@@ -43,7 +44,6 @@ from conftest import (
     random_fraction,
     random_graph,
     reducible_system,
-    with_rows,
 )
 
 
@@ -104,17 +104,18 @@ def test_omega_requires_transitive():
         omega_set(build_prepend_graph(system, A))
 
 
-def test_omega_set_rejects_an_unreachable_pair_in_a_critical_row():
-    # f5: classes {0} and {1}; no critical-edge test or round trip reads
-    # the entry 0 -> 1, so only omega_set's guard sees it
-    g = f5_graph()
-    mane = min_cost_all_pairs(g)
-    a, b = g.node_index[(0,)], g.node_index[(1,)]
-    row = list(mane.row(a))
-    row[b] = None
-    g.__dict__["_beta_result"] = with_rows(mane, {a: row})
+def test_omega_set_rejects_a_graph_of_two_components(monkeypatch):
+    # the reducible system, reported transitive: node 0 never reaches
+    # node 1, so its graph is two strongly connected components, which only
+    # omega_set's guard sees; it reads no excursion row to see it
+    system = reducible_system()
+    g = build_prepend_graph(system, LocallyConstantPotential(system, 1, 1, {(1, 1): 1}))
+    monkeypatch.setattr(
+        mane_aubry, "classify_transitivity", lambda system: TransitivityReport("transitive", 1)
+    )
     with pytest.raises(AssertionError, match="excursion costs on a transitive system"):
         omega_set(g)
+    assert min_cost_all_pairs(g)._rows == [None, None]
 
 
 def test_reconstruct_rejects_a_node_that_reaches_no_anchor():

@@ -22,7 +22,9 @@ import ergopt
 from ergopt import cli_reports, graph_engine, holonomic_opt, mane_aubry, subaction_lab
 
 GUARDED = {
-    graph_engine: ("critical_structure", "_tight_core_arcs", "row", "least_into"),
+    graph_engine: (
+        "critical_structure", "_strong_components", "_solve_max_mean_cycle", "row", "least_into"
+    ),
     mane_aubry: ("omega_set", "_least_into", "reconstruct", "represent"),
     holonomic_opt: ("beta_lp",),
     subaction_lab: ("_policy_values", "_exact_discounted", "calibrated_via_discount", "livsic_test"),
