@@ -38,12 +38,11 @@ one graph:
   (``_scale_out_arcs``), the one int arc table it keeps: policy iteration,
   the discounted route and the edge slacks of ``subaction_lab`` read it,
   and ``_scaled_costs`` shifts it to the costs b - weight for any b;
-- its ``BetaResult`` (``max_mean_cycle``, ``min_cost_all_pairs``), so
-  policy iteration and the search for h run once; it keeps the arcs at
-  beta, the critical arcs and the component of each node, which the
-  critical structure reads, and each excursion row once read, and
-  searches the canonical witness cycle once, among the critical arcs, and
-  only when read.
+- its ``BetaResult`` (``max_mean_cycle``, ``min_cost_all_pairs``,
+  ``critical_structure``), so policy iteration and the search for h run
+  once; it keeps the arcs at beta, the critical arcs and each node's
+  component, and builds the critical nodes and classes, each excursion row
+  and the witness cycle (among the critical arcs) once, when first read.
 
 One least-cost search, ``_label_correcting``, serves every least-cost
 problem but the parametric route: the Bellman potential at beta and, in
@@ -207,18 +206,18 @@ def _relax(
 
 
 class BetaResult:
-    """beta, its canonical witness cycle, the Bellman potential h at beta and
-    the excursion costs at beta.
+    """beta, its canonical witness cycle, the Bellman potential h at beta, the
+    critical structure and the excursion costs at beta.
 
     beta, h and the scaled arcs of beta - weight, as ints over D, come with
     the result, which names each node's strongly connected component of the
     tight arcs (c + h[src] == h[tgt]) in its list component, and keeps in
-    critical the indices of the tight arcs inside one component: those are
-    the arcs of zero-cost cycles, since every reweighted cost is >= 0.
-    The witness cycle, h as Fractions, the reweighted arcs and each
-    excursion row are built when first read. The result holds the graph's
-    edges, never the graph itself, so a graph that keeps its result forms
-    no reference cycle.
+    critical_edges the indices of the tight arcs inside one component: the
+    arcs of zero-cost cycles, since every reweighted cost is >= 0. The
+    critical nodes and classes (``critical_structure``), the witness cycle,
+    h as Fractions, the reweighted arcs and each excursion row are built
+    when first read. The result holds the graph's edges, never the graph
+    itself, so a graph that keeps its result forms no reference cycle.
 
     The excursion costs are the least costs of nonempty paths between node
     pairs, as ints over D; None encodes an unreachable pair (possible only
@@ -247,7 +246,9 @@ class BetaResult:
         self.arcs = arcs
         tight = [i for i, (a, b, c) in enumerate(arcs) if c + h[a] == h[b]]
         component = self.component = _strong_components(len(h), [arcs[i] for i in tight])
-        self.critical = tuple(i for i in tight if component[arcs[i][0]] == component[arcs[i][1]])
+        self.critical_edges = frozenset(
+            i for i in tight if component[arcs[i][0]] == component[arcs[i][1]]
+        )
         self._edges = edges
         self._rows: list[tuple[int | None, ...] | None] = [None] * len(h)
 
@@ -258,10 +259,27 @@ class BetaResult:
         The nodes of a cycle of tight arcs share one component, so every
         arc of it is critical, and only the critical arcs are searched.
         """
-        witness = _minimal_cycle(len(self.h), [self._edges[i] for i in self.critical])
+        witness = _minimal_cycle(len(self.h), [self._edges[i] for i in self.critical_edges])
         if sum((e.weight for e in witness), Fraction(0)) / len(witness) != self.beta:
             raise AssertionError("witness cycle mean differs from beta")
         return witness
+
+    @cached_property
+    def critical_nodes(self) -> frozenset[int]:
+        """The sources of the critical arcs: the nodes on zero-cost cycles."""
+        return frozenset(self.arcs[i][0] for i in self.critical_edges)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The components that hold a critical arc, each sorted, by least node."""
+        classes: dict[int, list[int]] = {}
+        for v in sorted(self.critical_nodes):  # each class first met at its least node
+            classes.setdefault(self.component[v], []).append(v)
+        return tuple(map(tuple, classes.values()))
+
+    def anchors(self) -> tuple[int, ...]:
+        """The least node of each class."""
+        return tuple(cls[0] for cls in self.classes)
 
     @cached_property
     def potential(self) -> tuple[Fraction, ...]:
@@ -534,7 +552,7 @@ def _solve_max_mean_cycle(graph: PrependGraph) -> BetaResult:
     beta = Fraction(-num, den * W)
     D, arcs, h = _bellman_ints(graph, beta)
     result = BetaResult(beta, D, tuple(h), graph.edges, arcs)
-    if not result.critical:
+    if not result.critical_edges:
         raise AssertionError("no cycle attains beta")
     return result
 
@@ -645,17 +663,6 @@ def min_cost_all_pairs(graph: PrependGraph) -> BetaResult:
     return graph._beta_result
 
 
-@dataclass(frozen=True)
-class CriticalStructure:
-    beta: Fraction
-    critical_nodes: frozenset[int]
-    critical_edges: frozenset[int]
-    classes: tuple[tuple[int, ...], ...]  # each sorted; ordered by first node
-
-    def anchors(self) -> tuple[int, ...]:
-        return tuple(cls[0] for cls in self.classes)
-
-
 def _strong_components(n: int, arcs: Iterable[tuple[int, int, int]]) -> list[int]:
     """The strongly connected component of each node 0 .. n-1 over the arcs (a, b, c).
 
@@ -697,7 +704,7 @@ def _strong_components(n: int, arcs: Iterable[tuple[int, int, int]]) -> list[int
     return component
 
 
-def critical_structure(graph: PrependGraph) -> CriticalStructure:
+def critical_structure(graph: PrependGraph) -> BetaResult:
     """Edges on mean-beta cycles, their source nodes, and the classes they join.
 
     An arc is critical when it closes a zero-cost cycle. Every reweighted
@@ -705,15 +712,7 @@ def critical_structure(graph: PrependGraph) -> CriticalStructure:
     (a, b) closes one exactly when b reaches a along tight arcs: when a and
     b share a strongly connected component of the tight arcs. Two critical
     nodes have round-trip cost 0 exactly when they share one, so the classes
-    are the components that hold a critical arc. All of it is read off the
-    graph's ``BetaResult``, and no excursion row is searched.
+    are the components that hold a critical arc. All of it is kept on the
+    graph's ``BetaResult``, returned here, and no excursion row is searched.
     """
-    result = min_cost_all_pairs(graph)
-    nodes = frozenset(result.arcs[i][0] for i in result.critical)
-    # in ascending node order, each class first appears at its least node
-    classes: dict[int, list[int]] = {}
-    for v in sorted(nodes):
-        classes.setdefault(result.component[v], []).append(v)
-    return CriticalStructure(
-        result.beta, nodes, frozenset(result.critical), tuple(map(tuple, classes.values()))
-    )
+    return min_cost_all_pairs(graph)

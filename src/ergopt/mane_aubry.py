@@ -24,7 +24,6 @@ from typing import Iterable
 from .errors import NotCalibrated, NotInOmega, NotTransitive
 from .graph_engine import (
     BetaResult,
-    CriticalStructure,
     Edge,
     PrependGraph,
     _strong_components,
@@ -38,15 +37,16 @@ from .symbolic_core import EventuallyPeriodicPoint, classify_transitivity, windo
 
 @dataclass(frozen=True)
 class OmegaSet:
-    """Critical-structure view of the non-wandering points."""
+    """The non-wandering points; critical and mane are both the graph's ``BetaResult``."""
 
     graph: PrependGraph
     beta: Fraction
-    critical: CriticalStructure
+    critical: BetaResult
     mane: BetaResult
 
 
 def omega_set(graph: PrependGraph) -> OmegaSet:
+    """The non-wandering set of a transitive system, read off its graph's ``BetaResult``."""
     if classify_transitivity(graph.system).kind == "reducible":
         raise NotTransitive("the non-wandering analysis needs a transitive system")
     beta = max_mean_cycle(graph).beta

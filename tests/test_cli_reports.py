@@ -13,6 +13,7 @@ import sys
 import time
 import types
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -1274,6 +1275,30 @@ def test_one_tight_component_search_per_graph(tmp_path, monkeypatch, command, ti
     monkeypatch.setattr(mane_aubry, "_strong_components", counting("whole"))
     assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
     assert runs == {"tight": tight, "whole": whole}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mane"], ["classify", "--boundary", "0,0"], ["subaction", "--kind", "u0"], ["check"]],
+    ids=lambda c: c[-1] if c[0] == "subaction" else c[0],
+)
+def test_critical_classes_built_once_per_graph(tmp_path, monkeypatch, command):
+    # the classes are kept on the graph's BetaResult, so check's five
+    # omega_set calls on the base graph build them once; its negated and
+    # refined graphs read no class
+    path = write_fixture(tmp_path, "f5")
+    built = []
+    build = BetaResult.classes.func
+
+    def counting_build(self):
+        built.append(self)
+        return build(self)
+
+    counting = cached_property(counting_build)
+    counting.__set_name__(BetaResult, "classes")
+    monkeypatch.setattr(BetaResult, "classes", counting)
+    assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

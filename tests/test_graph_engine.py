@@ -170,6 +170,10 @@ class TestManeMemo:
         g = f5_graph()
         assert min_cost_all_pairs(g) is max_mean_cycle(g)
 
+    def test_the_critical_structure_is_the_beta_result(self):
+        g = f5_graph()
+        assert critical_structure(g) is max_mean_cycle(g)
+
     def test_a_rebuilt_graph_computes_again(self):
         g5 = f5_graph()
         first = min_cost_all_pairs(g5)

@@ -10,7 +10,6 @@ import ergopt.mane_aubry as mane_aubry
 from ergopt.errors import NotCalibrated, NotInOmega, NotTransitive
 from ergopt.graph_engine import (
     build_prepend_graph,
-    critical_structure,
     max_mean_cycle,
     min_cost_all_pairs,
 )
@@ -121,10 +120,11 @@ def test_omega_set_rejects_a_graph_of_two_components(monkeypatch):
 def test_reconstruct_rejects_a_node_that_reaches_no_anchor():
     # on the reducible system node 0 never reaches node 1, whose loop is
     # the only critical class; omega_set refuses the system, so the view is
-    # assembled by hand
+    # assembled by hand from the graph's one result
     system = reducible_system()
     g = build_prepend_graph(system, LocallyConstantPotential(system, 1, 1, {(1, 1): 1}))
-    omega = OmegaSet(g, max_mean_cycle(g).beta, critical_structure(g), min_cost_all_pairs(g))
+    result = max_mean_cycle(g)
+    omega = OmegaSet(g, result.beta, result, result)
     assert omega.critical.classes == ((g.node_index[(1,)],),)
     with pytest.raises(AssertionError, match="excursion costs on a transitive system"):
         reconstruct(BoundaryData(omega, (Fraction(0),)))
