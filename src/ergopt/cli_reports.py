@@ -778,9 +778,9 @@ def cmd_check(config: ExperimentConfig) -> dict:
     on an internal result, reports status "error" with the message as its
     note; the suite goes on with the next check. The omega oracle check
     compares every sample whose search stays within the state budget and
-    names the others in its note; it reports "skip" only when every sample
-    passes the budget, which leaves "ok" as it is. The beta oracle check
-    reports "skip" when its word budget is passed.
+    the agreement-depth bound and names the others in its note; it reports
+    "skip" only when every sample passes one, which leaves "ok" as it is.
+    The beta oracle check reports "skip" when its word budget is passed.
     """
     items = _check_items(config)
     transitive = classify_transitivity(config.system).kind != "reducible"

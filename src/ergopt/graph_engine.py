@@ -41,8 +41,9 @@ one graph:
 - its ``BetaResult`` (``max_mean_cycle``, ``min_cost_all_pairs``,
   ``critical_structure``), so policy iteration and the search for h run
   once; it keeps the arcs at beta, the critical arcs and each node's
-  component, and builds the critical nodes and classes, each excursion row
-  and the witness cycle (among the critical arcs) once, when first read.
+  component, and builds the critical nodes and classes, each excursion row,
+  the witness cycle (among the critical arcs) and whether the graph is one
+  strongly connected component once, when first read.
 
 One least-cost search, ``_label_correcting``, serves every least-cost
 problem but the parametric route: the Bellman potential at beta and, in
@@ -280,6 +281,14 @@ class BetaResult:
     def anchors(self) -> tuple[int, ...]:
         """The least node of each class."""
         return tuple(cls[0] for cls in self.classes)
+
+    @cached_property
+    def strongly_connected(self) -> bool:
+        """Whether every node reaches every other, so every excursion cost is finite.
+
+        One ``_strong_components`` pass over all the arcs; no row is read.
+        """
+        return len(set(_strong_components(len(self.h), self.arcs))) == 1
 
     @cached_property
     def potential(self) -> tuple[Fraction, ...]:

@@ -10,7 +10,8 @@ and reconstruction are one min-plus expression, min over seed windows t of
 f_t + phi(V -> t); each is one search from its seeds along the reversed
 arcs (``_least_into``) and reads no row of the excursion-cost matrix.
 ``omega_set`` reads none either: it tests that every cost is finite by
-testing that the graph is one strongly connected component.
+testing that the graph is one strongly connected component
+(``BetaResult.strongly_connected``, once per graph).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .graph_engine import (
     BetaResult,
     Edge,
     PrependGraph,
-    _strong_components,
     critical_structure,
     max_mean_cycle,
     min_cost_all_pairs,
@@ -53,8 +53,8 @@ def omega_set(graph: PrependGraph) -> OmegaSet:
     critical = critical_structure(graph)
     mane = min_cost_all_pairs(graph)
     # every excursion cost is finite exactly when the graph is one strongly
-    # connected component; no row is read
-    if len(set(_strong_components(len(graph.nodes), mane.arcs))) > 1:
+    # connected component, tested once per graph; no row is read
+    if not mane.strongly_connected:
         raise AssertionError("excursion costs on a transitive system are all finite")
     return OmegaSet(graph, beta, critical, mane)
 

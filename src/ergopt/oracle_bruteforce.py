@@ -31,6 +31,12 @@ from .symbolic_core import (
 # 541 calls pass the budget.
 OMEGA_STATE_BUDGET = 50_000
 
+# Largest agreement depth oracle_omega searches at: the least k with
+# lambda**k <= eps, which grows without bound as lambda nears 1. check's
+# eps of 1/64 stays within it for lambda up to 64**(-1/1024), about 0.99595.
+# A power of two, since _agreement_depth squares lambda up to it.
+AGREEMENT_DEPTH_BOUND = 1024
+
 # Most words oracle_beta enumerates before it gives up: all allowed words of
 # lengths 1..max_cycle_len. The bundled fixtures need at most 18 and a full
 # 3-shift with q=2 (9 nodes) 88 572; a full 2-shift with q=4 (16 nodes)
@@ -144,12 +150,33 @@ def _agreement_depth(system: SubshiftSystem, eps: Fraction) -> int:
     """Least k with lambda**k <= eps, for eps > 0.
 
     distance(pt, x) <= eps exactly when pt and x agree on their first k
-    coordinates.
+    coordinates. lambda = a / b is in lowest terms, so each power is kept
+    as the int pair (a**k, b**k) and never reduced. The powers
+    lambda**(2**j) are squared until one is at or below eps, and k is then
+    built bit by bit below it. When lambda**AGREEMENT_DEPTH_BOUND is still
+    above eps, k is past the bound and OracleBudgetExceeded is raised; no
+    larger power is built.
     """
-    k, power = 0, Fraction(1)
-    while power > eps:
-        k, power = k + 1, power * system.metric_lambda
-    return k
+    m, n = eps.numerator, eps.denominator
+    if m >= n:
+        return 0  # lambda**0 = 1 <= eps
+    a, b = system.metric_lambda.numerator, system.metric_lambda.denominator
+    powers = [(a, b)]  # lambda**(2**j) for j = 0, 1, ...
+    while a * n > m * b:
+        if 2 ** (len(powers) - 1) >= AGREEMENT_DEPTH_BOUND:
+            raise OracleBudgetExceeded(
+                f"omega oracle agreement depth bound of {AGREEMENT_DEPTH_BOUND} passed: "
+                f"lambda**{AGREEMENT_DEPTH_BOUND} is above eps"
+            )
+        a, b = a * a, b * b
+        powers.append((a, b))
+    # the largest k with lambda**k > eps, from the highest bit down
+    k, num, den = 0, 1, 1
+    for j in reversed(range(len(powers) - 1)):
+        a, b = num * powers[j][0], den * powers[j][1]
+        if a * n > m * b:
+            k, num, den = k + 2**j, a, b
+    return k + 1
 
 
 def oracle_mane(
@@ -231,7 +258,8 @@ def oracle_omega(
     so when they repeat an earlier length's, no later length can qualify
     and False is definitive too; otherwise False only reports the horizon
     searched. Raises OracleBudgetExceeded rather than expand more than
-    OMEGA_STATE_BUDGET states.
+    OMEGA_STATE_BUDGET states or search at an agreement depth above
+    AGREEMENT_DEPTH_BOUND.
     """
     q = A.future_depth
     if max_path_len is None:

@@ -15,6 +15,12 @@ table: deep windows over 2 or 3 symbols, or up to 10 symbols, with at most
 three windows listed (unlisted windows are 0). One past ``MAX_WINDOW_LENGTH``
 or ``MAX_WINDOW_WORDS`` must exit 2 from every command within 1 s; one under
 them, drawn with at most 1024 windows, goes through every command as above.
+
+A third run sets the metric lambda of random configs near 1: 1 - 10**-k for
+k = 1 .. 12, 1 - 10**-300 and a random lambda of 400 digits. Every command
+must end within 5 s as above, and on a transitive system check's
+``omega_oracle`` names ``AGREEMENT_DEPTH_BOUND`` in a skip exactly when
+lambda**AGREEMENT_DEPTH_BOUND is above its eps of 1/64.
 """
 
 from __future__ import annotations
@@ -23,15 +29,19 @@ import contextlib
 import io
 import json
 import random
+import re
 import time
+from fractions import Fraction
 
 from ergopt.cli_reports import MAX_WINDOW_LENGTH, MAX_WINDOW_WORDS, main, parse_config_text
+from ergopt.oracle_bruteforce import AGREEMENT_DEPTH_BOUND
 from ergopt.symbolic_core import SubshiftSystem, allowed_words, classify_transitivity
 
 CONFIGS = 40
 SECONDS = 10
 LARGE_CONFIGS = 16
 LARGE_UNDER_CAP = 1024
+NEAR_ONE_SECONDS = 5
 
 VARIANTS = (
     ("beta",),
@@ -125,6 +135,20 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
+def _assert_documented(variant, rc: int, out: str, err: str, context: str) -> None:
+    """rc is one the command documents, stderr matches it, and no check item
+    of a JSON check report failed or raised."""
+    assert rc in EXIT_CODES[variant[0]], context
+    if rc in STDERR_PREFIX:
+        assert err.startswith(STDERR_PREFIX[rc]), context
+    else:
+        assert err == "", context
+    if list(variant) == ["check"] and rc == 1:
+        # an exception inside an item is reported with status "error"
+        bad = [c for c in json.loads(out)["checks"] if c["status"] in ("fail", "error")]
+        assert {(c["name"], c["status"]) for c in bad} <= KNOWN_CHECK_FAILURES, context
+
+
 def test_every_command_exits_with_a_documented_code(tmp_path):
     rng = random.Random(2026)
     path = tmp_path / "random.cfg"
@@ -143,17 +167,7 @@ def test_every_command_exits_with_a_documented_code(tmp_path):
                 argv.append("--boundary=" + ",".join(["0"] * classes))
             rc, out, err = _run(argv)
             context = f"{variant} on config {i}:\n{text}"
-            assert rc in EXIT_CODES[variant[0]], context
-            if rc in STDERR_PREFIX:
-                assert err.startswith(STDERR_PREFIX[rc]), context
-            else:
-                assert err == "", context
-            if variant == ["check"] and rc == 1:
-                # an exception inside an item is reported with status "error"
-                items = json.loads(out)["checks"]
-                bad = [c for c in items if c["status"] in ("fail", "error")]
-                failed = {(c["name"], c["status"]) for c in bad}
-                assert failed <= KNOWN_CHECK_FAILURES, context
+            _assert_documented(variant, rc, out, err, context)
             if variant == ["mane"] and rc == 0:
                 classes = len(json.loads(out)["classes"])
             codes.setdefault(" ".join(variant[:3]), set()).add(rc)
@@ -224,15 +238,50 @@ def test_a_large_implicit_table_exits_2_or_runs(tmp_path):
                 seen.add("length" if "is above the bound" in err else "words")
                 continue
             seen.add("under")
-            assert rc in EXIT_CODES[variant[0]], context
-            if rc in STDERR_PREFIX:
-                assert err.startswith(STDERR_PREFIX[rc]), context
-            else:
-                assert err == "", context
-            if variant == ("check",) and rc == 1:
-                bad = [c for c in json.loads(out)["checks"] if c["status"] in ("fail", "error")]
-                assert {(c["name"], c["status"]) for c in bad} <= KNOWN_CHECK_FAILURES, context
+            _assert_documented(variant, rc, out, err, context)
             if variant == ("mane",) and rc == 0:
                 classes = len(json.loads(out)["classes"])
     # the generator passes the length bound, the word bound, and neither
     assert seen == {"length", "words", "under"}
+
+
+def near_one_lambdas(rng: random.Random) -> list[str]:
+    """1 - 10**-k for k = 1 .. 12, 1 - 10**-300, and a random lambda of 400 digits."""
+    lambdas = [f"{10**k - 1}/{10**k}" for k in range(1, 13)]
+    return lambdas + ["9" * 300 + "/1" + "0" * 300, f"{rng.randrange(10**399, 10**400)}/{10**400}"]
+
+
+def test_a_lambda_near_1_ends_every_command(tmp_path):
+    # check's omega oracle asks for agreement on the least k symbols with
+    # lambda**k <= 1/64, which passes AGREEMENT_DEPTH_BOUND from lambda =
+    # 1 - 10**-3 on: the item then reports skip, and ok stands
+    rng = random.Random(2028)
+    path = tmp_path / "near_one.cfg"
+    bound = f"agreement depth bound of {AGREEMENT_DEPTH_BOUND} passed"
+    seen = set()
+    for i, lam in enumerate(near_one_lambdas(rng)):
+        text = re.sub("^lambda = .*$", f"lambda = {lam}", random_config(rng, i), flags=re.M)
+        path.write_text(text)
+        transitive = classify_transitivity(parse_config_text(text).system).kind != "reducible"
+        past = transitive and Fraction(lam) ** AGREEMENT_DEPTH_BOUND > Fraction(1, 64)
+        classes = 1
+        for variant in VARIANTS:
+            argv = list(variant) + ["--config", str(path)]
+            if variant[0] == "classify":
+                argv.append("--boundary=" + ",".join(["0"] * classes))
+            start = time.perf_counter()
+            rc, out, err = _run(argv)
+            elapsed = time.perf_counter() - start
+            context = f"{variant} on config {i}:\n{text}"
+            _assert_documented(variant, rc, out, err, context)
+            assert elapsed < NEAR_ONE_SECONDS, context
+            if variant == ("check",):
+                (oracle,) = [c for c in json.loads(out)["checks"] if c["name"] == "omega_oracle"]
+                assert (bound in oracle["note"]) == past, context
+                assert oracle["status"] == "skip" or not past, context
+                seen.add((transitive, past))
+            if variant == ("mane",) and rc == 0:
+                classes = len(json.loads(out)["classes"])
+    # the oracle searches below the bound, skips past it, and a reducible
+    # system skips it before any depth is found
+    assert seen == {(True, False), (True, True), (False, False)}

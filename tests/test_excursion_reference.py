@@ -91,7 +91,7 @@ from test_integer_kernel import ref_all_pairs
 
 
 def ref_critical_structure(graph, beta):
-    """The critical nodes, the critical edges and the classes, each sorted, by least node."""
+    """Critical nodes, critical edges, and classes: each sorted, ordered by least node."""
     phi = ref_all_pairs(graph, beta)
     nodes = frozenset(v for v in range(len(graph.nodes)) if phi[v][v] == 0)
     edge_ids = []

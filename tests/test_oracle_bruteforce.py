@@ -10,9 +10,15 @@ import pytest
 import ergopt.oracle_bruteforce as oracle_bruteforce
 from ergopt.errors import HorizonTooSmall, OracleBudgetExceeded
 from ergopt.graph_engine import build_prepend_graph, max_mean_cycle
-from ergopt.oracle_bruteforce import oracle_beta, oracle_mane, oracle_omega
+from ergopt.oracle_bruteforce import (
+    AGREEMENT_DEPTH_BOUND,
+    _agreement_depth,
+    oracle_beta,
+    oracle_mane,
+    oracle_omega,
+)
 from ergopt.potential_model import LocallyConstantPotential
-from ergopt.symbolic_core import allowed_words, point
+from ergopt.symbolic_core import SubshiftSystem, allowed_words, point
 
 from conftest import constant_potential, full_shift, random_fraction, random_system
 
@@ -133,3 +139,42 @@ class TestOracleOmega:
         A = constant_potential(full_shift(), 5)
         for x in (point("", "0"), point("", "01"), point("1", "0")):
             assert oracle_omega(full_shift(), A, Fraction(5), x, Fraction(1, 8))
+
+
+def with_lambda(lam: Fraction) -> SubshiftSystem:
+    return SubshiftSystem(2, ((1, 1), (1, 1)), lam)
+
+
+class TestAgreementDepth:
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(3, 4), Fraction(996, 1000)])
+    def test_the_bound_is_the_largest_depth_accepted(self, lam):
+        # at eps = lambda**bound the depth is the bound; any eps below it
+        # asks for one symbol more
+        eps = lam**AGREEMENT_DEPTH_BOUND
+        assert _agreement_depth(with_lambda(lam), eps) == AGREEMENT_DEPTH_BOUND
+        assert _agreement_depth(with_lambda(lam), eps / lam) == AGREEMENT_DEPTH_BOUND - 1
+        below = eps * Fraction(10**6 - 1, 10**6)
+        with pytest.raises(
+            OracleBudgetExceeded,
+            match=f"agreement depth bound of {AGREEMENT_DEPTH_BOUND} passed",
+        ):
+            _agreement_depth(with_lambda(lam), below)
+
+    def test_matches_the_least_power_at_or_below_eps(self, rng: random.Random):
+        for _ in range(200):
+            lam = Fraction(rng.randint(1, 999), rng.choice((1000, 997)))
+            eps = Fraction(rng.randint(1, 3), 10 ** rng.randint(0, 60))
+            k, power = 0, Fraction(1)
+            while power > eps and k <= AGREEMENT_DEPTH_BOUND:
+                k, power = k + 1, power * lam
+            if k <= AGREEMENT_DEPTH_BOUND:
+                assert _agreement_depth(with_lambda(lam), eps) == k
+            else:
+                with pytest.raises(OracleBudgetExceeded):
+                    _agreement_depth(with_lambda(lam), eps)
+
+    def test_oracle_omega_raises_past_the_bound(self):
+        system = with_lambda(Fraction(99999, 100000))
+        A = LocallyConstantPotential(system, 1, 1, {(1, 1): Fraction(1)})
+        with pytest.raises(OracleBudgetExceeded, match="agreement depth bound"):
+            oracle_omega(system, A, Fraction(1), point("", "1"), Fraction(1, 64))
