@@ -161,17 +161,21 @@ class TestAgreementDepth:
             _agreement_depth(with_lambda(lam), below)
 
     def test_matches_the_least_power_at_or_below_eps(self, rng: random.Random):
+        refused = []
         for _ in range(200):
-            lam = Fraction(rng.randint(1, 999), rng.choice((1000, 997)))
+            den = rng.choice((1000, 997))
+            lam = Fraction(rng.randint(1, den - 1), den)
             eps = Fraction(rng.randint(1, 3), 10 ** rng.randint(0, 60))
             k, power = 0, Fraction(1)
             while power > eps and k <= AGREEMENT_DEPTH_BOUND:
                 k, power = k + 1, power * lam
+            refused.append(k > AGREEMENT_DEPTH_BOUND)
             if k <= AGREEMENT_DEPTH_BOUND:
                 assert _agreement_depth(with_lambda(lam), eps) == k
             else:
                 with pytest.raises(OracleBudgetExceeded):
                     _agreement_depth(with_lambda(lam), eps)
+        assert 0 < sum(refused) < len(refused)
 
     def test_oracle_omega_raises_past_the_bound(self):
         system = with_lambda(Fraction(99999, 100000))
